@@ -14,7 +14,11 @@ payload bytes.
 A second leg measures the shared-memory worker transport: a pooled
 collection (2 workers, forced past the single-core fallback) must stay
 byte-identical to serial while moving its results as packed columnar
-blobs, and the blob volume is recorded.
+blobs.  The blob volume, the leg's wall seconds and the parent's peak
+RSS at the end of the leg are recorded — the measurements behind
+keeping shared memory as the only transport.  The pooled leg runs
+first, so the parent's high-water mark is the leg's own; its series is
+serialised for the identity check and freed before anything else runs.
 
 Results land in ``results/storage_throughput.txt`` (human table) and
 ``results/BENCH_storage.json`` (machine-readable).  The committed JSON
@@ -31,6 +35,7 @@ Environment knobs for CI smoke runs: ``REPRO_STORAGE_BENCH_DAYS``
 """
 
 import datetime as dt
+import gc
 import json
 import os
 import pathlib
@@ -74,6 +79,11 @@ def _best_of(fn, reps=TIMING_REPS):
     return best
 
 
+def _self_peak_rss_mb() -> float:
+    """Peak RSS in MB of this process alone (the pool's parent)."""
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
+
+
 def _peak_rss_mb() -> float:
     """Peak RSS in MB across this process and its (pool) children."""
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -93,6 +103,23 @@ def _decode_probe(payload) -> int:
 def test_storage_throughput(tmp_path):
     plan = synthetic_plan(seed=SEED, slash16s=SLASH16S, people=PEOPLE)
     end = START + dt.timedelta(days=BENCH_DAYS)
+
+    # -- worker transport first: the parent's peak RSS is the leg's own ---
+    pooled_collector = ShardedCollector(plan, shards=TRANSPORT_WORKERS)
+    os.environ["REPRO_MAX_WORKERS"] = str(TRANSPORT_WORKERS)
+    try:
+        started = time.perf_counter()
+        pooled = pooled_collector.collect(START, end, workers=TRANSPORT_WORKERS)
+        pool_seconds = time.perf_counter() - started
+    finally:
+        os.environ.pop("REPRO_MAX_WORKERS", None)
+    pool_parent_rss_mb = _self_peak_rss_mb()
+    pool_metrics = pooled_collector.last_metrics
+    assert pool_metrics.transport_bytes > 0, "pool results did not use the transport"
+    pooled_bytes = json.dumps(pooled.to_payload(), sort_keys=True)
+    del pooled
+    gc.collect()
+
     series = ShardedCollector(plan, shards=1).collect(START, end)
     reference_bytes = json.dumps(series.to_payload(), sort_keys=True)
 
@@ -127,18 +154,7 @@ def test_storage_throughput(tmp_path):
     v3_mb_s = v3_bytes / 1e6 / v3_seconds if v3_seconds else 0.0
     v4_mb_s = v4_bytes / 1e6 / v4_seconds if v4_seconds else 0.0
 
-    # -- worker transport: pooled run is byte-identical, blobs counted ----
-    pooled_collector = ShardedCollector(plan, shards=TRANSPORT_WORKERS)
-    os.environ["REPRO_MAX_WORKERS"] = str(TRANSPORT_WORKERS)
-    try:
-        pooled = pooled_collector.collect(START, end, workers=TRANSPORT_WORKERS)
-    finally:
-        os.environ.pop("REPRO_MAX_WORKERS", None)
-    pool_metrics = pooled_collector.last_metrics
-    assert json.dumps(pooled.to_payload(), sort_keys=True) == reference_bytes, (
-        "pooled collection diverged from serial"
-    )
-    assert pool_metrics.transport_bytes > 0, "pool results did not use the transport"
+    assert pooled_bytes == reference_bytes, "pooled collection diverged from serial"
 
     peak_rss_mb = _peak_rss_mb()
     skip_reason = None if FULL_CONFIG else (
@@ -172,7 +188,8 @@ def test_storage_throughput(tmp_path):
         "transport": {
             "workers": TRANSPORT_WORKERS,
             "transport_bytes": pool_metrics.transport_bytes,
-            "spill_bytes": pool_metrics.spill_bytes,
+            "seconds": round(pool_seconds, 3),
+            "parent_peak_rss_mb": pool_parent_rss_mb,
         },
         "memory": {
             "peak_rss_mb": peak_rss_mb,
@@ -200,7 +217,7 @@ def test_storage_throughput(tmp_path):
         + (f", {skip_reason}" if skip_reason else "")
         + f")\ntransport bytes at {TRANSPORT_WORKERS} workers: "
         + f"{pool_metrics.transport_bytes}"
-        + f" (spilled: {pool_metrics.spill_bytes})\n"
+        + f" in {pool_seconds:.2f}s, parent peak RSS {pool_parent_rss_mb} MB\n"
         + f"peak RSS: {peak_rss_mb} MB"
         + (f" (ceiling {RSS_CEILING_MB} MB)" if RSS_CEILING_MB else "")
         + "\n"

@@ -66,6 +66,7 @@ from repro.scan import (
     write_icmp_csv,
     write_rdns_csv,
 )
+from repro.scan.parallel import PoolError
 
 
 def _parse_date(text: str) -> dt.date:
@@ -1040,6 +1041,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         # like an argument error instead of a traceback.
         print(f"{parser.prog}: error: {error}", file=sys.stderr)
         return 2
+    except PoolError as error:
+        print(f"{parser.prog}: error: {error}", file=sys.stderr)
+        return 1
     if args.obs is not None:
         if args.trace:
             rendered = args.obs.tracer.render()

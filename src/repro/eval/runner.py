@@ -4,11 +4,11 @@ Each cell runs the same two-stage pipeline a study does — snapshot
 collection over the dynamicity window, then the supplemental campaign
 — through the sharded engines (:mod:`repro.scan.sharded`), and is
 scored in the worker that ran it.  Parallel execution fans whole cells
-out over the existing :class:`~repro.scan.parallel.WorkerBudget`
-process-pool transport (:func:`~repro.scan.parallel._map_chunks`);
-because a cell is scored from nothing but its own plan, windows and
-caches, and results are re-ordered by cell index, a parallel sweep is
-**byte-identical** to a serial one.
+out over a :class:`~repro.scan.parallel.WorkerBudget`-sized process
+pool (:func:`~repro.scan.parallel.run_pool`); because a cell is scored
+from nothing but its own plan, windows and caches, and results come
+back in cell order, a parallel sweep is **byte-identical** to a serial
+one.
 
 Cache safety: each cell's plan carries its policy (distinct
 fingerprint + ``policy_token``) and each collector/campaign carries
@@ -35,7 +35,7 @@ from repro.netsim.faults import plan_from_profile
 from repro.netsim.worldplan import WorldPlan
 from repro.obs import resolve_obs
 from repro.scan.cache import CampaignCache, SnapshotCache
-from repro.scan.parallel import WorkerBudget, worker_cap
+from repro.scan.parallel import WorkerBudget, run_pool, worker_cap
 from repro.scan.sharded import ShardedCampaign, ShardedCollector
 
 
@@ -168,12 +168,9 @@ def _evaluate_cell(state: Tuple, task: Tuple) -> Dict[str, Any]:
     }
 
 
-def _pooled_cell_task(task: Tuple) -> Dict[str, Any]:
-    """Worker entry point: state arrives via the pool initializer."""
-    import repro.scan.parallel as parallel
-
-    assert parallel._WORKER_STATE is not None, "worker state missing"
-    return _evaluate_cell(parallel._WORKER_STATE, task)
+def _pooled_cell_task(state: Tuple, task: Tuple) -> Tuple[Dict[str, Any], bytes]:
+    """Pool entry point: the whole cell entry rides as the header."""
+    return _evaluate_cell(state, task), b""
 
 
 def run_matrix(
@@ -191,8 +188,6 @@ def run_matrix(
     *root path* into workers so every process shares the on-disk
     namespace.  Output is byte-identical for any worker count.
     """
-    from repro.scan.parallel import _map_chunks
-
     spec.validate()
     obs = resolve_obs(obs)
     started = time.perf_counter()
@@ -207,20 +202,15 @@ def run_matrix(
 
     with obs.span("eval_matrix") as span:
         if pool_workers >= 2:
-            raw = _map_chunks(
-                state,
-                tasks,
-                pool_workers,
-                _pooled_cell_task,
-                obs=obs,
-                section="eval_pool",
+            pooled = run_pool(
+                _pooled_cell_task, tasks, state, pool_workers,
+                section="eval_pool", unpack=bytes, obs=obs,
             )
+            entries = [entry for entry, _ in pooled]
         else:
-            raw = [_evaluate_cell(state, task) for task in tasks]
-        by_index = {entry["index"]: entry for entry in raw}
+            entries = [_evaluate_cell(state, task) for task in tasks]
         results: List[CellResult] = []
-        for cell in cells:
-            entry = by_index[cell.index]
+        for cell, entry in zip(cells, entries):
             results.append(
                 CellResult(
                     cell=cell,

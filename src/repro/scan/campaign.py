@@ -98,9 +98,6 @@ class CampaignMetrics:
     #: serial (and cache-hit) runs.  Reported under
     #: ``timings.execution`` only — run-shape, not science.
     transport_bytes: int = 0
-    #: The subset of :attr:`transport_bytes` that spilled to temp files
-    #: rather than shared memory.
-    spill_bytes: int = 0
     simulate_seconds: float = 0.0
     total_seconds: float = 0.0
     per_network_seconds: Dict[str, float] = field(default_factory=dict)
@@ -528,7 +525,6 @@ class SupplementalCampaign:
             cache_hit=metrics.cache_hit,
             cache_stored=metrics.cache_stored,
             transport_bytes=metrics.transport_bytes,
-            spill_bytes=metrics.spill_bytes,
         )
         if cache is not None:
             cache.export_metrics(obs, section="campaign", baseline=cache_baseline)

@@ -11,10 +11,8 @@ the streams with the same deterministic timestamp merge the serial
 path uses, so parallel output is bit-identical to serial (pinned by
 ``tests/scan/test_campaign_parallel_cache.py``).
 
-On platforms with ``fork`` (Linux, macOS pre-3.14 semantics aside),
-workers inherit the built world through copy-on-write memory — no
-pickling at all.  Elsewhere the world is pickled once and shipped via
-the pool initializer, exactly like :mod:`repro.scan.parallel`.
+The pool itself — fork or spawn, shared-memory result transport,
+segment cleanup — is :func:`repro.scan.parallel.run_pool`.
 
 :func:`effective_campaign_workers` implements the never-slower rule:
 the pool is capped at the machine's core count and the number of
@@ -25,21 +23,14 @@ back to the serial loop rather than paying pool overhead for nothing.
 from __future__ import annotations
 
 import datetime as dt
-import multiprocessing
-import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, List, Tuple
 
-from repro.scan.parallel import worker_cap
+from repro.scan import transport
+from repro.scan.parallel import run_pool, worker_cap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scan.campaign import NetworkCampaignResult, SupplementalCampaign
-
-#: Per-worker state: (world, schedule, sweep_interval, rdns_rate,
-#: blocklist, fault_plan).  Fork workers inherit it from the parent;
-#: spawn workers get it from the pool initializer.
-_WORKER_STATE: Optional[Tuple[object, object, int, float, list, object]] = None
 
 
 def effective_campaign_workers(requested: int, work_units: int) -> int:
@@ -61,26 +52,17 @@ def effective_campaign_workers(requested: int, work_units: int) -> int:
     return capped if capped >= 2 else 1
 
 
-def _init_worker(blob: bytes) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = pickle.loads(blob)
-
-
-def _run_one(task: Tuple[str, str, str]):
+def _run_one(state, task: Tuple[str, str, str]):
     """Run one network's campaign inside a worker process.
 
-    The heavy observation columns are packed into one columnar blob
-    and published out-of-band (:mod:`repro.scan.transport`); only a
-    lightweight result shell plus the
-    :class:`~repro.scan.transport.BlobHandle` ride the result pickle.
+    ``state`` is ``(world, schedule, sweep_interval, rdns_rate,
+    blocklist, fault_plan)``.  Returns the result shell without its
+    observation columns plus the columns packed into one blob
+    (:func:`~repro.scan.transport.pack_campaign_columns`).
     """
-    from dataclasses import replace
-
-    from repro.scan import transport
     from repro.scan.campaign import run_network_campaign
 
-    assert _WORKER_STATE is not None, "worker state missing (initializer did not run)"
-    world, schedule, sweep_interval, rdns_rate, blocklist, fault_plan = _WORKER_STATE
+    world, schedule, sweep_interval, rdns_rate, blocklist, fault_plan = state
     name, start_iso, end_iso = task
     result = run_network_campaign(
         world,
@@ -93,10 +75,10 @@ def _run_one(task: Tuple[str, str, str]):
         blocklist=blocklist,
         fault_plan=fault_plan,
     )
-    handle = transport.publish(
-        transport.pack_campaign_columns(result.icmp, result.rdns)
+    return (
+        replace(result, icmp=None, rdns=None),
+        transport.pack_campaign_columns(result.icmp, result.rdns),
     )
-    return replace(result, icmp=None, rdns=None), handle
 
 
 def run_networks(
@@ -113,14 +95,8 @@ def run_networks(
     cannot be pickled (worlds from
     :func:`repro.netsim.internet.build_world` always can).  ``metrics``
     (a :class:`~repro.scan.campaign.CampaignMetrics`) receives the
-    result-transport byte totals.
+    result-transport byte total.
     """
-    global _WORKER_STATE
-    from repro.scan import transport
-
-    if workers < 2:
-        raise ValueError("run_networks needs at least 2 workers; use run() for serial")
-
     state = (
         campaign.world,
         campaign.schedule,
@@ -132,70 +108,11 @@ def run_networks(
     tasks = [
         (name, start.isoformat(), end.isoformat()) for name in campaign.network_names
     ]
-    max_workers = min(workers, len(tasks))
-    use_fork = "fork" in multiprocessing.get_all_start_methods()
-    if campaign.obs is not None:
-        campaign.obs.record_execution(
-            "campaign_pool",
-            transport="fork" if use_fork else "spawn",
-            tasks=len(tasks),
-            pool_workers=max_workers,
-        )
-
-    transport.ensure_parent_tracker()
-    if use_fork:
-        # Fork workers inherit the world via copy-on-write: zero
-        # serialisation cost, which is what makes small worlds still
-        # worth parallelising.
-        _WORKER_STATE = state
-        try:
-            with ProcessPoolExecutor(
-                max_workers=max_workers,
-                mp_context=multiprocessing.get_context("fork"),
-            ) as pool:
-                shells = list(pool.map(_run_one, tasks))
-        finally:
-            _WORKER_STATE = None
-        return _hydrate(campaign, shells, metrics)
-
-    try:
-        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise ValueError(
-            "parallel campaign requires a picklable world; "
-            f"pickling failed: {exc!r}"
-        ) from exc
-    with ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=_init_worker,
-        initargs=(blob,),
-    ) as pool:
-        shells = list(pool.map(_run_one, tasks))
-    return _hydrate(campaign, shells, metrics)
-
-
-def _hydrate(
-    campaign: "SupplementalCampaign", shells, metrics
-) -> List["NetworkCampaignResult"]:
-    """Re-attach each result's observation columns from its blob."""
-    from dataclasses import replace
-
-    from repro.scan import transport
-
-    stats = transport.TransportStats()
-    results: List["NetworkCampaignResult"] = []
-    for shell, handle in shells:
-        stats.count(handle)
-        icmp, rdns = transport.consume(handle, transport.unpack_campaign_columns)
-        results.append(replace(shell, icmp=icmp, rdns=rdns))
-    if campaign.obs is not None:
-        campaign.obs.record_execution(
-            "campaign_pool",
-            accumulate=True,
-            transport_bytes=stats.transport_bytes,
-            spill_bytes=stats.spill_bytes,
-        )
-    if metrics is not None:
-        metrics.transport_bytes += stats.transport_bytes
-        metrics.spill_bytes += stats.spill_bytes
-    return results
+    shells = run_pool(
+        _run_one, tasks, state, workers,
+        section="campaign_pool",
+        unpack=transport.unpack_campaign_columns,
+        obs=campaign.obs,
+        metrics=metrics,
+    )
+    return [replace(shell, icmp=icmp, rdns=rdns) for shell, (icmp, rdns) in shells]

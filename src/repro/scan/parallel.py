@@ -11,16 +11,17 @@ order.  The merged series is bit-identical to a serial run (the
 equivalence regression test in ``tests/scan/test_parallel_cache.py``
 pins this).
 
-Two transport paths keep the fixed cost low.  Where ``fork`` is
-available (Linux), workers inherit the :class:`~repro.netsim.internet.Internet`
-through copy-on-write memory — no pickling at all.  Elsewhere the world
-is pickled once and shipped via the pool initializer.  Results travel
-the other way as packed columnar blobs through
-:mod:`repro.scan.transport` (shared memory by default): a worker
-returns a :class:`~repro.scan.transport.BlobHandle` instead of pickled
-per-day dicts, and the parent unpacks straight out of the shared
-buffer — the serialize-merge tax that used to make small-chunk
-parallelism slower than serial is gone.
+Every fan-out in the package — snapshot day-chunks, record chunks,
+shard chunks, shard campaign batches, per-network campaigns and
+evaluation cells — goes through :func:`run_pool`, the one process-pool
+primitive.  Where ``fork`` is available (Linux), workers inherit the
+shared state (the :class:`~repro.netsim.internet.Internet`, a plan
+payload, ...) through copy-on-write memory — no pickling at all.
+Elsewhere the state is pickled once and shipped via the pool
+initializer.  Results travel the other way as packed columnar blobs in
+shared memory (:mod:`repro.scan.transport`): a worker returns a small
+header plus a :class:`~repro.scan.transport.BlobHandle`, and the
+parent unpacks straight out of the shared buffer.
 
 :func:`effective_workers` implements the never-slower rule: short
 windows don't amortise pool start-up, so the pool size is capped by
@@ -37,8 +38,11 @@ import math
 import multiprocessing
 import os
 import pickle
+import secrets
 from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from concurrent.futures.process import BrokenProcessPool
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scan.snapshot import SnapshotCollector, SnapshotSeries
@@ -47,11 +51,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: overhead outweigh the concurrency win; shrink the pool instead.
 MIN_DAYS_PER_WORKER = 8
 
-#: Per-worker state: (internet, network_names, at_offset).  Fork
-#: workers inherit it from the parent; spawn workers get it from the
-#: pool initializer.  Worker processes are single-purpose, so a module
+#: The ``state`` of the running :func:`run_pool` call.  Fork workers
+#: inherit it from the parent; spawn workers get it from the pool
+#: initializer.  Worker processes are single-purpose, so a module
 #: global is the simplest way to pay the set-up cost once per worker.
-_WORKER_STATE: Optional[Tuple[object, Optional[List[str]], Optional[int]]] = None
+#: Only :func:`run_pool` and its worker entry point touch it.
+_WORKER_STATE: Any = None
 
 
 #: Default ceiling on automatic pool sizing.  Large shard runs want the
@@ -131,32 +136,138 @@ class WorkerBudget:
         return f"WorkerBudget(total={self.total})"
 
 
+class PoolError(RuntimeError):
+    """A pool worker died mid-run (killed, or crashed outside Python)."""
+
+
+def run_pool(
+    task: Callable[[Any, Any], Tuple[Any, bytes]],
+    items: Sequence[Any],
+    state: Any,
+    workers: int,
+    *,
+    section: str,
+    unpack: Callable[[memoryview], Any],
+    obs=None,
+    metrics=None,
+) -> List[Tuple[Any, Any]]:
+    """Run ``task(state, item)`` for every item on a process pool.
+
+    The only code that creates a process pool.  ``task`` must be a
+    module-level function (it is pickled by reference) returning
+    ``(header, blob)``: a small picklable header and the packed result
+    bytes.  The worker publishes the blob in shared memory; the parent
+    parses it with ``unpack`` and returns ``[(header, unpack(blob))]``
+    in item order.  An ``unpack`` that folds the blob into the caller's
+    own structure keeps only one chunk's intermediate objects alive.
+
+    Segments are named up front, so whatever goes wrong — a task that
+    raises, an ``unpack`` that raises, a worker that dies — every
+    segment this call published is unlinked before the error
+    propagates.  A dead worker surfaces as :class:`PoolError` naming
+    ``section``.  ``obs`` receives the pool shape and the blob bytes
+    under ``timings.execution[section]``; ``metrics`` (collection or
+    campaign counters), if given, the ``transport_bytes`` total.
+    """
+    global _WORKER_STATE
+    from multiprocessing import resource_tracker
+
+    from repro.obs import resolve_obs
+    from repro.scan import transport
+
+    if workers < 2:
+        raise ValueError(f"{section} needs at least 2 workers; use the serial path")
+    items = list(items)
+    workers = min(workers, len(items))
+    use_fork = "fork" in multiprocessing.get_all_start_methods()
+    obs = resolve_obs(obs)
+    obs.record_execution(
+        section,
+        transport="fork" if use_fork else "spawn",
+        tasks=len(items),
+        pool_workers=workers,
+    )
+    if use_fork:
+        # Fork workers inherit the state via copy-on-write: zero
+        # serialisation cost, which is what keeps small worlds worth
+        # parallelising.
+        pool_options = {"mp_context": multiprocessing.get_context("fork")}
+    else:
+        try:
+            blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            raise ValueError(
+                f"{section}: a pool without fork needs picklable state; "
+                f"pickling failed: {exc!r}"
+            ) from exc
+        pool_options = {"initializer": _init_worker, "initargs": (blob,)}
+
+    token = secrets.token_hex(4)
+    names = [f"psm_{token}_{index}" for index in range(len(items))]
+    if os.name == "posix":
+        # Start the resource tracker before forking: children inherit it,
+        # so a worker's segment registration and the parent's unlink pair
+        # up in one place.  A tracker started by a child would unlink the
+        # child's segments the moment it exits, before they are read.
+        resource_tracker.ensure_running()
+    results: List[Tuple[Any, Any]] = []
+    size = 0
+    _WORKER_STATE = state
+    try:
+        # Leaving the block joins every worker, so no segment can appear
+        # after the sweep below.
+        with ProcessPoolExecutor(max_workers=workers, **pool_options) as pool:
+            published = list(pool.map(_run_task, repeat(task), names, items))
+        for header, handle in published:
+            size += handle.size
+            results.append((header, transport.consume(handle, unpack)))
+    except BrokenProcessPool as exc:
+        raise PoolError(
+            f"{section}: a pool worker died abruptly "
+            "(killed, or SIGBUS on a full /dev/shm)"
+        ) from exc
+    finally:
+        _WORKER_STATE = None
+        if len(results) < len(items):
+            transport.discard(names)
+    obs.record_execution(section, accumulate=True, transport_bytes=size)
+    if metrics is not None:
+        metrics.transport_bytes += size
+    return results
+
+
 def _init_worker(blob: bytes) -> None:
     global _WORKER_STATE
     _WORKER_STATE = pickle.loads(blob)
 
 
-def _collect_chunk(ordinals: List[int]):
+def _run_task(task, name: str, item):
+    """Worker side of :func:`run_pool`: run one item, publish its blob."""
+    from repro.scan import transport
+
+    header, blob = task(_WORKER_STATE, item)
+    return header, transport.publish(blob, name)
+
+
+def _collect_chunk(state, ordinals: List[int]):
     """Derive one contiguous chunk of days inside a worker process.
 
-    Returns a :class:`~repro.scan.transport.BlobHandle` over the packed
-    day results — the parent unpacks via
-    :func:`~repro.scan.transport.unpack_day_chunk`.
+    Returns ``(None, blob)`` — the packed day results
+    (:func:`~repro.scan.transport.pack_day_chunk`).
     """
     from repro.scan import transport
     from repro.scan.snapshot import derive_day
 
-    assert _WORKER_STATE is not None, "worker state missing (initializer did not run)"
-    internet, network_names, at_offset = _WORKER_STATE
+    internet, network_names, at_offset = state
     results = []
     for ordinal in ordinals:
         day = dt.date.fromordinal(ordinal)
         counts, ptrs = derive_day(internet, network_names, day, at_offset)
         results.append((ordinal, counts, ptrs))
-    return transport.publish(transport.pack_day_chunk(results))
+    return None, transport.pack_day_chunk(results)
 
 
-def _records_chunk(ordinals: List[int]):
+def _records_chunk(state, ordinals: List[int]):
     """Derive one chunk of full per-day record lists inside a worker.
 
     Addresses travel as raw 32-bit ints in a packed column; the parent
@@ -164,8 +275,7 @@ def _records_chunk(ordinals: List[int]):
     """
     from repro.scan import transport
 
-    assert _WORKER_STATE is not None, "worker state missing (initializer did not run)"
-    internet, network_names, at_offset = _WORKER_STATE
+    internet, network_names, at_offset = state
     if network_names is None:
         networks = internet.networks
     else:
@@ -179,7 +289,7 @@ def _records_chunk(ordinals: List[int]):
             for address, hostname in network.records_on(day, at_offset=at_offset)
         ]
         results.append((ordinal, records))
-    return transport.publish(transport.pack_record_chunk(results))
+    return None, transport.pack_record_chunk(results)
 
 
 def chunk_days(days: Sequence[dt.date], workers: int) -> List[List[dt.date]]:
@@ -210,19 +320,14 @@ def collect_days(
     cannot be pickled (worlds built by
     :func:`repro.netsim.internet.build_world` always can).  ``obs`` (an
     :class:`repro.obs.Observability` handle) receives the pool shape —
-    transport, chunk and worker counts, result-blob bytes — under
+    start method, task and worker counts, result-blob bytes — under
     ``timings.execution``; those vary with the host, never the
     collected series.  ``metrics`` (a
     :class:`~repro.scan.snapshot.CollectionMetrics`) additionally
-    receives the ``transport_bytes``/``spill_bytes`` totals.
+    receives the ``transport_bytes`` total.
     """
-    global _WORKER_STATE
-    from repro.obs import resolve_obs
     from repro.scan import transport
     from repro.scan.snapshot import SnapshotSeries
-
-    if workers < 2:
-        raise ValueError("collect_days needs at least 2 workers; use collect() for serial")
 
     series = SnapshotSeries(
         collector.name,
@@ -231,20 +336,22 @@ def collect_days(
         at_offset=collector.at_offset,
         cadence_days=collector.cadence_days,
     )
+
+    def ingest(view: memoryview) -> None:
+        # Chunks arrive in order, so ingestion stays chronological and
+        # the merged series is identical to a serial pass.
+        for ordinal, counts, ptrs in transport.unpack_day_chunk(view):
+            series._ingest_day(dt.date.fromordinal(ordinal), counts, ptrs)
+
     chunks = [
         [day.toordinal() for day in chunk] for chunk in chunk_days(days, workers)
     ]
     network_names = list(collector.networks) if collector.networks is not None else None
     state = (collector.internet, network_names, collector.at_offset)
-    max_workers = min(workers, len(chunks))
-    handles = _map_chunks(
-        state, chunks, max_workers, _collect_chunk, obs=obs, section="snapshot_pool"
+    run_pool(
+        _collect_chunk, chunks, state, workers,
+        section="snapshot_pool", unpack=ingest, obs=obs, metrics=metrics,
     )
-    stats = transport.TransportStats()
-    for handle in handles:
-        stats.count(handle)
-        _ingest(series, [transport.consume(handle, transport.unpack_day_chunk)])
-    _record_transport(obs, "snapshot_pool", stats, metrics)
     return series
 
 
@@ -270,107 +377,16 @@ def sample_day_records(
 
     from repro.scan import transport
 
-    if workers < 2:
-        raise ValueError("sample_day_records needs at least 2 workers")
-    chunks = [[day.toordinal() for day in chunk] for chunk in chunk_days(days, workers)]
-    state = (internet, list(network_names) if network_names is not None else None, at_offset)
-    max_workers = min(workers, len(chunks))
-    handles = _map_chunks(
-        state, chunks, max_workers, _records_chunk, obs=obs, section="sample_pool"
-    )
-    stats = transport.TransportStats()
     records: List[Tuple[object, str]] = []
-    for handle in handles:
-        stats.count(handle)
-        for _, day_records in transport.consume(handle, transport.unpack_record_chunk):
+
+    def extend(view: memoryview) -> None:
+        for _, day_records in transport.unpack_record_chunk(view):
             records.extend(
                 (ipaddress.IPv4Address(value), hostname)
                 for value, hostname in day_records
             )
-    _record_transport(obs, "sample_pool", stats, None)
+
+    chunks = [[day.toordinal() for day in chunk] for chunk in chunk_days(days, workers)]
+    state = (internet, list(network_names) if network_names is not None else None, at_offset)
+    run_pool(_records_chunk, chunks, state, workers, section="sample_pool", unpack=extend, obs=obs)
     return records
-
-
-def _map_chunks(
-    state: Tuple[object, Optional[List[str]], Optional[int]],
-    chunks: List[List[int]],
-    max_workers: int,
-    task,
-    *,
-    obs=None,
-    section: str,
-) -> List[object]:
-    """Run ``task`` over ``chunks`` on a pool, preserving chunk order.
-
-    Shared transport for every day-chunk fan-out.  Where ``fork`` is
-    available workers inherit ``state`` through copy-on-write memory;
-    elsewhere it is pickled once into the pool initializer.  ``obs``
-    receives the pool shape under ``timings.execution``.
-    """
-    global _WORKER_STATE
-    from repro.obs import resolve_obs
-    from repro.scan.transport import ensure_parent_tracker
-
-    ensure_parent_tracker()
-    use_fork = "fork" in multiprocessing.get_all_start_methods()
-    resolve_obs(obs).record_execution(
-        section,
-        transport="fork" if use_fork else "spawn",
-        chunks=len(chunks),
-        pool_workers=max_workers,
-    )
-
-    if use_fork:
-        # Fork workers inherit the world via copy-on-write: the pickle
-        # round-trip the old implementation paid per run is gone.
-        _WORKER_STATE = state
-        try:
-            with ProcessPoolExecutor(
-                max_workers=max_workers,
-                mp_context=multiprocessing.get_context("fork"),
-            ) as pool:
-                return list(pool.map(task, chunks))
-        finally:
-            _WORKER_STATE = None
-
-    try:
-        blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        raise ValueError(
-            "parallel collection requires a picklable world; "
-            f"pickling the Internet failed: {exc!r}"
-        ) from exc
-    with ProcessPoolExecutor(
-        max_workers=max_workers,
-        initializer=_init_worker,
-        initargs=(blob,),
-    ) as pool:
-        return list(pool.map(task, chunks))
-
-
-def _record_transport(obs, section: str, stats, metrics) -> None:
-    """Fold a pool's result-transport byte counts into obs and metrics.
-
-    These are run-shape numbers (a serial run moves zero bytes), so
-    they live under ``timings.execution`` — never in the deterministic
-    manifest sections.
-    """
-    from repro.obs import resolve_obs
-
-    resolve_obs(obs).record_execution(
-        section,
-        accumulate=True,
-        transport_bytes=stats.transport_bytes,
-        spill_bytes=stats.spill_bytes,
-    )
-    if metrics is not None:
-        metrics.transport_bytes += stats.transport_bytes
-        metrics.spill_bytes += stats.spill_bytes
-
-
-def _ingest(series: "SnapshotSeries", chunk_results) -> None:
-    # map() preserves chunk order, so ingestion stays chronological and
-    # the merged series is identical to a serial pass.
-    for chunk_result in chunk_results:
-        for ordinal, counts, ptrs in chunk_result:
-            series._ingest_day(dt.date.fromordinal(ordinal), counts, ptrs)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import datetime as dt
 import time
+from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.netsim.faults import resolve_fault_plan
@@ -41,6 +42,7 @@ from repro.netsim.network import NetworkType
 from repro.netsim.simtime import HOUR
 from repro.netsim.worldplan import LazyPlanInternet, PlanError, WorldPlan, contiguous_blocks
 from repro.obs.metrics import merge_snapshots
+from repro.scan import transport
 from repro.scan.campaign import (
     COMPATIBLE_DATASET_VERSIONS,
     CampaignMetrics,
@@ -50,7 +52,7 @@ from repro.scan.campaign import (
     run_network_campaign,
 )
 from repro.scan.campaign_parallel import effective_campaign_workers
-from repro.scan.parallel import WorkerBudget, chunk_days, worker_cap
+from repro.scan.parallel import WorkerBudget, chunk_days, run_pool, worker_cap
 from repro.scan.reactive import TABLE2_SCHEDULE, BackoffSchedule
 from repro.scan.snapshot import (
     CollectionMetrics,
@@ -88,20 +90,15 @@ def _shard_world(plan_payload: Dict[str, Any], names: Sequence[str]) -> "World":
 # -- snapshot collection ----------------------------------------------------
 
 
-def _collect_shard_chunk(task):
+def _collect_shard_chunk(state, task):
     """Derive one shard's day-chunk inside a worker process.
 
-    ``task`` is ``(shard_id, names, ordinals)``; the worker state (set
-    by :func:`repro.scan.parallel._map_chunks`) carries the plan
-    payload and snapshot offset.  Returns ``(shard_id, handle)`` — the
-    day results travel as one packed columnar blob
+    ``state`` is ``(plan_payload, at_offset)``; ``task`` is
+    ``(shard_id, names, ordinals)``.  Returns ``(shard_id, blob)`` —
+    the day results travel as one packed columnar blob
     (:func:`repro.scan.transport.pack_day_chunk`), not pickled dicts.
     """
-    import repro.scan.parallel as parallel
-    from repro.scan import transport
-
-    assert parallel._WORKER_STATE is not None, "worker state missing"
-    plan_payload, at_offset = parallel._WORKER_STATE
+    plan_payload, at_offset = state
     shard_id, names, ordinals = task
     world = _shard_world(plan_payload, names)
     results = []
@@ -109,7 +106,7 @@ def _collect_shard_chunk(task):
         day = dt.date.fromordinal(ordinal)
         counts, ptrs = derive_day(world.internet, None, day, at_offset)
         results.append((ordinal, counts, ptrs))
-    return shard_id, transport.publish(transport.pack_day_chunk(results))
+    return shard_id, transport.pack_day_chunk(results)
 
 
 class ShardedCollector:
@@ -189,7 +186,6 @@ class ShardedCollector:
     ) -> SnapshotSeries:
         """Collect ``[start, end)`` across shards and merge in shard order."""
         from repro.obs import resolve_obs
-        from repro.scan.parallel import _map_chunks
 
         obs = resolve_obs(self.obs)
         started = time.perf_counter()
@@ -236,31 +232,16 @@ class ShardedCollector:
 
         derived: Dict[Tuple[int, int], Tuple[Dict[str, int], Set[str]]] = {}
         if metrics.effective_workers > 1:
-            from repro.scan import transport
-
-            state = (plan_payload, self.at_offset)
-            shard_results = _map_chunks(
-                state,
-                tasks,
-                pool_workers,
-                _collect_shard_chunk,
-                obs=self.obs,
+            shard_results = run_pool(
+                _collect_shard_chunk, tasks, (plan_payload, self.at_offset), pool_workers,
                 section="shard_pool",
+                unpack=transport.unpack_day_chunk,
+                obs=self.obs,
+                metrics=metrics,
             )
-            stats = transport.TransportStats()
-            for shard_id, handle in shard_results:
-                stats.count(handle)
-                chunk_result = transport.consume(handle, transport.unpack_day_chunk)
+            for shard_id, chunk_result in shard_results:
                 for ordinal, counts, ptrs in chunk_result:
                     derived[(shard_id, ordinal)] = (counts, ptrs)
-            obs.record_execution(
-                "shard_pool",
-                accumulate=True,
-                transport_bytes=stats.transport_bytes,
-                spill_bytes=stats.spill_bytes,
-            )
-            metrics.transport_bytes += stats.transport_bytes
-            metrics.spill_bytes += stats.spill_bytes
         else:
             # Serial path: one shard world in memory at a time.
             for shard_id, names in enumerate(blocks):
@@ -304,32 +285,19 @@ class ShardedCollector:
 # -- supplemental campaign --------------------------------------------------
 
 
-def _campaign_shard_task(task):
+def _campaign_shard_task(state, task):
     """Run one shard's batch of network campaigns inside a worker.
 
-    ``task`` is ``(shard_id, names, start_ordinal, end_ordinal)``;
-    worker state carries the plan payload and campaign parameters.
-    Returns ``(shard_id, [per-network result dict, ...], handle)`` —
-    the dicts carry the targets/type/size metadata the coordinator
-    needs for the merged dataset without ever building the networks
-    itself, while the heavy observation columns travel as one packed
-    batch blob (:func:`repro.scan.transport.pack_campaign_batch`)
-    outside the result pickle.
+    ``state`` carries the plan payload and campaign parameters;
+    ``task`` is ``(shard_id, names, start_ordinal, end_ordinal)``.
+    Returns ``([per-network result dict, ...], blob)`` — the dicts
+    carry the targets/type/size metadata the coordinator needs for the
+    merged dataset without ever building the networks itself, while
+    the heavy observation columns travel as one packed batch blob
+    (:func:`repro.scan.transport.pack_campaign_batch`) outside the
+    result pickle.
     """
-    from dataclasses import replace
-
-    import repro.scan.parallel as parallel
-    from repro.scan import transport
-
-    assert parallel._WORKER_STATE is not None, "worker state missing"
-    (
-        plan_payload,
-        schedule,
-        sweep_interval,
-        rdns_rate,
-        blocklist,
-        fault_plan,
-    ) = parallel._WORKER_STATE
+    plan_payload, schedule, sweep_interval, rdns_rate, blocklist, fault_plan = state
     shard_id, names, start_ordinal, end_ordinal = task
     world = _shard_world(plan_payload, names)
     start = dt.date.fromordinal(start_ordinal)
@@ -343,14 +311,12 @@ def _campaign_shard_task(task):
                        fault_plan=fault_plan)
         for name in names
     ]
-    handle = transport.publish(
-        transport.pack_campaign_batch(
-            (entry["result"].icmp, entry["result"].rdns) for entry in entries
-        )
+    blob = transport.pack_campaign_batch(
+        (entry["result"].icmp, entry["result"].rdns) for entry in entries
     )
     for entry in entries:
         entry["result"] = replace(entry["result"], icmp=None, rdns=None)
-    return shard_id, entries, handle
+    return entries, blob
 
 
 def _network_entry(
@@ -469,7 +435,6 @@ class ShardedCampaign:
     ) -> SupplementalDataset:
         """Measure ``[start, end)`` across shards, merged in shard order."""
         from repro.obs import resolve_obs
-        from repro.scan.parallel import _map_chunks
 
         if end <= start:
             raise ValueError("end must be after start (half-open [start, end) window)")
@@ -527,39 +492,18 @@ class ShardedCampaign:
                 self.blocklist,
                 self.fault_plan,
             )
-            shard_results = _map_chunks(
-                state,
-                tasks,
-                effective,
-                _campaign_shard_task,
-                obs=self.obs,
+            shard_results = run_pool(
+                _campaign_shard_task, tasks, state, effective,
                 section="shard_campaign_pool",
+                unpack=transport.unpack_campaign_batch,
+                obs=self.obs,
+                metrics=metrics,
             )
-            from dataclasses import replace
-
-            from repro.scan import transport
-
-            stats = transport.TransportStats()
-            ordered: Dict[int, List[Dict[str, Any]]] = {}
-            for shard_id, entries, handle in shard_results:
-                stats.count(handle)
-                columns = transport.consume(
-                    handle, transport.unpack_campaign_batch
-                )
+            per_shard = []
+            for entries, columns in shard_results:
                 for entry, (icmp, rdns) in zip(entries, columns):
-                    entry["result"] = replace(
-                        entry["result"], icmp=icmp, rdns=rdns
-                    )
-                ordered[shard_id] = entries
-            obs.record_execution(
-                "shard_campaign_pool",
-                accumulate=True,
-                transport_bytes=stats.transport_bytes,
-                spill_bytes=stats.spill_bytes,
-            )
-            metrics.transport_bytes += stats.transport_bytes
-            metrics.spill_bytes += stats.spill_bytes
-            per_shard = [ordered[shard_id] for shard_id in range(len(batches))]
+                    entry["result"] = replace(entry["result"], icmp=icmp, rdns=rdns)
+                per_shard.append(entries)
         else:
             per_shard = []
             for shard_id, names in enumerate(batches):

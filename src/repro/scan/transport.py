@@ -15,31 +15,21 @@ rebuilt dicts preserve the worker's insertion order exactly, so prefix
 interning (and therefore every downstream byte) is identical to a
 serial run.
 
-Three transports, selected by ``REPRO_POOL_TRANSPORT``:
-
-* ``shm`` (default where available) — the blob lives in a
-  ``multiprocessing.shared_memory`` segment; only its name and size
-  cross the process boundary.  The parent parses directly from the
-  mapped buffer, then closes and unlinks the segment.
-* ``inline`` — the blob rides the normal result pickle as one
-  ``bytes`` object (still one memcpy-friendly buffer instead of a
-  million small objects; the universal fallback).
-* ``spill`` — the blob is written to a temp file
-  (``REPRO_POOL_SPILL_DIR`` overrides the directory) and only the path
-  returns; for results bigger than comfortable shared-memory use.
-
-A failed shared-memory publish (tiny ``/dev/shm``, exotic platform)
-degrades to ``inline`` silently — the handle says what actually
-happened, and the collectors surface the split as ``transport_bytes``
-/ ``spill_bytes`` counters.
+The blob lives in a ``multiprocessing.shared_memory`` segment; only its
+name and size cross the process boundary.  The parent parses directly
+from the mapped buffer, then closes and unlinks the segment.  If no
+segment can be created (tiny ``/dev/shm``, exotic platform),
+:func:`publish` falls back to carrying the bytes inline in the result
+pickle — still one memcpy-friendly buffer instead of a million small
+objects.  That branch is error handling, not a mode: the pool
+primitive (:func:`repro.scan.parallel.run_pool`) is the only caller
+and counts every blob's size as ``transport_bytes`` either way.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import sys
-import tempfile
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
@@ -49,87 +39,39 @@ try:  # pragma: no cover - exercised via whichever branch the host has
 except Exception:  # pragma: no cover
     _np = None
 
-TRANSPORT_ENV = "REPRO_POOL_TRANSPORT"
-SPILL_DIR_ENV = "REPRO_POOL_SPILL_DIR"
-
 _MAGIC = b"RTB1"
 
 T = TypeVar("T")
-
-
-def _shm_available() -> bool:
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - always present on CPython >= 3.8
-        return False
-    return True
-
-
-def ensure_parent_tracker() -> None:
-    """Start the multiprocessing resource tracker in *this* process.
-
-    Call before creating a pool whose workers publish shared-memory
-    segments.  Without it, a fork child that creates the first segment
-    spawns its own tracker, and that tracker unlinks the segment the
-    moment the worker exits — before the parent ever opens it.  With
-    the tracker already running here, children inherit it; the
-    worker's register and the parent's unlink pair up in one place,
-    and segments survive pool shutdown until consumed (and are still
-    swept if the whole process dies).
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except Exception:  # pragma: no cover - tracker API unavailable
-        pass
-
-
-def configured_transport() -> str:
-    """The transport this process publishes with (env override first)."""
-    env = os.environ.get(TRANSPORT_ENV, "").strip().lower()
-    if env:
-        if env not in ("shm", "inline", "spill"):
-            raise ValueError(
-                f"{TRANSPORT_ENV} must be one of shm/inline/spill, got {env!r}"
-            )
-        return env
-    return "shm" if _shm_available() else "inline"
 
 
 @dataclass
 class BlobHandle:
     """A cheap-to-pickle reference to one published result blob."""
 
-    kind: str  # "inline" | "shm" | "file"
+    kind: str  # "shm" | "inline"
     size: int
     data: Optional[bytes] = None
     name: Optional[str] = None
-    path: Optional[str] = None
 
 
-def publish(blob: bytes, transport: Optional[str] = None) -> BlobHandle:
-    """Put ``blob`` where the parent can reach it; return the handle."""
-    if transport is None:
-        transport = configured_transport()
+def publish(blob: bytes, name: Optional[str] = None) -> BlobHandle:
+    """Put ``blob`` in a shared-memory segment; return its handle.
+
+    ``name`` picks the segment name (the pool primitive names segments
+    up front so it can sweep them after a failed run); ``None`` lets
+    the platform choose.  When no segment can be created the bytes ride
+    inline in the handle instead.
+    """
     size = len(blob)
-    if transport == "shm":
-        try:
-            from multiprocessing import shared_memory
+    try:
+        from multiprocessing import shared_memory
 
-            segment = shared_memory.SharedMemory(create=True, size=max(1, size))
-            segment.buf[:size] = blob
-            segment.close()
-            return BlobHandle(kind="shm", size=size, name=segment.name)
-        except (OSError, ValueError):
-            return BlobHandle(kind="inline", size=size, data=blob)
-    if transport == "spill":
-        spill_dir = os.environ.get(SPILL_DIR_ENV) or None
-        fd, path = tempfile.mkstemp(prefix="repro-spill-", suffix=".blob", dir=spill_dir)
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
-        return BlobHandle(kind="file", size=size, path=path)
-    return BlobHandle(kind="inline", size=size, data=blob)
+        segment = shared_memory.SharedMemory(name=name, create=True, size=max(1, size))
+    except (ImportError, OSError, ValueError):
+        return BlobHandle(kind="inline", size=size, data=blob)
+    segment.buf[:size] = blob
+    segment.close()
+    return BlobHandle(kind="shm", size=size, name=segment.name)
 
 
 def consume(handle: BlobHandle, parser: Callable[[memoryview], T]) -> T:
@@ -137,48 +79,36 @@ def consume(handle: BlobHandle, parser: Callable[[memoryview], T]) -> T:
 
     Shared-memory segments are parsed in place (no copy into the
     parent's heap beyond what the parser materialises) and unlinked
-    afterwards; spill files are deleted after reading.
+    before parsing starts, so a parser that raises leaks nothing.
     """
-    if handle.kind == "shm":
-        from multiprocessing import shared_memory
+    if handle.kind != "shm":
+        return parser(memoryview(handle.data))
+    from multiprocessing import shared_memory
 
-        segment = shared_memory.SharedMemory(name=handle.name)
+    segment = shared_memory.SharedMemory(name=handle.name)
+    # Unlinking drops the name only; the mapping stays valid until close.
+    segment.unlink()
+    try:
+        view = memoryview(segment.buf)[: handle.size]
         try:
-            view = memoryview(segment.buf)[: handle.size]
-            try:
-                return parser(view)
-            finally:
-                view.release()
+            return parser(view)
         finally:
-            segment.close()
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-    if handle.kind == "file":
-        with open(handle.path, "rb") as stream:
-            blob = stream.read()
+            view.release()
+    finally:
+        segment.close()
+
+
+def discard(names: Sequence[str]) -> None:
+    """Unlink whichever of the named segments still exist."""
+    from multiprocessing import shared_memory
+
+    for name in names:
         try:
-            os.unlink(handle.path)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        return parser(memoryview(blob))
-    return parser(memoryview(handle.data))
-
-
-class TransportStats:
-    """Byte counters a consumer accumulates over a batch of handles."""
-
-    __slots__ = ("transport_bytes", "spill_bytes")
-
-    def __init__(self) -> None:
-        self.transport_bytes = 0
-        self.spill_bytes = 0
-
-    def count(self, handle: BlobHandle) -> None:
-        self.transport_bytes += handle.size
-        if handle.kind == "file":
-            self.spill_bytes += handle.size
+            segment = shared_memory.SharedMemory(name=name)
+        except FileNotFoundError:
+            continue
+        segment.close()
+        segment.unlink()
 
 
 # -- primitive framing -------------------------------------------------------

@@ -40,19 +40,23 @@ def sample_rdns() -> RdnsColumns:
 
 
 class TestPublishConsume:
-    @pytest.mark.parametrize("mode", ["shm", "inline", "spill"])
-    def test_round_trip(self, mode, monkeypatch, tmp_path):
-        monkeypatch.setenv(transport.SPILL_DIR_ENV, str(tmp_path))
+    @pytest.mark.parametrize("mode", ["shm", "inline"])
+    def test_round_trip(self, mode, monkeypatch):
+        if mode == "inline":
+            # The error-handling branch: no segment can be created.
+            def no_segments(*args, **kwargs):
+                raise OSError("no space left on device")
+
+            monkeypatch.setattr("multiprocessing.shared_memory.SharedMemory", no_segments)
         blob = b"payload-bytes" * 100
-        handle = transport.publish(blob, transport=mode)
+        handle = transport.publish(blob)
+        assert handle.kind == mode
         assert handle.size == len(blob)
         result = transport.consume(handle, lambda view: bytes(view))
         assert result == blob
-        # Spill files are deleted after consumption.
-        assert list(tmp_path.glob("repro-spill-*")) == []
 
     def test_shm_segment_unlinked_after_consume(self):
-        handle = transport.publish(b"x" * 64, transport="shm")
+        handle = transport.publish(b"x" * 64)
         if handle.kind != "shm":  # degraded host: nothing to check
             pytest.skip("shared memory unavailable")
         transport.consume(handle, lambda view: None)
@@ -60,24 +64,6 @@ class TestPublishConsume:
 
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=handle.name)
-
-    def test_stats_count_split(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(transport.SPILL_DIR_ENV, str(tmp_path))
-        stats = transport.TransportStats()
-        inline = transport.publish(b"a" * 10, transport="inline")
-        spilled = transport.publish(b"b" * 30, transport="spill")
-        stats.count(inline)
-        stats.count(spilled)
-        assert stats.transport_bytes == 40
-        assert stats.spill_bytes == 30
-        transport.consume(spilled, lambda view: None)
-
-    def test_configured_transport_validates_env(self, monkeypatch):
-        monkeypatch.setenv(transport.TRANSPORT_ENV, "bogus")
-        with pytest.raises(ValueError, match="shm/inline/spill"):
-            transport.configured_transport()
-        monkeypatch.setenv(transport.TRANSPORT_ENV, "spill")
-        assert transport.configured_transport() == "spill"
 
 
 class TestDayChunks:
