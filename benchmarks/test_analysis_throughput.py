@@ -1,12 +1,10 @@
-"""Analysis-plane throughput: columnar decode + dynamicity vs the dict baseline.
+"""Analysis-plane throughput: columnar dynamicity vs the dict baseline.
 
 Not a paper table — this benchmarks the columnar analysis plane that
 makes warm-cache reruns affordable.  One seeded daily series is
-analysed four ways over identical data:
+analysed over identical data (cache decode is the storage benchmark's
+job, ``benchmarks/test_storage_throughput.py``):
 
-* warm-cache decode: the legacy v2 ``{day: {prefix: count}}`` payload
-  vs the v3 delta-encoded columnar payload (``json.loads`` +
-  ``SnapshotSeries.from_payload``, i.e. exactly what a cache hit pays);
 * dynamicity: :class:`DictReferenceAnalyzer` (the retained
   row-oriented oracle) vs the columnar :class:`DynamicityAnalyzer`,
   plus the :class:`IncrementalDynamicityAnalyzer` fed one day at a
@@ -16,15 +14,15 @@ analysed four ways over identical data:
 
 Every mode must stay bit-identical before anything is timed.  Results
 land in ``results/analysis_throughput.txt`` (human table) and
-``results/BENCH_analysis.json`` (machine-readable: days/s, prefixes/s,
-warm-decode seconds, speedup ratios).  The committed JSON doubles as a
-regression baseline: when the configuration matches, a rerun must not
-lose more than half of the recorded combined speedup — ratios compare
-across hosts, absolute seconds do not.
+``results/BENCH_analysis.json`` (machine-readable: prefixes/s, records/s,
+speedup ratios).  The committed JSON doubles as a regression baseline:
+when the configuration matches, a rerun must not lose more than half of
+the recorded dynamicity speedup — ratios compare across hosts, absolute
+seconds do not.
 
 Environment knobs for CI smoke runs: ``REPRO_ANALYSIS_BENCH_DAYS``
 (default 90) and ``REPRO_ANALYSIS_BENCH_SCALE`` (``default`` |
-``small``).  The >= 3x combined-speedup gate only applies at the full
+``small``).  The >= 3x dynamicity-speedup gate only applies at the full
 default configuration; shrunken smoke runs just assert the columnar
 plane never loses.
 """
@@ -42,7 +40,7 @@ from repro.core import (
 )
 from repro.netsim.internet import WorldScale, build_world
 from repro.reporting import TextTable
-from repro.scan.snapshot import SnapshotCollector, SnapshotSeries, legacy_dict_payload
+from repro.scan.snapshot import SnapshotCollector
 
 SEED = 42
 START = dt.date(2021, 1, 1)
@@ -80,20 +78,8 @@ def test_analysis_throughput(write_artifact):
     world = build_world(seed=SEED, scale=scale)
     collector = SnapshotCollector.openintel_style(world.internet)
     series = collector.collect(START, START + dt.timedelta(days=BENCH_DAYS))
-    internet = series._internet
 
-    # What a cache file holds in each format, bytes on disk included.
-    v3_text = json.dumps(series.to_payload())
-    legacy_text = json.dumps(legacy_dict_payload(series))
-
-    # Correctness first: both payloads rebuild the identical series ...
-    from_legacy = SnapshotSeries.from_payload(json.loads(legacy_text), internet)
-    from_v3 = SnapshotSeries.from_payload(json.loads(v3_text), internet)
-    for rebuilt in (from_legacy, from_v3):
-        assert rebuilt.days == series.days
-        assert rebuilt.stats() == series.stats()
-
-    # ... and all three analyzers agree bit-for-bit.
+    # Correctness first: all three analyzers agree bit-for-bit.
     reference_report = DictReferenceAnalyzer().analyze(series)
     columnar_report = DynamicityAnalyzer().analyze(series)
     incremental = IncrementalDynamicityAnalyzer()
@@ -101,14 +87,6 @@ def test_analysis_throughput(write_artifact):
         incremental.ingest(day, series.counts_view(day))
     _assert_reports_identical(columnar_report, reference_report)
     _assert_reports_identical(incremental.report(), reference_report)
-
-    # Warm-cache decode: JSON parse + payload -> series, per format.
-    legacy_decode_s = _best_of(
-        lambda: SnapshotSeries.from_payload(json.loads(legacy_text), internet)
-    )
-    v3_decode_s = _best_of(
-        lambda: SnapshotSeries.from_payload(json.loads(v3_text), internet)
-    )
 
     # Dynamicity: the dict oracle vs the columnar core, plus the
     # incremental analyzer's report() on already-ingested state.
@@ -121,23 +99,12 @@ def test_analysis_throughput(write_artifact):
     leak_sample_s = _best_of(lambda: series.sample_records(sample_days), reps=3)
     sample_metrics = series.last_sample_metrics
 
-    decode_speedup = legacy_decode_s / v3_decode_s
     analyze_speedup = reference_s / columnar_s
-    combined_speedup = (legacy_decode_s + reference_s) / (v3_decode_s + columnar_s)
     prefix_count = len(series.prefix_table())
 
     table = TextTable(
         ["Stage", "Baseline (s)", "Columnar (s)", "Speedup", "Throughput"],
         aligns=["<", ">", ">", ">", ">"],
-    )
-    table.add_row(
-        [
-            "warm-cache decode",
-            f"{legacy_decode_s:.4f}",
-            f"{v3_decode_s:.4f}",
-            f"{decode_speedup:.1f}x",
-            f"{len(series) / v3_decode_s:.0f} days/s",
-        ]
     )
     table.add_row(
         [
@@ -166,19 +133,8 @@ def test_analysis_throughput(write_artifact):
             f"{sample_metrics.raw_records / leak_sample_s:.0f} records/s",
         ]
     )
-    table.add_row(
-        [
-            "decode + dynamicity",
-            f"{legacy_decode_s + reference_s:.4f}",
-            f"{v3_decode_s + columnar_s:.4f}",
-            f"{combined_speedup:.1f}x",
-            "-",
-        ]
-    )
     body = table.render() + (
-        f"\n\npayload bytes: legacy={len(legacy_text)} v3={len(v3_text)}"
-        f" ({len(legacy_text) / len(v3_text):.1f}x smaller)"
-        f"\nworld: scale={BENCH_SCALE} days={BENCH_DAYS}"
+        f"\n\nworld: scale={BENCH_SCALE} days={BENCH_DAYS}"
         f" prefixes={prefix_count} seed={SEED}"
     )
     write_artifact(
@@ -190,15 +146,15 @@ def test_analysis_throughput(write_artifact):
     config = {"days": BENCH_DAYS, "scale": BENCH_SCALE, "seed": SEED}
     # Regression guard: speedup ratios are host-independent, so a rerun
     # at the same configuration must retain at least half the committed
-    # combined speedup before the baseline is overwritten.
+    # dynamicity speedup before the baseline is overwritten.
     if BENCH_JSON.exists():
         baseline = json.loads(BENCH_JSON.read_text())
         if baseline.get("config") == config:
-            floor = baseline["combined_speedup"] / 2
-            assert combined_speedup >= floor, (
-                f"columnar analysis plane regressed: combined speedup "
-                f"{combined_speedup:.2f}x fell below {floor:.2f}x "
-                f"(half the committed {baseline['combined_speedup']:.2f}x)"
+            committed = baseline["dynamicity"]["speedup"]
+            assert analyze_speedup >= committed / 2, (
+                f"columnar analysis plane regressed: dynamicity speedup "
+                f"{analyze_speedup:.2f}x fell below {committed / 2:.2f}x "
+                f"(half the committed {committed:.2f}x)"
             )
 
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -206,12 +162,6 @@ def test_analysis_throughput(write_artifact):
         json.dumps(
             {
                 "config": config,
-                "warm_decode": {
-                    "legacy_seconds": legacy_decode_s,
-                    "v3_seconds": v3_decode_s,
-                    "days_per_second": len(series) / v3_decode_s,
-                    "speedup": decode_speedup,
-                },
                 "dynamicity": {
                     "reference_seconds": reference_s,
                     "columnar_seconds": columnar_s,
@@ -224,8 +174,6 @@ def test_analysis_throughput(write_artifact):
                     "days": sample_metrics.days,
                     "records_per_second": sample_metrics.raw_records / leak_sample_s,
                 },
-                "combined_speedup": combined_speedup,
-                "payload_bytes": {"legacy": len(legacy_text), "v3": len(v3_text)},
             },
             indent=2,
         )
@@ -233,10 +181,10 @@ def test_analysis_throughput(write_artifact):
     )
 
     # The columnar plane must never lose to the baseline it replaces;
-    # at the full benchmark configuration it must clear 3x combined.
-    assert combined_speedup > 1.0
+    # at the full benchmark configuration it must clear 3x.
+    assert analyze_speedup > 1.0
     if FULL_CONFIG:
-        assert combined_speedup >= 3.0, (
-            f"combined warm-decode + dynamicity speedup {combined_speedup:.2f}x "
+        assert analyze_speedup >= 3.0, (
+            f"dynamicity speedup {analyze_speedup:.2f}x "
             f"is below the 3x floor at the full benchmark configuration"
         )

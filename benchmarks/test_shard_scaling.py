@@ -47,6 +47,7 @@ import time
 from repro.netsim.worldplan import synthetic_plan
 from repro.reporting import TextTable
 from repro.scan.sharded import ShardedCollector
+from tests.cache_bytes import series_bytes
 
 SEED = 42
 START = dt.date(2021, 1, 1)
@@ -95,12 +96,12 @@ def test_shard_scaling():
 
     # -- bit-identity first: nothing is timed until this holds ------------
     reference = ShardedCollector(plan, shards=1).collect(START, end)
-    reference_bytes = json.dumps(reference.to_payload(), sort_keys=True)
+    reference_bytes = series_bytes(reference)
     identical_at = []
     for shards in SHARD_COUNTS[1:]:
         series = ShardedCollector(plan, shards=shards).collect(START, end)
         assert (
-            json.dumps(series.to_payload(), sort_keys=True) == reference_bytes
+            series_bytes(series) == reference_bytes
         ), f"shards={shards} diverged from the single-shard run"
         identical_at.append(shards)
 

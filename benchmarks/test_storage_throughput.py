@@ -1,15 +1,15 @@
-"""Storage throughput: warm-decode v4 (blockfile) vs v3 (inline JSON).
+"""Storage throughput: what a warm snapshot-cache hit saves over recomputing.
 
 Not a paper table — this benchmarks the zero-copy columnar backbone
 (dataset format v4, :mod:`repro.scan.blockfile`).  One
 :func:`~repro.netsim.worldplan.synthetic_plan` world of
-``REPRO_STORAGE_BENCH_SLASH16S`` /16s (default 200) is collected over
-``REPRO_STORAGE_BENCH_DAYS`` days (default 90) and stored twice — as a
-v3 self-contained JSON document and as a v4 JSON+blockfile pair — and
-the *warm decode* path (cache load → usable series → counts read) is
-timed best-of-N for each.  Bit-identity is asserted before anything is
-timed: both decoded series must re-serialise to the exact reference
-payload bytes.
+``REPRO_STORAGE_BENCH_SLASH16S`` /16s (default 200) is collected
+serially over ``REPRO_STORAGE_BENCH_DAYS`` days (default 90) — timed,
+since that is exactly what a cache miss costs — and stored as a v4
+JSON+blockfile pair.  The *warm decode* path (cache load → usable
+series → counts read) is then timed best-of-N.  Bit-identity is
+asserted before anything is compared: the decoded series must hold
+the exact bytes of the collected one.
 
 A second leg measures the shared-memory worker transport: a pooled
 collection (2 workers, forced past the single-core fallback) must stay
@@ -23,11 +23,12 @@ serialised for the identity check and freed before anything else runs.
 Results land in ``results/storage_throughput.txt`` (human table) and
 ``results/BENCH_storage.json`` (machine-readable).  The committed JSON
 doubles as the CI regression baseline: at the full configuration
-(90 days × 200 /16s), v4 warm decode must beat v3 by
-``SPEEDUP_FLOOR`` (4x); smaller smoke configurations record
-``gate.skip_reason`` instead of silently passing.  Peak RSS is always
-recorded, and ``REPRO_STORAGE_BENCH_RSS_MB`` (when set, as in the CI
-smoke job) turns it into a hard ceiling.
+(90 days × 200 /16s), a warm hit must beat recomputing the series by
+``HIT_SAVING_FLOOR`` (half the ratio measured on a 2-CPU x86-64 Linux
+host); smaller smoke configurations record ``gate.skip_reason``
+instead of silently passing.  Peak RSS is always recorded, and
+``REPRO_STORAGE_BENCH_RSS_MB`` (when set, as in the CI smoke job)
+turns it into a hard ceiling.
 
 Environment knobs for CI smoke runs: ``REPRO_STORAGE_BENCH_DAYS``
 (default 90), ``REPRO_STORAGE_BENCH_SLASH16S`` (default 200) and
@@ -47,7 +48,8 @@ from repro.reporting import TextTable
 from repro.scan.cache import SnapshotCache
 from repro.scan.sharded import ShardedCollector
 from repro.scan.snapshot import SnapshotSeries
-from repro.scan.storage import COLUMNAR_PAYLOAD_VERSION, DATASET_FORMAT_VERSION
+from repro.scan.storage import DATASET_FORMAT_VERSION
+from tests.cache_bytes import series_bytes
 
 SEED = 42
 START = dt.date(2021, 1, 1)
@@ -57,7 +59,7 @@ SLASH16S = int(os.environ.get("REPRO_STORAGE_BENCH_SLASH16S", "200"))
 PEOPLE = 12
 RSS_CEILING_MB = os.environ.get("REPRO_STORAGE_BENCH_RSS_MB")
 
-SPEEDUP_FLOOR = 4.0
+HIT_SAVING_FLOOR = 2240.0
 TIMING_REPS = 7
 TRANSPORT_WORKERS = 2
 
@@ -116,50 +118,40 @@ def test_storage_throughput(tmp_path):
     pool_parent_rss_mb = _self_peak_rss_mb()
     pool_metrics = pooled_collector.last_metrics
     assert pool_metrics.transport_bytes > 0, "pool results did not use the transport"
-    pooled_bytes = json.dumps(pooled.to_payload(), sort_keys=True)
+    pooled_bytes = series_bytes(pooled)
     del pooled
     gc.collect()
 
+    # -- the serial collection: what a cache miss recomputes -------------
+    started = time.perf_counter()
     series = ShardedCollector(plan, shards=1).collect(START, end)
-    reference_bytes = json.dumps(series.to_payload(), sort_keys=True)
+    recompute_seconds = time.perf_counter() - started
+    reference_bytes = series_bytes(series)
 
-    # -- store both representations --------------------------------------
-    v3_cache = SnapshotCache(tmp_path / "v3")
-    v4_cache = SnapshotCache(tmp_path / "v4")
+    cache = SnapshotCache(tmp_path / "v4")
     key = "storage-bench"
-    v3_payload = series.to_payload()
-    assert v3_payload["version"] == COLUMNAR_PAYLOAD_VERSION
-    v3_cache.store(key, v3_payload)
-    v4_cache.store_series(key, series)
+    cache.store_series(key, series)
+    doc_bytes = cache.path_for(key).stat().st_size
+    sidecar_bytes = cache.blockfile_path_for(key).stat().st_size
+    stored_bytes = doc_bytes + sidecar_bytes
 
-    v3_bytes = v3_cache.path_for(key).stat().st_size
-    v4_doc_bytes = v4_cache.path_for(key).stat().st_size
-    v4_sidecar_bytes = v4_cache.blockfile_path_for(key).stat().st_size
-    v4_bytes = v4_doc_bytes + v4_sidecar_bytes
-
-    # -- bit-identity first: nothing is timed until this holds ------------
-    for cache in (v3_cache, v4_cache):
-        decoded = SnapshotSeries.from_payload(cache.load(key), None)
-        assert json.dumps(decoded.to_payload(), sort_keys=True) == reference_bytes, (
-            f"decode from {cache.root.name} diverged from the reference"
-        )
-    assert json.loads(v4_cache.path_for(key).read_text())[
-        "version"
-    ] == DATASET_FORMAT_VERSION
-
-    # -- warm-decode timings ----------------------------------------------
-    v3_seconds = _best_of(lambda: _decode_probe(v3_cache.load(key)))
-    v4_seconds = _best_of(lambda: _decode_probe(v4_cache.load(key)))
-    speedup = v3_seconds / v4_seconds if v4_seconds else 0.0
-    v3_mb_s = v3_bytes / 1e6 / v3_seconds if v3_seconds else 0.0
-    v4_mb_s = v4_bytes / 1e6 / v4_seconds if v4_seconds else 0.0
-
+    # -- bit-identity first: nothing is compared until this holds ---------
+    payload = cache.load(key)
+    assert payload["version"] == DATASET_FORMAT_VERSION
+    decoded = SnapshotSeries.from_payload(payload, None)
+    assert series_bytes(decoded) == reference_bytes, "warm decode diverged"
     assert pooled_bytes == reference_bytes, "pooled collection diverged from serial"
+    del decoded, payload
+
+    # -- warm hit vs recompute --------------------------------------------
+    hit_seconds = _best_of(lambda: _decode_probe(cache.load(key)))
+    hit_saving = recompute_seconds / hit_seconds if hit_seconds else 0.0
+    hit_mb_s = stored_bytes / 1e6 / hit_seconds if hit_seconds else 0.0
 
     peak_rss_mb = _peak_rss_mb()
     skip_reason = None if FULL_CONFIG else (
         f"smoke configuration ({BENCH_DAYS} days × {SLASH16S} /16s below "
-        f"90 × 200): speedup recorded, not gated"
+        f"90 × 200): hit saving recorded, not gated"
     )
 
     results = {
@@ -173,18 +165,18 @@ def test_storage_throughput(tmp_path):
             "plan_fingerprint": plan.fingerprint(),
         },
         "formats": {
-            "v3_inline_bytes": v3_bytes,
-            "v4_document_bytes": v4_doc_bytes,
-            "v4_blockfile_bytes": v4_sidecar_bytes,
-            "v4_total_bytes": v4_bytes,
+            "v4_document_bytes": doc_bytes,
+            "v4_blockfile_bytes": sidecar_bytes,
+            "v4_total_bytes": stored_bytes,
         },
-        "warm_decode": {
-            "v3_seconds": round(v3_seconds, 5),
-            "v4_seconds": round(v4_seconds, 5),
-            "v3_mb_per_second": round(v3_mb_s, 1),
-            "v4_mb_per_second": round(v4_mb_s, 1),
-            "speedup_v4_vs_v3": round(speedup, 2),
+        "warm_hit": {
+            "seconds": round(hit_seconds, 5),
+            "mb_per_second": round(hit_mb_s, 1),
         },
+        "recompute": {
+            "seconds": round(recompute_seconds, 3),
+        },
+        "hit_saving": round(hit_saving, 1),
         "transport": {
             "workers": TRANSPORT_WORKERS,
             "transport_bytes": pool_metrics.transport_bytes,
@@ -196,7 +188,7 @@ def test_storage_throughput(tmp_path):
             "ceiling_mb": float(RSS_CEILING_MB) if RSS_CEILING_MB else None,
         },
         "gate": {
-            "speedup_floor": SPEEDUP_FLOOR,
+            "hit_saving_floor": HIT_SAVING_FLOOR,
             "applied": FULL_CONFIG,
             "skip_reason": skip_reason,
         },
@@ -204,16 +196,18 @@ def test_storage_throughput(tmp_path):
 
     RESULTS_DIR.mkdir(exist_ok=True)
     table = TextTable(
-        ["format", "stored bytes", "decode s", "MB/s"], aligns=["<", ">", ">", ">"]
+        ["path", "stored bytes", "seconds", "MB/s"], aligns=["<", ">", ">", ">"]
     )
-    table.add_row(["v3 inline JSON", v3_bytes, f"{v3_seconds:.4f}", f"{v3_mb_s:.1f}"])
-    table.add_row(["v4 blockfile", v4_bytes, f"{v4_seconds:.4f}", f"{v4_mb_s:.1f}"])
+    table.add_row(
+        ["warm hit (v4 load + decode)", stored_bytes, f"{hit_seconds:.4f}", f"{hit_mb_s:.1f}"]
+    )
+    table.add_row(["miss (serial recompute)", "-", f"{recompute_seconds:.4f}", "-"])
     BENCH_TXT.write_text(
         f"Storage throughput — {BENCH_DAYS} days, {SLASH16S} /16s, "
         f"{results['config']['prefixes']} prefixes\n\n"
         + table.render()
-        + f"\n\nwarm-decode speedup v4 vs v3: {speedup:.2f}x"
-        + f" (gate {'applied' if FULL_CONFIG else 'skipped'}: floor {SPEEDUP_FLOOR}x"
+        + f"\n\nwarm hit vs recompute: {hit_saving:.1f}x"
+        + f" (gate {'applied' if FULL_CONFIG else 'skipped'}: floor {HIT_SAVING_FLOOR}x"
         + (f", {skip_reason}" if skip_reason else "")
         + f")\ntransport bytes at {TRANSPORT_WORKERS} workers: "
         + f"{pool_metrics.transport_bytes}"
@@ -226,9 +220,9 @@ def test_storage_throughput(tmp_path):
 
     # -- the regression gates ---------------------------------------------
     if FULL_CONFIG:
-        assert speedup >= SPEEDUP_FLOOR, (
-            f"v4 warm-decode speedup regressed: {speedup:.2f}x < {SPEEDUP_FLOOR}x "
-            f"(v3 {v3_seconds:.4f}s, v4 {v4_seconds:.4f}s)"
+        assert hit_saving >= HIT_SAVING_FLOOR, (
+            f"warm cache hit no longer pays: {hit_saving:.1f}x < {HIT_SAVING_FLOOR}x "
+            f"(hit {hit_seconds:.4f}s, recompute {recompute_seconds:.3f}s)"
         )
     if RSS_CEILING_MB:
         assert peak_rss_mb <= float(RSS_CEILING_MB), (

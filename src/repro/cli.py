@@ -14,9 +14,8 @@
   exposure against operational utility, and optionally write the
   machine-readable ``eval_matrix.json``;
 * ``snapshot`` — dump one day's PTR records, OpenINTEL-style;
-* ``cache``    — inspect/verify/migrate the on-disk caches: report
-  entry format versions, checksum v4 blockfile sidecars, and rewrite
-  pre-v4 snapshot entries as blockfile pairs in place;
+* ``cache``    — inspect/verify the on-disk caches: report entry
+  format versions and checksum v4 blockfile sidecars;
 * ``serve``    — the long-running leak-analysis query service
   (:mod:`repro.serve`): per-prefix dynamicity, leak verdicts, name
   counts and occupancy over HTTP, with ``POST /ingest/day`` folding
@@ -378,16 +377,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     cache = commands.add_parser(
-        "cache", help="inspect, verify or migrate on-disk cache entries"
+        "cache", help="inspect or verify on-disk cache entries"
     )
     cache.add_argument(
         "action",
-        choices=("inspect", "verify", "migrate"),
+        choices=("inspect", "verify"),
         help=(
             "inspect: list entries with their payload format versions; "
             "verify: checksum every v4 blockfile sidecar (full body CRC + "
-            "SHA-256) and exit non-zero on damage; migrate: rewrite pre-v4 "
-            "snapshot entries as v4 blockfile pairs in place"
+            "SHA-256) and exit non-zero on damage (entries in any other "
+            "format are reported stale: the next run recomputes them)"
         ),
     )
 
@@ -532,8 +531,6 @@ def cmd_study(args, out) -> int:
             outcome = "hit" if metrics.cache_hit else (
                 "miss, stored" if metrics.cache_stored else "miss"
             )
-            if metrics.cache_migrated:
-                outcome += ", payload migrated to columnar"
             print(f"[timings] snapshot cache {outcome} (key {metrics.cache_key[:12]}…)", file=out)
         sample = study.daily_series().last_sample_metrics
         if sample is not None:
@@ -743,8 +740,7 @@ def cmd_cache(args, out) -> int:
     import hashlib
 
     from repro.scan.blockfile import BlockFileError, BlockFileReader
-    from repro.scan.snapshot import SnapshotSeries
-    from repro.scan.storage import DATASET_FORMAT_VERSION
+    from repro.scan.cache import is_current
 
     cache = _snapshot_cache(args) or SnapshotCache()
     keys = cache.entries()
@@ -761,14 +757,13 @@ def cmd_cache(args, out) -> int:
                 if payload is None:
                     table.add_row([key[:12] + "…", "corrupt", "-", "-", "-"])
                     continue
-                version = payload.get("version", 2)
                 table.add_row(
                     [
                         key[:12] + "…",
-                        version,
+                        payload.get("version", "-"),
                         len(payload.get("days", ())),
-                        payload.get("blockfile", "-") if version >= 4 else "-",
-                        payload.get("blockfile_bytes", "-") if version >= 4 else "-",
+                        payload.get("blockfile", "-"),
+                        payload.get("blockfile_bytes", "-"),
                     ]
                 )
             print(table.render(), file=out)
@@ -788,87 +783,59 @@ def cmd_cache(args, out) -> int:
                 table.add_row(
                     [
                         key[:12] + "…",
-                        payload.get("version", 2),
+                        payload.get("version", "-"),
                         len(payload.get("targets_by_network", ())),
                     ]
                 )
             print(table.render(), file=out)
         return 0
 
-    if args.action == "verify":
-        failures = 0
-        for key in keys:
-            payload = _read_cache_entry(cache, key)
-            if payload is None:
-                print(f"  {key[:12]}… ERROR: unreadable JSON document", file=out)
-                failures += 1
-                continue
-            version = payload.get("version", 2)
-            if version < 4:
-                print(f"  {key[:12]}… v{version} OK (inline payload, no sidecar)", file=out)
-                continue
-            path = cache.root / payload.get("blockfile", f"{key}.rbf")
-            try:
-                blob = path.read_bytes()
-            except OSError as error:
-                print(f"  {key[:12]}… ERROR: missing sidecar ({error})", file=out)
-                failures += 1
-                continue
-            digest = hashlib.sha256(blob).hexdigest()
-            expected = payload.get("blockfile_sha256")
-            if expected is not None and digest != expected:
-                print(f"  {key[:12]}… ERROR: sidecar SHA-256 mismatch", file=out)
-                failures += 1
-                continue
-            try:
-                with BlockFileReader.open(path) as reader:
-                    reader.verify()
-                    day_count = len(reader.days)
-            except BlockFileError as error:
-                print(f"  {key[:12]}… ERROR: {error}", file=out)
-                failures += 1
-                continue
+    failures = 0
+    for key in keys:
+        payload = _read_cache_entry(cache, key)
+        if payload is None:
+            print(f"  {key[:12]}… ERROR: unreadable JSON document", file=out)
+            failures += 1
+            continue
+        version = payload.get("version")
+        if not is_current(payload):
             print(
-                f"  {key[:12]}… v{version} OK "
-                f"({day_count} day(s), {len(blob):,} bytes, CRCs + SHA-256 good)",
+                f"  {key[:12]}… v{version} stale (the next run recomputes it)",
                 file=out,
             )
-        print(
-            f"verified {len(keys)} entry(ies) in {cache.root}: "
-            f"{failures} failure(s)",
-            file=out,
-        )
-        return 1 if failures else 0
-
-    # migrate: rewrite pre-v4 entries as blockfile pairs, in place.
-    migrated = current = failed = 0
-    for key in keys:
-        payload = cache.load(key)
-        if payload is None:
-            print(f"  {key[:12]}… corrupt entry repaired (removed)", file=out)
-            failed += 1
             continue
-        version = payload.get("version", 2)
-        if version >= DATASET_FORMAT_VERSION:
-            current += 1
+        path = cache.root / payload.get("blockfile", f"{key}.rbf")
+        try:
+            blob = path.read_bytes()
+        except OSError as error:
+            print(f"  {key[:12]}… ERROR: missing sidecar ({error})", file=out)
+            failures += 1
+            continue
+        digest = hashlib.sha256(blob).hexdigest()
+        expected = payload.get("blockfile_sha256")
+        if expected is not None and digest != expected:
+            print(f"  {key[:12]}… ERROR: sidecar SHA-256 mismatch", file=out)
+            failures += 1
             continue
         try:
-            # Decoding never touches the world, so no internet handle
-            # is needed for an offline rewrite.
-            series = SnapshotSeries.from_payload(payload, None)
-            cache.store_series(key, series)
-        except (OSError, KeyError, TypeError, ValueError) as error:
-            print(f"  {key[:12]}… ERROR: {type(error).__name__}: {error}", file=out)
-            failed += 1
+            with BlockFileReader.open(path) as reader:
+                reader.verify()
+                day_count = len(reader.days)
+        except BlockFileError as error:
+            print(f"  {key[:12]}… ERROR: {error}", file=out)
+            failures += 1
             continue
-        migrated += 1
-        print(f"  {key[:12]}… v{version} -> v{DATASET_FORMAT_VERSION}", file=out)
+        print(
+            f"  {key[:12]}… v{version} OK "
+            f"({day_count} day(s), {len(blob):,} bytes, CRCs + SHA-256 good)",
+            file=out,
+        )
     print(
-        f"migrated {migrated} entry(ies) in {cache.root} "
-        f"({current} already v{DATASET_FORMAT_VERSION}, {failed} failure(s))",
+        f"verified {len(keys)} entry(ies) in {cache.root}: "
+        f"{failures} failure(s)",
         file=out,
     )
-    return 1 if failed else 0
+    return 1 if failures else 0
 
 
 def cmd_plan(args, out) -> int:

@@ -1,11 +1,9 @@
 """Binary, mmap-able columnar container for snapshot count matrices.
 
-The cache's v3 payload round-trips every count through base64-varint
-text inside JSON: compact, but decoding is parse-bound — every warm
-cache hit re-runs a varint loop over the whole matrix.  The blockfile
-is the v4 answer: counts live on disk exactly as the little-endian
-``u32`` words the :class:`~repro.scan.storage.CountMatrix` holds in
-memory, padded to 64-byte boundaries, so a warm read is ``mmap`` plus
+The snapshot cache's at-rest format (dataset format v4): counts live
+on disk exactly as the little-endian ``u32`` words the
+:class:`~repro.scan.storage.CountMatrix` holds in memory, padded to
+64-byte boundaries, so a warm read is ``mmap`` plus
 ``numpy.frombuffer`` — memory bandwidth, not parse speed — and the
 matrix never has to be resident at all for mmap-backed consumers.
 

@@ -16,14 +16,15 @@ For snapshot series (:class:`SnapshotCache`):
 * the cache *key* format version (:data:`FORMAT_VERSION`).
 
 Key versioning is deliberately separate from payload versioning
-(:data:`repro.scan.storage.DATASET_FORMAT_VERSION`): a payload schema
-bump does **not** change the key, so entries written under the old
-schema still *hit* and are migrated on read — snapshot readers decode
-legacy v2 dict and v3 varint payloads and rewrite the entry as a v4
-blockfile pair, and the campaign reader accepts all schema versions
-unchanged.  Bumping
-:data:`FORMAT_VERSION` instead would orphan every existing entry and
-force a cold re-simulation.
+(:data:`repro.scan.storage.DATASET_FORMAT_VERSION`).  The key names
+*what* was computed; the payload version names the *format* it was
+stored in, and :func:`is_current` — used only by this module's loaders
+and the ``repro cache`` tools — is the single place that judges it.  A
+stored payload of any other version is a miss: the entry is dropped
+(both halves of a snapshot pair) and the caller recomputes and rewrites
+it in the current format.  Entries are rebuildable local artefacts, so
+no older format is decoded or migrated.  Bumping :data:`FORMAT_VERSION`
+instead changes every key and orphans every existing entry.
 
 For supplemental campaign datasets (:class:`CampaignCache`): the world
 fingerprint, the network list, the window, the reactive backoff
@@ -52,11 +53,13 @@ import pathlib
 import tempfile
 from typing import List, Optional, Sequence, Tuple
 
+from repro.scan.storage import DATASET_FORMAT_VERSION
+
 #: Version of the cache *key* material.  Bump only when the keying
 #: scheme itself changes (every old entry then misses).  Payload schema
 #: changes are versioned inside the payload
-#: (:data:`repro.scan.storage.DATASET_FORMAT_VERSION`) and migrated on
-#: read instead, so warm caches survive format bumps.
+#: (:data:`repro.scan.storage.DATASET_FORMAT_VERSION`, see
+#: :func:`is_current`).
 FORMAT_VERSION = 1
 
 CACHE_ENV_VAR = "REPRO_SNAPSHOT_CACHE"
@@ -75,6 +78,11 @@ def default_campaign_cache_root() -> pathlib.Path:
     if override:
         return pathlib.Path(override)
     return pathlib.Path.home() / ".cache" / "repro-rdns" / "campaigns"
+
+
+def is_current(payload) -> bool:
+    """Whether a stored payload is in the format this code writes."""
+    return isinstance(payload, dict) and payload.get("version") == DATASET_FORMAT_VERSION
 
 
 class _JsonFileCache:
@@ -103,13 +111,15 @@ class _JsonFileCache:
     # -- access --------------------------------------------------------------
 
     def load(self, key: str) -> Optional[dict]:
-        """The stored payload, or ``None`` on a miss or corrupt entry.
+        """The stored payload, or ``None`` on a miss, stale or corrupt entry.
 
         A corrupt entry (torn write, disk error, truncated JSON) is
         *repaired*, not just skipped: the file is deleted and counted
         in :attr:`corrupt_entries`, so the next :meth:`store` rewrites
         it cleanly.  Leaving it in place meant every later run paid the
-        decode failure and re-fetched forever.
+        decode failure and re-fetched forever.  A stale entry (a payload
+        that is not :func:`is_current`) is dropped the same way and
+        counts as a plain miss.
         """
         path = self.path_for(key)
         try:
@@ -120,6 +130,10 @@ class _JsonFileCache:
             return None
         except (json.JSONDecodeError, OSError):
             self.corrupt_entries += 1
+            self.misses += 1
+            self.invalidate(key)
+            return None
+        if not is_current(payload):
             self.misses += 1
             self.invalidate(key)
             return None
@@ -244,8 +258,7 @@ class SnapshotCache(_JsonFileCache):
     writer can only ever leave an unreferenced sidecar behind, never a
     referenced-but-missing one).  :meth:`load` validates the sidecar's
     header and record checksums and repairs the whole entry if either
-    half is corrupt or missing.  Pre-v4 entries remain single JSON
-    files and are migrated on read by the collector.
+    half is corrupt or missing.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None):
@@ -255,9 +268,9 @@ class SnapshotCache(_JsonFileCache):
         return self.root / f"{key}.rbf"
 
     def load(self, key: str) -> Optional[dict]:
-        """The stored payload, with the v4 sidecar validated and resolved.
+        """The stored payload, with the sidecar validated and resolved.
 
-        For v4 entries the sidecar blockfile is opened once to check
+        The sidecar blockfile is opened once to check
         its header and per-record checksums (bodies are not hashed —
         that is :meth:`~repro.scan.blockfile.BlockFileReader.verify`'s
         job, exposed via ``repro cache verify``), and its absolute path
@@ -267,8 +280,8 @@ class SnapshotCache(_JsonFileCache):
         as a miss, and the next store rewrites the pair.
         """
         payload = super().load(key)
-        if payload is None or payload.get("version", 2) < 4:
-            return payload
+        if payload is None:
+            return None
         from .blockfile import BlockFileError, BlockFileReader
 
         path = self.root / payload.get("blockfile", f"{key}.rbf")

@@ -50,14 +50,6 @@ from repro.scan.storage import DATASET_FORMAT_VERSION, IcmpColumns, RdnsColumns
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scan.cache import CampaignCache
 
-#: Campaign payload versions this reader accepts.  The canonical
-#: :data:`~repro.scan.storage.DATASET_FORMAT_VERSION` moved to
-#: ``scan/storage.py`` when v3 made *snapshot* payloads columnar; the
-#: campaign schema is unchanged across v2–v4 (the v4 blockfile bump is
-#: snapshot-only too), so older entries stay valid hits rather than
-#: forcing a cold re-simulation.
-COMPATIBLE_DATASET_VERSIONS = (2, 3, DATASET_FORMAT_VERSION)
-
 #: The paper's nine selected networks, in Table 4 order.
 SUPPLEMENTAL_NETWORKS = [
     "Academic-A",
@@ -554,7 +546,7 @@ class SupplementalCampaign:
             key = self.cache_key(cache, start, end)
             metrics.cache_key = key
             payload = cache.load(key)
-            if payload is not None and payload.get("version") in COMPATIBLE_DATASET_VERSIONS:
+            if payload is not None:
                 decode_started = time.perf_counter()
                 dataset = SupplementalDataset.from_payload(payload)
                 obs.metrics.merge_snapshot(payload.get("metrics") or {})

@@ -44,7 +44,6 @@ from repro.netsim.worldplan import LazyPlanInternet, PlanError, WorldPlan, conti
 from repro.obs.metrics import merge_snapshots
 from repro.scan import transport
 from repro.scan.campaign import (
-    COMPATIBLE_DATASET_VERSIONS,
     CampaignMetrics,
     NetworkCampaignResult,
     SupplementalDataset,
@@ -455,7 +454,7 @@ class ShardedCampaign:
             key = self.cache_key(cache, start, end)
             metrics.cache_key = key
             payload = cache.load(key)
-            if payload is not None and payload.get("version") in COMPATIBLE_DATASET_VERSIONS:
+            if payload is not None:
                 decode_started = time.perf_counter()
                 dataset = SupplementalDataset.from_payload(payload)
                 obs.metrics.merge_snapshot(payload.get("metrics") or {})

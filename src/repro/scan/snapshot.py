@@ -30,14 +30,8 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Seque
 from repro.netsim.internet import Internet
 from repro.netsim.network import Network
 from repro.netsim.simtime import days_between
-from repro.scan.storage import (
-    COLUMNAR_PAYLOAD_VERSION,
-    DATASET_FORMAT_VERSION,
-    CountMatrix,
-    PrefixTable,
-    decode_count_columns,
-    encode_count_columns,
-)
+from repro.scan.blockfile import BlockFileReader
+from repro.scan.storage import DATASET_FORMAT_VERSION, CountMatrix, PrefixTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scan.cache import SnapshotCache
@@ -73,9 +67,6 @@ class CollectionMetrics:
     cache_hit: bool = False
     cache_key: Optional[str] = None
     cache_stored: bool = False
-    #: True when a legacy (pre-columnar) payload was decoded and the
-    #: entry was transparently rewritten in the v3 format.
-    cache_migrated: bool = False
     #: True when a cache store failed mid-write (its partial ``*.tmp``
     #: file was cleaned up — see ``_JsonFileCache.tmp_cleanups``); the
     #: collection itself still succeeded, only persistence was lost.
@@ -398,34 +389,6 @@ class SnapshotSeries:
 
     # -- cache serialisation -------------------------------------------------
 
-    def to_payload(self) -> dict:
-        """A JSON-serialisable snapshot of the collected state.
-
-        The self-contained columnar document
-        (:data:`~repro.scan.storage.COLUMNAR_PAYLOAD_VERSION`, v3): the
-        interned prefix table is stored once and each day's counts are
-        a delta-encoded varint column
-        (:func:`~repro.scan.storage.encode_count_columns`), so a warm
-        decode no longer re-parses ``O(days × prefixes)`` JSON dict
-        keys.  This remains the wire/export format; the *cache* stores
-        series as v4 blockfile pairs via
-        :meth:`~repro.scan.cache.SnapshotCache.store_series` (see
-        :meth:`to_cache_payload`).
-        """
-        return {
-            "version": COLUMNAR_PAYLOAD_VERSION,
-            "name": self.name,
-            "networks": self._network_names,
-            "at_offset": self._at_offset,
-            "cadence_days": self._cadence_days,
-            "days": [day.isoformat() for day in self._days],
-            "prefixes": list(self._matrix.prefixes.values),
-            "columns": encode_count_columns(self._matrix),
-            "daily_totals": list(self._matrix.totals),
-            "total_responses": self._total_responses,
-            "unique_ptrs": sorted(self._unique_ptrs),
-        }
-
     def blockfile_parts(self) -> Tuple[List[str], List[int], list, List[int]]:
         """``(prefixes, day_ordinals, columns, totals)`` for the blockfile.
 
@@ -472,21 +435,16 @@ class SnapshotSeries:
 
     @classmethod
     def from_payload(cls, payload: dict, internet: Internet) -> "SnapshotSeries":
-        """Rebuild a series from :meth:`to_payload` output.
+        """Rebuild a series from a :class:`~repro.scan.cache.SnapshotCache` hit.
 
+        ``payload`` is the document :meth:`to_cache_payload` wrote, with
+        ``blockfile_path`` injected by
+        :meth:`~repro.scan.cache.SnapshotCache.load`; the matrix is
+        mmap-backed — count columns are views into the sidecar.
         ``internet`` must be the world the payload was derived from —
         ``records_on`` re-derives full record sets from it.  The cache
         layer guarantees this by keying entries on
         :meth:`~repro.netsim.internet.Internet.cache_token`.
-
-        Payloads from earlier eras are migrated transparently: v2
-        (``version`` absent or ``<= 2``, per-day ``{prefix: count}``
-        JSON dicts) and v3 (inline varint columns) both decode here,
-        and the collector additionally rewrites such cache entries as
-        v4 blockfile pairs so later reads take the zero-copy path.  A
-        v4 payload must carry ``blockfile_path`` (injected by
-        :meth:`~repro.scan.cache.SnapshotCache.load`); its matrix is
-        mmap-backed — count columns are views into the file.
         """
         series = cls(
             payload["name"],
@@ -497,61 +455,16 @@ class SnapshotSeries:
         )
         series._days = [dt.date.fromisoformat(text) for text in payload["days"]]
         series._day_index = {day: index for index, day in enumerate(series._days)}
-        if payload.get("version", 2) >= 4:
-            from repro.scan.blockfile import BlockFileReader
-
-            reader = BlockFileReader.open(payload["blockfile_path"])
-            if reader.days != [day.toordinal() for day in series._days]:
-                raise ValueError(
-                    f"blockfile day ordinals disagree with the payload's "
-                    f"{len(series._days)} declared days"
-                )
-            series._matrix = reader.count_matrix()
-            series._unique_ptrs = LazyPtrSet(reader)
-        elif payload.get("version", 2) >= 3:
-            series._matrix = decode_count_columns(
-                payload["prefixes"], payload["columns"], payload.get("daily_totals")
-            )
-        else:
-            # v2 era: one JSON dict per day.  Interning in day order
-            # reproduces the exact prefix table a fresh collection
-            # builds, so a migrated entry re-encodes byte-identically.
-            series._matrix = CountMatrix.from_day_dicts(
-                {prefix: int(count) for prefix, count in payload["counts"][text].items()}
-                for text in payload["days"]
-            )
-        if series._matrix.day_count != len(series._days):
+        reader = BlockFileReader.open(payload["blockfile_path"])
+        if reader.days != [day.toordinal() for day in series._days]:
             raise ValueError(
-                f"payload carries {series._matrix.day_count} count columns "
-                f"for {len(series._days)} days"
+                f"blockfile day ordinals disagree with the payload's "
+                f"{len(series._days)} declared days"
             )
+        series._matrix = reader.count_matrix()
+        series._unique_ptrs = LazyPtrSet(reader)
         series._total_responses = int(payload["total_responses"])
-        if "unique_ptrs" in payload:
-            series._unique_ptrs = set(payload["unique_ptrs"])
-        # else: v4 pair — the lazy sidecar-backed set installed above.
         return series
-
-
-def legacy_dict_payload(series: "SnapshotSeries") -> dict:
-    """Encode ``series`` in the pre-columnar (v2) payload format.
-
-    Retained as the executable definition of the legacy schema: the
-    migration round-trip tests and the warm-decode benchmark use it to
-    produce authentic v2 payloads without keeping old cache files
-    around.
-    """
-    return {
-        "name": series.name,
-        "networks": series._network_names,
-        "at_offset": series._at_offset,
-        "cadence_days": series._cadence_days,
-        "days": [day.isoformat() for day in series._days],
-        "counts": {
-            day.isoformat(): series.counts_by_slash24(day) for day in series._days
-        },
-        "total_responses": series._total_responses,
-        "unique_ptrs": sorted(series._unique_ptrs),
-    }
 
 
 class SnapshotCollector:
@@ -687,17 +600,6 @@ class SnapshotCollector:
                 metrics.cache_hit = True
                 metrics.responses = series.stats().total_responses
                 metrics.simulate_seconds = time.perf_counter() - simulate_started
-                if payload.get("version", 2) < DATASET_FORMAT_VERSION:
-                    # Transparent migration: rewrite the legacy entry
-                    # as a v4 blockfile pair so the next warm read is
-                    # mmap + frombuffer instead of varint/dict parsing.
-                    # Best-effort — the decoded series is already good,
-                    # so a failed rewrite only costs the fast path.
-                    try:
-                        cache.store_series(key, series)
-                        metrics.cache_migrated = True
-                    except (OSError, TypeError, ValueError):
-                        metrics.cache_store_failed = True
                 metrics.total_seconds = time.perf_counter() - started
                 return series
 

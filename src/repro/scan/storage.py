@@ -20,7 +20,6 @@ equivalence tests assert against.
 
 from __future__ import annotations
 
-import base64
 import heapq
 import ipaddress
 from array import array
@@ -35,33 +34,15 @@ from repro.scan.observations import IcmpObservation, RdnsObservation
 _ADDR = "I" if array("I").itemsize >= 4 else "L"
 
 #: Cache-payload format version shared by the snapshot and campaign
-#: payload families.  Bump when a payload schema changes; readers that
-#: cannot migrate treat a mismatch as a miss.
-#:
-#: * v1 — unversioned snapshot payloads (implicit).
-#: * v2 — campaign payloads grew the merged ``metrics`` snapshot;
-#:   snapshot payloads still stored ``{day: {prefix: count}}`` dicts.
-#: * v3 — snapshot payloads went columnar: the prefix table is stored
-#:   once and per-day counts are delta-encoded varint columns
-#:   (:func:`encode_count_columns`).  Campaign payloads are unchanged
-#:   between v2 and v3, so campaign readers accept both.
-#: * v4 — snapshot cache entries went binary: the JSON document keeps
-#:   only the metadata (name, networks, cadence, totals) plus a
-#:   pointer to a sidecar ``.rbf`` blockfile
-#:   (:mod:`repro.scan.blockfile`) holding the prefix table and raw
-#:   little-endian ``u32`` count columns, mmap-ed and exposed as
-#:   zero-copy views on load.  ``SnapshotSeries.to_payload()`` still
-#:   emits the self-contained v3 document (the wire/export format);
-#:   v4 exists only as the cache's at-rest representation.  Campaign
-#:   payloads are again unchanged.
+#: payload families; :func:`repro.scan.cache.is_current` treats any
+#: other stored version as a miss.  Snapshot entries are a JSON
+#: document holding only the metadata (name, networks, cadence, totals)
+#: plus a pointer to a sidecar ``.rbf`` blockfile
+#: (:mod:`repro.scan.blockfile`) with the prefix table and raw
+#: little-endian ``u32`` count columns, mmap-ed and exposed as zero-copy
+#: views on load.  Campaign entries are the JSON document of
+#: :meth:`~repro.scan.campaign.SupplementalDataset.to_payload`.
 DATASET_FORMAT_VERSION = 4
-
-#: The self-contained columnar document :meth:`SnapshotSeries.to_payload`
-#: emits (prefix table + base64-varint columns inline).  This is the
-#: wire/export format and the shape the byte-identity pins compare; the
-#: v4 cache representation wraps the same data in a JSON-metadata +
-#: blockfile pair instead.
-COLUMNAR_PAYLOAD_VERSION = 3
 
 _STATUSES: Tuple[ResolutionStatus, ...] = tuple(ResolutionStatus)
 _STATUS_INDEX: Dict[ResolutionStatus, int] = {
@@ -93,9 +74,9 @@ class PrefixTable:
     IDs are dense and assigned in first-seen order, so a table built
     from a chronologically ingested series is a deterministic function
     of the series — serial, parallel and cache-replayed collections
-    produce identical tables, which is what keeps the v3 payload bytes
-    (and everything derived from prefix IDs) bit-identical across run
-    modes.
+    produce identical tables, which is what keeps the cached blockfile
+    bytes (and everything derived from prefix IDs) bit-identical across
+    run modes.
     """
 
     __slots__ = ("values", "_index")
@@ -319,134 +300,6 @@ class CountMatrix:
 
     def __repr__(self) -> str:
         return f"CountMatrix({self.day_count} days × {len(self.prefixes)} prefixes)"
-
-
-# -- delta/varint codec for count columns ------------------------------------
-#
-# The v3 snapshot payload stores each day's column as the element-wise
-# difference against the previous day's column, zigzag-mapped to
-# unsigned and LEB128-varint-packed into base64.  Day-over-day count
-# changes are small, so almost every delta is a single byte; decoding
-# is one tight pass over bytes instead of re-parsing O(days × prefixes)
-# JSON dict keys.
-
-
-def _encode_varints(values: Iterable[int]) -> bytearray:
-    out = bytearray()
-    append = out.append
-    for value in values:
-        # Zigzag: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
-        value = (value << 1) ^ (value >> 63)
-        while value > 0x7F:
-            append((value & 0x7F) | 0x80)
-            value >>= 7
-        append(value)
-    return out
-
-
-def _decode_varints(data: bytes) -> Iterator[int]:
-    value = 0
-    shift = 0
-    for byte in data:
-        value |= (byte & 0x7F) << shift
-        if byte & 0x80:
-            shift += 7
-            continue
-        # Un-zigzag.
-        yield (value >> 1) ^ -(value & 1)
-        value = 0
-        shift = 0
-    if shift:
-        raise ValueError("truncated varint stream")
-
-
-def encode_count_columns(matrix: CountMatrix) -> List[str]:
-    """Delta-encode a matrix's columns into base64 varint strings.
-
-    Each encoded column starts with its own length (columns grow as new
-    prefixes appear), followed by one zigzag varint per element: the
-    difference against the previous day's value (implicitly zero for
-    the first day and for elements past the previous column's end).
-    """
-    encoded: List[str] = []
-    previous: Sequence[int] = ()
-    for index in range(matrix.day_count):
-        column = matrix.column(index)
-        deltas = bytearray(_encode_varints((len(column),)))
-        shared = min(len(column), len(previous))
-        # int() guards against unsigned wrap-around when the columns
-        # are mmap-backed u32 views (NumPy would compute 2 - 5 mod 2^32).
-        values = [int(column[i]) - int(previous[i]) for i in range(shared)]
-        values.extend(int(value) for value in column[shared:])
-        deltas += _encode_varints(values)
-        encoded.append(base64.b64encode(bytes(deltas)).decode("ascii"))
-        previous = column
-    return encoded
-
-
-#: Un-zigzag for single-byte varints: 0, 1, 2, 3 -> 0, -1, 1, -2, ...
-_UNZIGZAG = [(byte >> 1) ^ -(byte & 1) for byte in range(0x80)]
-
-
-def decode_count_columns(
-    prefixes: Sequence[str], encoded: Sequence[str], totals: Optional[Sequence[int]] = None
-) -> CountMatrix:
-    """Rebuild a :class:`CountMatrix` from :func:`encode_count_columns`.
-
-    ``totals`` (the payload's cached per-day sums) skips re-summing on
-    decode; when absent they are recomputed from the columns.
-
-    Day-over-day deltas are small, so after the leading length varint
-    almost every column body is single-byte varints; that common case
-    decodes through a table-lookup comprehension, and delta
-    accumulation runs through :func:`map`/``operator.add`` — both far
-    cheaper than a per-byte Python loop on the warm-cache path.
-    """
-    from operator import add
-
-    matrix = CountMatrix(PrefixTable(prefixes))
-    columns = matrix._columns
-    for index, text in enumerate(encoded):
-        data = base64.b64decode(text)
-        # The leading length varint by hand (lengths routinely exceed
-        # one byte); the remaining body then qualifies for the
-        # single-byte fast path whenever no delta leaves [-63, 63].
-        value = 0
-        shift = 0
-        position = len(data)
-        for position, byte in enumerate(data):
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        else:
-            if not data:
-                raise ValueError("empty count column")
-            raise ValueError("truncated varint stream")
-        length = (value >> 1) ^ -(value & 1)
-        body = data[position + 1:]
-        if not body or max(body) < 0x80:
-            values = [_UNZIGZAG[byte] for byte in body]
-        else:
-            values = list(_decode_varints(body))
-        if len(values) != length:
-            raise ValueError(
-                f"count column {index} declares {length} entries, decoded {len(values)}"
-            )
-        previous = columns[-1] if columns else ()
-        if previous:
-            # Deltas are signed; only the reconstructed counts fit the
-            # unsigned column array, so accumulate before materialising.
-            # map() stops at the shorter operand — exactly the span the
-            # two columns share — and new prefixes keep their raw value.
-            merged = list(map(add, values, previous))
-            merged.extend(values[len(previous):])
-            values = merged
-        columns.append(array(_ADDR, values))
-        matrix._totals.append(
-            totals[index] if totals is not None else sum(values)
-        )
-    return matrix
 
 
 def _merge_entries(stream, order: int):

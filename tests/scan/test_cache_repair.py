@@ -9,11 +9,18 @@ files indefinitely.
 import pytest
 
 from repro.obs import Observability
-from repro.scan.cache import SnapshotCache
+from repro.scan.cache import CampaignCache, SnapshotCache
+from repro.scan.storage import DATASET_FORMAT_VERSION
 
 
-def make_cache(tmp_path) -> SnapshotCache:
-    return SnapshotCache(tmp_path)
+def make_cache(tmp_path) -> CampaignCache:
+    """A JSON-only cache: the shared mechanics, no sidecar to validate."""
+    return CampaignCache(tmp_path)
+
+
+def entry(**fields) -> dict:
+    """A payload in the current format (any other version is a miss)."""
+    return {"version": DATASET_FORMAT_VERSION, **fields}
 
 
 class TestCorruptEntryRepair:
@@ -33,17 +40,17 @@ class TestCorruptEntryRepair:
 
     def test_store_after_repair_rewrites_cleanly(self, tmp_path):
         cache = make_cache(tmp_path)
-        cache.store("k1", {"value": 1})
+        cache.store("k1", entry(value=1))
         cache.path_for("k1").write_text("not json", encoding="utf-8")
         assert cache.load("k1") is None
-        cache.store("k1", {"value": 2})
-        assert cache.load("k1") == {"value": 2}
+        cache.store("k1", entry(value=2))
+        assert cache.load("k1") == entry(value=2)
 
     def test_traffic_counters(self, tmp_path):
         cache = make_cache(tmp_path)
         assert cache.load("missing") is None
-        cache.store("k1", {})
-        assert cache.load("k1") == {}
+        cache.store("k1", entry())
+        assert cache.load("k1") == entry()
         snapshot = cache.execution_snapshot()
         assert snapshot == {
             "hits": 1,
@@ -55,7 +62,7 @@ class TestCorruptEntryRepair:
 
     def test_export_metrics_records_deltas(self, tmp_path):
         cache = make_cache(tmp_path)
-        cache.store("k1", {})
+        cache.store("k1", entry())
         cache.load("k1")
         baseline = cache.execution_snapshot()
         cache.load("k1")
@@ -87,10 +94,10 @@ class TestFailedStoreCleansUp:
 
     def test_failed_store_does_not_clobber_existing_entry(self, tmp_path):
         cache = make_cache(tmp_path)
-        cache.store("k1", {"value": 1})
+        cache.store("k1", entry(value=1))
         with pytest.raises(TypeError):
             cache.store("k1", {"bad": {1, 2}})
-        assert cache.load("k1") == {"value": 1}
+        assert cache.load("k1") == entry(value=1)
         assert cache.tmp_cleanups == 1
         assert cache.stores == 1
 
@@ -101,7 +108,7 @@ class TestFailedStoreCleansUp:
         from repro.scan.snapshot import SnapshotCollector
 
         world = build_world(seed=3, scale=WorldScale.small())
-        cache = make_cache(tmp_path)
+        cache = SnapshotCache(tmp_path)
         monkeypatch.setattr(
             type(cache),
             "store",

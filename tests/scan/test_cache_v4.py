@@ -2,12 +2,14 @@
 
 import datetime as dt
 import json
+import threading
 
 from repro.netsim.internet import WorldScale, build_world
 from repro.scan.blockfile import BlockFileReader
 from repro.scan.cache import SnapshotCache
 from repro.scan.snapshot import SnapshotCollector, SnapshotSeries
 from repro.scan.storage import DATASET_FORMAT_VERSION
+from tests.cache_bytes import series_bytes
 
 START = dt.date(2021, 1, 1)
 END = dt.date(2021, 1, 8)
@@ -43,10 +45,7 @@ class TestStoreSeries:
         _, cold = collect(cache)
         collector, warm = collect(cache)
         assert collector.last_metrics.cache_hit
-        assert not collector.last_metrics.cache_migrated
-        assert json.dumps(warm.to_payload(), sort_keys=True) == json.dumps(
-            cold.to_payload(), sort_keys=True
-        )
+        assert series_bytes(warm) == series_bytes(cold)
         # The warm matrix is view-backed: its source pins the mapping.
         assert warm.count_matrix()._source is not None
 
@@ -59,6 +58,44 @@ class TestStoreSeries:
         )
         series = SnapshotSeries.from_payload(payload, None)
         assert series.days[0] == START
+
+
+class TestConcurrentStore:
+    def test_racing_stores_publish_one_complete_pair(self, tmp_path):
+        # Writers racing on one key serialise identical bytes; both
+        # halves are write-temp-then-rename (sidecar first, JSON as the
+        # commit point), so the root must end with one valid pair and
+        # no leaked temp files whatever the interleaving.
+        _, series = collect()
+        key = "racing-key"
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def writer():
+            try:
+                cache = SnapshotCache(tmp_path)
+                barrier.wait(timeout=30)
+                cache.store_series(key, series)
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not errors, errors
+
+        assert [path.name for path in sorted(tmp_path.iterdir())] == [
+            f"{key}.json",
+            f"{key}.rbf",
+        ]
+        cache = SnapshotCache(tmp_path)
+        payload = cache.load(key)
+        assert payload is not None and cache.hits == 1
+        with BlockFileReader.open(payload["blockfile_path"]) as reader:
+            reader.verify()
+        assert series_bytes(SnapshotSeries.from_payload(payload, None)) == series_bytes(series)
 
 
 class TestRepair:
@@ -79,9 +116,7 @@ class TestRepair:
         # The next collection recollects and restores a valid pair.
         collector, again = collect(cache)
         assert collector.last_metrics.cache_stored
-        assert json.dumps(again.to_payload(), sort_keys=True) == json.dumps(
-            cold.to_payload(), sort_keys=True
-        )
+        assert series_bytes(again) == series_bytes(cold)
 
     def test_missing_sidecar_repairs_entry(self, tmp_path):
         cache = SnapshotCache(tmp_path)

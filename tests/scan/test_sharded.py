@@ -22,6 +22,7 @@ from repro.scan.campaign_parallel import effective_campaign_workers
 from repro.scan.parallel import WorkerBudget, worker_cap
 from repro.scan.sharded import ShardedCampaign, ShardedCollector
 from repro.scan.snapshot import SnapshotCollector
+from tests.cache_bytes import series_bytes
 
 START = dt.date(2021, 1, 1)
 END = dt.date(2021, 1, 13)
@@ -58,13 +59,13 @@ class TestShardedSnapshots:
     @pytest.mark.parametrize("shards", [1, 2, 4, 11])
     def test_byte_identical_across_shard_counts(self, plan, baseline_series, shards):
         series = ShardedCollector(plan, shards=shards).collect(START, END)
-        assert canonical(series.to_payload()) == canonical(baseline_series.to_payload())
+        assert series_bytes(series) == series_bytes(baseline_series)
 
     def test_parallel_matches_serial(self, plan, baseline_series, monkeypatch):
         # Force a real pool even on single-core hosts.
         monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
         series = ShardedCollector(plan, shards=3).collect(START, END, workers=3)
-        assert canonical(series.to_payload()) == canonical(baseline_series.to_payload())
+        assert series_bytes(series) == series_bytes(baseline_series)
 
     def test_series_is_lazily_backed(self, plan):
         collector = ShardedCollector(plan, shards=2)
@@ -93,8 +94,8 @@ class TestShardedSnapshotCache:
         reader = ShardedCollector(plan, shards=1)
         replayed = reader.collect(START, END, cache=cache)
         assert reader.last_metrics.cache_hit
-        assert canonical(replayed.to_payload()) == canonical(written.to_payload())
-        assert canonical(replayed.to_payload()) == canonical(baseline_series.to_payload())
+        assert series_bytes(replayed) == series_bytes(written)
+        assert series_bytes(replayed) == series_bytes(baseline_series)
 
     def test_cache_key_is_shard_count_free(self, plan, tmp_path):
         cache = SnapshotCache(tmp_path / "snap")

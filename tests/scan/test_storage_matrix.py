@@ -1,25 +1,8 @@
-"""Unit tests for the columnar count store and its payload codec."""
-
-import datetime as dt
-import json
+"""Unit tests for the columnar count store."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.netsim.internet import WorldScale, build_world
-from repro.scan import SnapshotCache, SnapshotCollector
-from repro.scan.snapshot import SnapshotSeries, legacy_dict_payload
-from repro.scan.storage import (
-    COLUMNAR_PAYLOAD_VERSION,
-    DATASET_FORMAT_VERSION,
-    CountMatrix,
-    PrefixTable,
-    decode_count_columns,
-    encode_count_columns,
-)
-
-START = dt.date(2021, 3, 1)
+from repro.scan.storage import CountMatrix, PrefixTable
 
 
 class TestPrefixTable:
@@ -75,94 +58,3 @@ class TestCountMatrix:
         matrix.pad()
         assert len(matrix.column(0)) == len(matrix.prefixes)
         assert [matrix.day_counts(index) for index in range(matrix.day_count)] == before
-
-
-class TestColumnCodec:
-    @given(
-        st.lists(
-            st.dictionaries(
-                st.sampled_from([f"10.0.{index}.0/24" for index in range(8)]),
-                st.integers(min_value=0, max_value=300),
-                max_size=8,
-            ),
-            min_size=0,
-            max_size=12,
-        )
-    )
-    def test_roundtrip_property(self, day_dicts):
-        matrix = CountMatrix.from_day_dicts(day_dicts)
-        encoded = encode_count_columns(matrix)
-        decoded = decode_count_columns(list(matrix.prefixes), encoded)
-        assert decoded == matrix
-        assert decoded.totals == matrix.totals
-
-    def test_encoding_is_json_safe_strings(self):
-        matrix = CountMatrix.from_day_dicts([{"a": 1 << 30}, {"a": 0}])
-        encoded = encode_count_columns(matrix)
-        assert all(isinstance(column, str) for column in encoded)
-        json.dumps(encoded)
-
-    def test_truncated_column_rejected(self):
-        matrix = CountMatrix.from_day_dicts([{"a": 7, "b": 9}])
-        encoded = encode_count_columns(matrix)
-        with pytest.raises(ValueError):
-            decode_count_columns(["a", "b"], [encoded[0][: len(encoded[0]) // 2]])
-
-
-class TestPayloadMigration:
-    @pytest.fixture(scope="class")
-    def series(self):
-        world = build_world(seed=4, scale=WorldScale.small())
-        return SnapshotCollector.openintel_style(world.internet).collect(
-            START, START + dt.timedelta(days=4)
-        )
-
-    def test_v3_roundtrip(self, series):
-        payload = series.to_payload()
-        # to_payload() stays the self-contained v3 wire format; v4 is
-        # the cache's at-rest representation only.
-        assert payload["version"] == COLUMNAR_PAYLOAD_VERSION
-        assert COLUMNAR_PAYLOAD_VERSION < DATASET_FORMAT_VERSION
-        rebuilt = SnapshotSeries.from_payload(payload, series._internet)
-        assert rebuilt.days == series.days
-        for day in series.days:
-            assert rebuilt.counts_by_slash24(day) == series.counts_by_slash24(day)
-        assert rebuilt.daily_totals() == series.daily_totals()
-        assert rebuilt.stats() == series.stats()
-
-    def test_v2_payload_still_decodes(self, series):
-        legacy = legacy_dict_payload(series)
-        assert legacy.get("version", 2) == 2
-        rebuilt = SnapshotSeries.from_payload(legacy, series._internet)
-        for day in series.days:
-            assert rebuilt.counts_by_slash24(day) == series.counts_by_slash24(day)
-        # Day-order interning makes the migrated table — and therefore
-        # the re-encoded v3 payload bytes — identical to a native run.
-        assert rebuilt.prefix_table() == series.prefix_table()
-        assert json.dumps(rebuilt.to_payload(), sort_keys=True) == json.dumps(
-            series.to_payload(), sort_keys=True
-        )
-
-    def test_cache_entry_migrates_on_read(self, tmp_path, series):
-        world = build_world(seed=4, scale=WorldScale.small())
-        collector = SnapshotCollector.openintel_style(world.internet)
-        cache = SnapshotCache(tmp_path)
-        end = START + dt.timedelta(days=4)
-        # Plant a legacy v2 payload under the real cache key.
-        cold = collector.collect(START, end, cache=cache)
-        key = collector.last_metrics.cache_key
-        cache.store(key, legacy_dict_payload(cold))
-
-        warm = collector.collect(START, end, cache=cache)
-        assert collector.last_metrics.cache_hit
-        assert collector.last_metrics.cache_migrated
-        for day in cold.days:
-            assert warm.counts_by_slash24(day) == cold.counts_by_slash24(day)
-        # The entry was rewritten as a v4 blockfile pair: the next read
-        # is a plain zero-copy hit.
-        stored = json.loads(cache.path_for(key).read_text())
-        assert stored["version"] == DATASET_FORMAT_VERSION
-        again = collector.collect(START, end, cache=cache)
-        assert collector.last_metrics.cache_hit
-        assert not collector.last_metrics.cache_migrated
-        assert again.stats() == cold.stats()

@@ -1,10 +1,11 @@
 """Shared fixtures for the query-service tests.
 
 The quick world and its collected dynamicity window are expensive
-relative to a unit test, so they are built once per session; each test
-that mutates service state (ingest) gets a *fresh* series rebuilt from
-the cached payload — `SnapshotSeries.from_payload` is cheap and
-bit-identical to the original collection.
+relative to a unit test, so they are built once per session and the
+series is stored once in a session snapshot cache; each test that
+mutates service state (ingest) gets a *fresh* series rebuilt from that
+cache hit — `SnapshotSeries.from_payload` is cheap and bit-identical to
+the original collection.
 """
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from repro.core.pipeline import StudyConfig
 from repro.netsim.internet import build_world
 from repro.obs import Observability
+from repro.scan.cache import SnapshotCache
 from repro.scan.snapshot import SnapshotCollector, SnapshotSeries
 from repro.serve import (
     CampaignRepository,
@@ -32,12 +34,13 @@ def quick_world(quick_config):
 
 
 @pytest.fixture(scope="session")
-def series_payload(quick_world, quick_config):
+def series_payload(quick_world, quick_config, tmp_path_factory):
+    cache = SnapshotCache(tmp_path_factory.mktemp("snapshots"))
     collector = SnapshotCollector.openintel_style(quick_world.internet)
-    series = collector.collect(
-        quick_config.dynamicity_start, quick_config.dynamicity_end
+    collector.collect(
+        quick_config.dynamicity_start, quick_config.dynamicity_end, cache=cache
     )
-    return series.to_payload()
+    return cache.load(collector.last_metrics.cache_key)
 
 
 @pytest.fixture

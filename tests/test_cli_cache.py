@@ -1,11 +1,10 @@
-"""The ``repro cache`` subcommand: inspect / verify / migrate."""
+"""The ``repro cache`` subcommand: inspect / verify."""
 
 import io
 import json
 
 from repro.cli import main
 from repro.scan.cache import SnapshotCache
-from repro.scan.snapshot import legacy_dict_payload
 from tests.scan.test_cache_v4 import collect
 
 
@@ -58,27 +57,18 @@ class TestCacheCommand:
         assert code == 1
         assert "SHA-256 mismatch" in output
 
-    def test_migrate_upgrades_legacy_entries(self, tmp_path):
-        cache, key, series = seeded_cache(tmp_path)
-        # Downgrade the entry to the v2 dict shape, dropping the sidecar.
-        cache.invalidate(key)
-        cache.store(key, legacy_dict_payload(series))
-        assert json.loads(cache.path_for(key).read_text()).get("version", 2) == 2
-
+    def test_verify_reports_stale_entry_without_failing(self, tmp_path):
+        cache, key, _ = seeded_cache(tmp_path)
+        document = json.loads(cache.path_for(key).read_text())
+        document["version"] = 3
+        cache.path_for(key).write_text(json.dumps(document))
         code, output = run_cli(
             "--snapshot-cache", str(cache.root),
             "--campaign-cache", str(tmp_path / "camp"),
-            "cache", "migrate",
+            "cache", "verify",
         )
         assert code == 0
-        assert "migrated" in output
-        assert json.loads(cache.path_for(key).read_text())["version"] == 4
-        assert cache.blockfile_path_for(key).is_file()
-
-        # A second run has nothing to do and is harmless.
-        code, _ = run_cli(
-            "--snapshot-cache", str(cache.root),
-            "--campaign-cache", str(tmp_path / "camp"),
-            "cache", "migrate",
-        )
-        assert code == 0
+        assert "v3 stale" in output
+        assert "OK" not in output
+        # Verification reports; it never repairs behind the user's back.
+        assert cache.path_for(key).is_file()
