@@ -5,10 +5,11 @@ makes warm-cache reruns affordable.  One seeded daily series is
 analysed over identical data (cache decode is the storage benchmark's
 job, ``benchmarks/test_storage_throughput.py``):
 
-* dynamicity: :class:`DictReferenceAnalyzer` (the retained
-  row-oriented oracle) vs the columnar :class:`DynamicityAnalyzer`,
-  plus the :class:`IncrementalDynamicityAnalyzer` fed one day at a
-  time; and
+* dynamicity: :class:`DictReferenceAnalyzer` (the row-oriented
+  oracle in ``tests/oracles.py``) vs the columnar
+  :class:`DynamicityAnalyzer`, plus the
+  :class:`IncrementalDynamicityAnalyzer` fed one day at a time, whose
+  report runs the same columnar scan; and
 * leak sampling: the single shared ``sample_records`` pass the leak
   stage now runs.
 
@@ -33,14 +34,11 @@ import os
 import pathlib
 import time
 
-from repro.core import (
-    DictReferenceAnalyzer,
-    DynamicityAnalyzer,
-    IncrementalDynamicityAnalyzer,
-)
+from repro.core import DynamicityAnalyzer, IncrementalDynamicityAnalyzer
 from repro.netsim.internet import WorldScale, build_world
 from repro.reporting import TextTable
 from repro.scan.snapshot import SnapshotCollector
+from tests.oracles import DictReferenceAnalyzer
 
 SEED = 42
 START = dt.date(2021, 1, 1)

@@ -7,8 +7,8 @@ Three stages, each checked bit-identical before anything is timed:
 
 * event engine: a campaign-shaped schedule (periodic lease-expiry and
   renewal streams plus midnight day-generators scattering one-shot
-  session events) run on the retained binary-heap
-  :class:`ReferenceEngine` oracle vs the calendar-queue
+  session events) run on the binary-heap :class:`ReferenceEngine`
+  oracle (``tests/oracles.py``) vs the calendar-queue
   :class:`SimulationEngine`;
 * discovery sweep: the Section 6.1 setup step — finding "the address
   space which contains the most dynamically assigned hosts" by sweeping
@@ -42,7 +42,7 @@ import os
 import pathlib
 import time
 
-from repro.netsim.engine import ReferenceEngine, SimulationEngine
+from repro.netsim.engine import SimulationEngine
 from repro.netsim.finegrained import build_runtimes
 from repro.netsim.internet import WorldScale, build_world
 from repro.netsim.simtime import DAY, HOUR, from_date
@@ -53,6 +53,7 @@ from repro.scan.observations import IcmpObservation
 from repro.scan.ratelimit import TokenBucket
 from repro.scan.rdns import RdnsLookupEngine
 from repro.scan.reactive import ReactiveMonitor
+from tests.oracles import ReferenceEngine
 
 SEED = 42
 START = dt.date(2021, 3, 1)

@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help=(
             "process-pool workers for snapshot collection and the supplemental "
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot = commands.add_parser("snapshot", help="dump one day's PTR records")
     snapshot.add_argument("--date", type=_parse_date, default=dt.date(2021, 3, 1))
     snapshot.add_argument("--network", default=None, help="restrict to one network")
-    snapshot.add_argument("--limit", type=int, default=50)
+    snapshot.add_argument("--limit", type=_positive_int, default=50)
 
     serve = commands.add_parser(
         "serve", help="run the leak-analysis query service (HTTP, Ctrl-C to stop)"

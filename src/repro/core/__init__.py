@@ -22,7 +22,6 @@ truth:
 """
 
 from repro.core.dynamicity import (
-    DictReferenceAnalyzer,
     DynamicityAnalyzer,
     DynamicityReport,
     DynamicityThresholds,
@@ -53,7 +52,6 @@ __all__ = [
     "ActivityGroup",
     "AnnouncedPrefixMap",
     "DeviceTracker",
-    "DictReferenceAnalyzer",
     "DynamicityAnalyzer",
     "DynamicityReport",
     "DynamicityThresholds",

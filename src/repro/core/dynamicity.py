@@ -13,23 +13,19 @@ The paper validates these thresholds against its campus network and
 notes they deliberately produce a lower bound (strict thresholds, high
 confidence).
 
-Three analyzers share the heuristic:
+Two analyzers share one columnar core, :func:`_scan_columns`, which
+sweeps the :class:`~repro.scan.storage.CountMatrix` count columns with
+NumPy (per-prefix maxima, then transition counting against them):
 
-* :class:`DynamicityAnalyzer` — the batch implementation, rewritten
-  over the columnar :class:`~repro.scan.storage.CountMatrix`: two
-  sweeps over the count columns (per-prefix maxima, then transition
-  counting against the final maxima), no per-day dict materialisation.
+* :class:`DynamicityAnalyzer` — the batch analyzer over a whole
+  series, with no per-day dict materialisation.
 * :class:`IncrementalDynamicityAnalyzer` — ingests one day at a time
-  for long-running deployments; each day costs O(prefixes) and
-  :meth:`~IncrementalDynamicityAnalyzer.report` re-evaluates the
-  heuristic without rescanning history (sorted per-prefix delta sets,
-  binary-searched with the exact reference predicate).
-* :class:`DictReferenceAnalyzer` — the retained row-oriented
-  ``{date: {prefix: count}}`` implementation, kept as the oracle the
-  property tests compare against and as the benchmark baseline.
+  for long-running deployments, enforcing order and cadence, and
+  :meth:`~IncrementalDynamicityAnalyzer.report` scans the retained
+  columns (all of them, or a rolling window).
 
-All three produce bit-identical :class:`DynamicityReport`\\ s for the
-same input (pinned by ``tests/core/test_dynamicity_columnar.py``).
+Both are pinned against a row-oriented ``{date: {prefix: count}}``
+oracle by ``tests/core/test_dynamicity_columnar.py``.
 """
 
 from __future__ import annotations
@@ -37,15 +33,10 @@ from __future__ import annotations
 import datetime as dt
 import math
 import warnings
-from bisect import insort
 from dataclasses import dataclass, field
-from itertools import pairwise, zip_longest
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-try:  # Vectorised transition sweep; the stdlib fallback is bit-identical.
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+import numpy as np
 
 from repro.scan.snapshot import SnapshotSeries
 from repro.scan.storage import CountMatrix, PrefixTable
@@ -176,65 +167,22 @@ def _scan_columns(
     scan, where the table may hold prefixes only seen outside the
     window.  Whole-series callers pass ``len(prefixes)`` instead.
     """
-    if np is not None:
-        # A dense day x prefix grid: short (ragged) columns are
-        # zero-padded, the same implicit zero the reference's
-        # ``counts.get(prefix, 0)`` reads.  Counts fit uint32, so every
-        # value converts to float64 exactly, and NumPy's elementwise
-        # ``100.0 * |delta| / max > threshold`` performs the identical
-        # IEEE-754 double operations as the reference's scalar
-        # expression — vectorisation cannot move a boundary case.
-        width = len(prefixes)
-        day_count = len(columns)
-        grid = np.zeros((day_count, width), dtype=np.int64)
-        for index, column in enumerate(columns):
-            if len(column):
-                grid[index, : len(column)] = column
-        maxima = grid.max(axis=0) if day_count else np.zeros(width, dtype=np.int64)
-        if total_observed is None:
-            total_observed = int(np.count_nonzero(maxima))
-
-        report = DynamicityReport(
-            thresholds,
-            total_observed=total_observed,
-            cadence_days=cadence_days,
-            effective_min_change_transitions=min_transitions,
-        )
-        # step 1: discard small prefixes
-        eligible = np.nonzero(maxima > thresholds.min_daily_addresses)[0]
-        if not eligible.size:
-            return report
-
-        # steps 2 and 3: per-transition percentage change against the
-        # eligible prefixes' maxima, counted down the day axis.
-        subgrid = grid[:, eligible]
-        if day_count > 1:
-            deltas = np.abs(np.diff(subgrid, axis=0)).astype(np.float64)
-            exceeds = 100.0 * deltas / maxima[eligible] > thresholds.change_percent
-            changes = exceeds.sum(axis=0)
-        else:
-            changes = np.zeros(eligible.size, dtype=np.int64)
-
-        values = prefixes.values
-        for position, prefix_id in enumerate(eligible):
-            prefix = values[prefix_id]
-            change_days = int(changes[position])
-            report.prefixes[prefix] = PrefixDynamicity(
-                prefix=prefix,
-                max_daily=int(maxima[prefix_id]),
-                change_days=change_days,
-                observed_days=observed_days,
-                is_dynamic=change_days >= min_transitions,
-            )
-        return report
-
-    # Stdlib fallback: transpose once at C speed — zip_longest pads the
-    # ragged columns with the same implicit zero — then run the exact
-    # reference expression over each eligible prefix's history tuple.
-    rows = list(zip_longest(*columns, fillvalue=0)) if columns else []
-    maxima_list = list(map(max, rows))
+    # A dense day x prefix grid: short (ragged) columns are
+    # zero-padded, the same implicit zero the reference's
+    # ``counts.get(prefix, 0)`` reads.  Counts fit uint32, so every
+    # value converts to float64 exactly, and NumPy's elementwise
+    # ``100.0 * |delta| / max > threshold`` performs the identical
+    # IEEE-754 double operations as the reference's scalar
+    # expression — vectorisation cannot move a boundary case.
+    width = len(prefixes)
+    day_count = len(columns)
+    grid = np.zeros((day_count, width), dtype=np.int64)
+    for index, column in enumerate(columns):
+        if len(column):
+            grid[index, : len(column)] = column
+    maxima = grid.max(axis=0) if day_count else np.zeros(width, dtype=np.int64)
     if total_observed is None:
-        total_observed = sum(1 for value in maxima_list if value)
+        total_observed = int(np.count_nonzero(maxima))
 
     report = DynamicityReport(
         thresholds,
@@ -242,28 +190,28 @@ def _scan_columns(
         cadence_days=cadence_days,
         effective_min_change_transitions=min_transitions,
     )
-    minimum = thresholds.min_daily_addresses
-    eligible_ids = [
-        prefix_id for prefix_id, value in enumerate(maxima_list) if value > minimum
-    ]
-    if not eligible_ids:
+    # step 1: discard small prefixes
+    eligible = np.nonzero(maxima > thresholds.min_daily_addresses)[0]
+    if not eligible.size:
         return report
 
-    threshold = thresholds.change_percent
+    # steps 2 and 3: per-transition percentage change against the
+    # eligible prefixes' maxima, counted down the day axis.
+    subgrid = grid[:, eligible]
+    if day_count > 1:
+        deltas = np.abs(np.diff(subgrid, axis=0)).astype(np.float64)
+        exceeds = 100.0 * deltas / maxima[eligible] > thresholds.change_percent
+        changes = exceeds.sum(axis=0)
+    else:
+        changes = np.zeros(eligible.size, dtype=np.int64)
+
     values = prefixes.values
-    for prefix_id in eligible_ids:
-        history = rows[prefix_id]
-        max_daily = maxima_list[prefix_id]
-        change_days = 0
-        for before, after in pairwise(history):
-            # Same operands, same order, same exclusive comparison as
-            # the reference — the two backends can never diverge.
-            if 100.0 * abs(after - before) / max_daily > threshold:
-                change_days += 1
+    for position, prefix_id in enumerate(eligible):
         prefix = values[prefix_id]
+        change_days = int(changes[position])
         report.prefixes[prefix] = PrefixDynamicity(
             prefix=prefix,
-            max_daily=max_daily,
+            max_daily=int(maxima[prefix_id]),
             change_days=change_days,
             observed_days=observed_days,
             is_dynamic=change_days >= min_transitions,
@@ -356,19 +304,11 @@ class DynamicityAnalyzer:
 class IncrementalDynamicityAnalyzer:
     """One-day-at-a-time dynamicity for long-running deployments.
 
-    :meth:`ingest` folds a day's ``{prefix: count}`` mapping into
-    running state — each prefix's maximum and its sorted set of
-    snapshot-to-snapshot absolute deltas — at O(prefixes) per day.
-    :meth:`report` then re-evaluates the heuristic without rescanning
-    history: because ``100.0 * delta / max_daily > X`` is monotone in
-    ``delta`` for a fixed maximum, the number of qualifying transitions
-    is a binary search over each prefix's sorted deltas, O(prefixes ×
-    log days) in total, and exactly equal to the batch analyzer's count
-    (it evaluates the identical float predicate at the search pivot).
-
-    ``report(window=k)`` re-evaluates the last ``k`` snapshots only —
-    a rolling-window view over the retained columns, again without
-    touching older history.
+    :meth:`ingest` checks a day's order and cadence and appends its
+    ``{prefix: count}`` mapping as one column of a
+    :class:`~repro.scan.storage.CountMatrix`; :meth:`report` runs the
+    columnar core over the retained columns.  ``report(window=k)``
+    re-evaluates the last ``k`` snapshots only — a rolling-window view.
 
     Equivalence with :class:`DynamicityAnalyzer` over the same days is
     pinned by ``tests/core/test_dynamicity_columnar.py``.
@@ -388,17 +328,13 @@ class IncrementalDynamicityAnalyzer:
         self.allow_coarse_cadence = allow_coarse_cadence
         self._matrix = CountMatrix()
         self._days: List[dt.date] = []
-        self._maxima: List[int] = []
-        #: Per-prefix sorted absolute day-to-day deltas.
-        self._deltas: List[List[int]] = []
-        self._previous: Sequence[int] = ()
 
     @property
     def days(self) -> List[dt.date]:
         return list(self._days)
 
     def ingest(self, day: dt.date, counts: Mapping[str, int]) -> None:
-        """Fold one day's counts in, enforcing order and cadence."""
+        """Append one day's counts, enforcing order and cadence."""
         if self._days:
             gap = (day - self._days[-1]).days
             if gap <= 0:
@@ -409,28 +345,6 @@ class IncrementalDynamicityAnalyzer:
                     f"cadence of {self.cadence_days}d"
                 )
         self._matrix.append_day(counts)
-        column = self._matrix.column(self._matrix.day_count - 1)
-        width = len(self._matrix.prefixes)
-        while len(self._maxima) < width:
-            self._maxima.append(0)
-            self._deltas.append([])
-
-        maxima = self._maxima
-        if self._days:
-            previous = self._previous
-            previous_width = len(previous)
-            deltas = self._deltas
-            for prefix_id in range(width):
-                before = previous[prefix_id] if prefix_id < previous_width else 0
-                after = column[prefix_id]
-                insort(deltas[prefix_id], abs(after - before))
-                if after > maxima[prefix_id]:
-                    maxima[prefix_id] = after
-        else:
-            for prefix_id, count in enumerate(column):
-                if count > maxima[prefix_id]:
-                    maxima[prefix_id] = count
-        self._previous = column
         self._days.append(day)
 
     def report(self, *, window: Optional[int] = None) -> DynamicityReport:
@@ -446,129 +360,20 @@ class IncrementalDynamicityAnalyzer:
         min_transitions = _effective_min_transitions(
             self.thresholds, self.cadence_days, self.allow_coarse_cadence
         )
-        if window is not None:
-            if window < 1:
-                raise ValueError("window must be at least 1 snapshot")
-            first = max(0, self._matrix.day_count - window)
-            columns = [
-                self._matrix.column(index)
-                for index in range(first, self._matrix.day_count)
-            ]
-            return _scan_columns(
-                self._matrix.prefixes,
-                columns,
-                self.thresholds,
-                cadence_days=self.cadence_days,
-                min_transitions=min_transitions,
-                observed_days=(len(columns) - 1) * self.cadence_days + 1,
-            )
-
-        report = DynamicityReport(
-            self.thresholds,
-            total_observed=len(self._matrix.prefixes),
-            cadence_days=self.cadence_days,
-            effective_min_change_transitions=min_transitions,
-        )
-        minimum = self.thresholds.min_daily_addresses
-        threshold = self.thresholds.change_percent
-        observed_days = (len(self._days) - 1) * self.cadence_days + 1
-        values = self._matrix.prefixes.values
-        for prefix_id, max_daily in enumerate(self._maxima):
-            if max_daily <= minimum:
-                continue  # step 1: discard small prefixes
-            deltas = self._deltas[prefix_id]
-            # First delta whose change percentage exceeds X, by binary
-            # search — the predicate is the reference expression, so
-            # the split point is exactly where the batch scan flips.
-            low, high = 0, len(deltas)
-            while low < high:
-                mid = (low + high) // 2
-                if 100.0 * deltas[mid] / max_daily > threshold:
-                    high = mid
-                else:
-                    low = mid + 1
-            change_days = len(deltas) - low
-            prefix = values[prefix_id]
-            report.prefixes[prefix] = PrefixDynamicity(
-                prefix=prefix,
-                max_daily=max_daily,
-                change_days=change_days,
-                observed_days=observed_days,
-                is_dynamic=change_days >= min_transitions,
-            )
-        return report
-
-
-class DictReferenceAnalyzer:
-    """The retained row-oriented reference implementation.
-
-    The pre-columnar analyzer, kept verbatim (modulo the shared cadence
-    plumbing) as the oracle for the columnar/incremental equivalence
-    property tests and as the baseline the analysis benchmark measures
-    the columnar core against.  Not used by the pipeline.
-    """
-
-    def __init__(self, thresholds: DynamicityThresholds = DynamicityThresholds()):
-        self.thresholds = thresholds
-
-    def analyze(
-        self,
-        series: Union[SnapshotSeries, DailyCounts],
-        *,
-        cadence_days: Optional[int] = None,
-        allow_coarse_cadence: bool = False,
-    ) -> DynamicityReport:
-        if isinstance(series, SnapshotSeries):
-            days = series.days
-            counts_for = series.counts_view
-            if cadence_days is None:
-                cadence_days = series.cadence_days
+        day_count = self._matrix.day_count
+        if window is None:
+            first, total_observed = 0, len(self._matrix.prefixes)
+        elif window < 1:
+            raise ValueError("window must be at least 1 snapshot")
         else:
-            days = sorted(series)
-            counts_for = lambda day: series[day]  # noqa: E731 - tiny adapter
-            if cadence_days is None:
-                cadence_days = DynamicityAnalyzer._infer_cadence(days)
-        if not days:
-            raise ValueError("the series holds no days")
-        if cadence_days < 1:
-            raise ValueError("cadence_days must be at least 1")
-        min_transitions = _effective_min_transitions(
-            self.thresholds, cadence_days, allow_coarse_cadence
-        )
-
-        daily: List[Mapping[str, int]] = [counts_for(day) for day in days]
-        all_prefixes = set()
-        for counts in daily:
-            all_prefixes.update(counts)
-
-        report = DynamicityReport(
+            first, total_observed = max(0, day_count - window), None
+        columns = [self._matrix.column(index) for index in range(first, day_count)]
+        return _scan_columns(
+            self._matrix.prefixes,
+            columns,
             self.thresholds,
-            total_observed=len(all_prefixes),
-            cadence_days=cadence_days,
-            effective_min_change_transitions=min_transitions,
+            cadence_days=self.cadence_days,
+            min_transitions=min_transitions,
+            observed_days=(len(columns) - 1) * self.cadence_days + 1,
+            total_observed=total_observed,
         )
-        minimum = self.thresholds.min_daily_addresses
-        observed_days = (len(days) - 1) * cadence_days + 1
-        for prefix in all_prefixes:
-            history = [counts.get(prefix, 0) for counts in daily]
-            max_daily = max(history)
-            if max_daily <= minimum:
-                continue  # step 1: discard small prefixes
-            change_days = self._count_change_days(history, max_daily)
-            report.prefixes[prefix] = PrefixDynamicity(
-                prefix=prefix,
-                max_daily=max_daily,
-                change_days=change_days,
-                observed_days=observed_days,
-                is_dynamic=change_days >= min_transitions,
-            )
-        return report
-
-    def _count_change_days(self, history: List[int], max_daily: int) -> int:
-        threshold = self.thresholds.change_percent
-        change_days = 0
-        for yesterday, today in zip(history, history[1:]):
-            change_percent = 100.0 * abs(today - yesterday) / max_daily
-            if change_percent > threshold:
-                change_days += 1
-        return change_days

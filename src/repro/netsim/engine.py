@@ -15,10 +15,9 @@ at once but each is near its neighbours in time.  Bucketing keeps every
 the whole queue, which is what made the single global heap the
 scheduler's cost centre on six-week campaigns.
 
-:class:`ReferenceEngine` retains the original single-heap scheduler as
-an oracle: property tests pin the calendar queue to it bit-for-bit
-(same callback order, same clock trace), the way
-``DictReferenceAnalyzer`` pins the columnar analyzers.
+:class:`SimulationEngine` is pinned bit-for-bit (same callback order,
+same clock trace) to a single-heap oracle scheduler kept in
+``tests/oracles.py``.
 
 Heap entries are plain lists rather than dataclass instances: a
 six-week supplemental campaign pushes and pops millions of events, and
@@ -260,42 +259,3 @@ class SimulationEngine:
         """
         registry.counter("engine_events_total").inc(self.events_run)
         registry.gauge("engine_queue_high_water").set_max(self.queue_high_water)
-
-
-class ReferenceEngine(SimulationEngine):
-    """The original single binary-heap scheduler, retained as an oracle.
-
-    Semantically identical to :class:`SimulationEngine` — same
-    ``(at, seq)`` total order, same tie-breaking, same cancellation
-    sentinels — but with every event in one global heap.  Property
-    tests run randomized schedules through both engines and assert the
-    callback order and clock traces match exactly; it also serves as
-    the baseline side of the world-generation benchmark.
-    """
-
-    def __init__(self, start: int = 0):
-        super().__init__(start)
-        self._queue: List[list] = []
-
-    def schedule(self, at: int, callback: Callback) -> EventHandle:
-        if at < self.now:
-            raise ValueError(f"cannot schedule in the past ({at} < {self.now})")
-        entry = [at, next(self._seq), callback]
-        heapq.heappush(self._queue, entry)
-        self._live += 1
-        if self._live > self.queue_high_water:
-            self.queue_high_water = self._live
-        return EventHandle(entry, self)
-
-    def _pop_due(self, end: Optional[int]) -> Optional[Callback]:
-        queue = self._queue
-        while queue and (end is None or queue[0][_AT] <= end):
-            entry = heapq.heappop(queue)
-            callback = entry[_CALLBACK]
-            if callback is _CANCELLED:
-                continue
-            entry[_CALLBACK] = _EXECUTED
-            self._live -= 1
-            self.clock.advance_to(entry[_AT])
-            return callback
-        return None

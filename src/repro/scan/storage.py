@@ -166,17 +166,15 @@ class CountMatrix:
     The columnar twin of ``{date: {prefix: count}}``: one
     ``array('I')`` per day, indexed by :class:`PrefixTable` ID.  A
     column is as long as the table was when its day was appended;
-    shorter columns implicitly carry zeroes for later prefixes
-    (:meth:`pad` materialises those zeroes in place when an analysis
-    pass wants uniform columns).  Per-day totals are accumulated at
-    append time so ``daily_totals`` never re-sums.
+    shorter columns implicitly carry zeroes for later prefixes.
+    Per-day totals are accumulated at append time so ``daily_totals``
+    never re-sums.
 
     A matrix may also be *view-backed* (:meth:`from_columns`): columns
     are then zero-copy ``u32`` views into an mmap-ed blockfile rather
     than heap arrays, so a 100k+-prefix world never has to be resident.
-    View columns are read-only; :meth:`pad` materialises a mutable copy
-    of any column it must widen, and :meth:`append_day` simply appends
-    fresh heap columns alongside the views.  Every scalar accessor
+    View columns are read-only; :meth:`append_day` simply appends fresh
+    heap columns alongside the views.  Every scalar accessor
     coerces through ``int()`` so NumPy integers never leak to JSON.
     """
 
@@ -271,24 +269,6 @@ class CountMatrix:
     def row(self, prefix_id: int) -> List[int]:
         """One prefix's count history across all days."""
         return [self.count(index, prefix_id) for index in range(len(self._columns))]
-
-    def pad(self) -> List[array]:
-        """Extend every column to the current table size (in place).
-
-        Idempotent; the implied zeroes become explicit so analysis
-        sweeps can ``zip`` columns without bounds checks.
-        """
-        width = len(self.prefixes)
-        itemsize = array(_ADDR).itemsize
-        for index, column in enumerate(self._columns):
-            if len(column) < width:
-                if not isinstance(column, array):
-                    # View columns (mmap-backed) are read-only; widen a
-                    # mutable heap copy in their place.
-                    column = array(_ADDR, (int(value) for value in column))
-                    self._columns[index] = column
-                column.frombytes(bytes(itemsize * (width - len(column))))
-        return self._columns
 
     def __eq__(self, other) -> bool:
         if isinstance(other, CountMatrix):

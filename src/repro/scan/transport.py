@@ -29,15 +29,11 @@ and counts every blob's size as ``transport_bytes`` either way.
 from __future__ import annotations
 
 import struct
-import sys
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
-try:  # pragma: no cover - exercised via whichever branch the host has
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
+import numpy as np
 
 _MAGIC = b"RTB1"
 
@@ -136,14 +132,7 @@ class _Writer:
     def u32_column(self, values: Sequence[int]) -> None:
         """A length-prefixed little-endian ``u32`` column."""
         self.u32(len(values))
-        if _np is not None and isinstance(values, _np.ndarray):
-            self._parts.append(values.astype("<u4", copy=False).tobytes())
-            return
-        arr = values if isinstance(values, array) else array("I", values)
-        if sys.byteorder != "little" or arr.itemsize != 4:  # pragma: no cover
-            self._parts.append(struct.pack(f"<{len(arr)}I", *arr))
-        else:
-            self._parts.append(arr.tobytes())
+        self._parts.append(np.asarray(values, dtype="<u4").tobytes())
 
     def typed_column(self, column: array) -> None:
         """An ``array`` column with its typecode (same-machine framing).
@@ -201,13 +190,7 @@ class _Reader:
         count = self.u32()
         data = self._view[self._offset : self._offset + 4 * count]
         self._offset += 4 * count
-        if _np is not None:
-            return _np.frombuffer(data, dtype="<u4").tolist()
-        if sys.byteorder != "little":  # pragma: no cover - big-endian only
-            return list(struct.unpack(f"<{count}I", data))
-        arr = array("I")
-        arr.frombytes(data)
-        return arr.tolist()
+        return np.frombuffer(data, dtype="<u4").tolist()
 
     def typed_column(self) -> array:
         typecode = bytes(self._view[self._offset : self._offset + 1]).decode("ascii")

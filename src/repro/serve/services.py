@@ -126,8 +126,9 @@ class DynamicityService:
         self._analyzer = IncrementalDynamicityAnalyzer(
             self.thresholds, cadence_days=snapshots.cadence_days
         )
-        # Seed the incremental state by replaying the collected window
-        # day by day — O(prefixes) per day, same as live ingest.
+        # Seed the analyzer by replaying the collected window day by
+        # day through the same column append as live ingest; each
+        # report then scans the retained columns once.
         for day in snapshots.days:
             self._analyzer.ingest(day, snapshots.counts_view(day))
         self._report = _MemoCell("dynamicity")

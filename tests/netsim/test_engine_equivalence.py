@@ -11,7 +11,8 @@ exactly, the way ``DictReferenceAnalyzer`` pins the columnar analyzers.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.engine import ReferenceEngine, SimulationEngine
+from repro.netsim.engine import SimulationEngine
+from tests.oracles import ReferenceEngine
 
 
 def record_trace(engine, script, *, end=None):

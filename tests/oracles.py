@@ -1,0 +1,142 @@
+"""Straightforward reference implementations kept as test oracles.
+
+Neither class is used by the pipeline.  Property tests pin the
+production code to them bit-for-bit, and the throughput benchmarks
+time them as the baseline side:
+
+* :class:`DictReferenceAnalyzer` — the row-oriented ``{date: {prefix:
+  count}}`` form of the Section 4.1 dynamicity heuristic, against which
+  :class:`~repro.core.dynamicity.DynamicityAnalyzer` and
+  :class:`~repro.core.dynamicity.IncrementalDynamicityAnalyzer` are
+  checked;
+* :class:`ReferenceEngine` — the single binary-heap event scheduler,
+  against which the calendar-queue
+  :class:`~repro.netsim.engine.SimulationEngine` is checked.
+"""
+
+import heapq
+from typing import List, Mapping, Optional, Union
+
+from repro.core.dynamicity import (
+    DailyCounts,
+    DynamicityAnalyzer,
+    DynamicityReport,
+    DynamicityThresholds,
+    PrefixDynamicity,
+    _effective_min_transitions,
+)
+from repro.netsim.engine import (
+    _AT,
+    _CALLBACK,
+    _CANCELLED,
+    _EXECUTED,
+    Callback,
+    EventHandle,
+    SimulationEngine,
+)
+from repro.scan.snapshot import SnapshotSeries
+
+
+class DictReferenceAnalyzer:
+    """The row-oriented dynamicity heuristic, one prefix history at a time."""
+
+    def __init__(self, thresholds: DynamicityThresholds = DynamicityThresholds()):
+        self.thresholds = thresholds
+
+    def analyze(
+        self,
+        series: Union[SnapshotSeries, DailyCounts],
+        *,
+        cadence_days: Optional[int] = None,
+        allow_coarse_cadence: bool = False,
+    ) -> DynamicityReport:
+        if isinstance(series, SnapshotSeries):
+            days = series.days
+            counts_for = series.counts_view
+            if cadence_days is None:
+                cadence_days = series.cadence_days
+        else:
+            days = sorted(series)
+            counts_for = lambda day: series[day]  # noqa: E731 - tiny adapter
+            if cadence_days is None:
+                cadence_days = DynamicityAnalyzer._infer_cadence(days)
+        if not days:
+            raise ValueError("the series holds no days")
+        if cadence_days < 1:
+            raise ValueError("cadence_days must be at least 1")
+        min_transitions = _effective_min_transitions(
+            self.thresholds, cadence_days, allow_coarse_cadence
+        )
+
+        daily: List[Mapping[str, int]] = [counts_for(day) for day in days]
+        all_prefixes = set()
+        for counts in daily:
+            all_prefixes.update(counts)
+
+        report = DynamicityReport(
+            self.thresholds,
+            total_observed=len(all_prefixes),
+            cadence_days=cadence_days,
+            effective_min_change_transitions=min_transitions,
+        )
+        minimum = self.thresholds.min_daily_addresses
+        observed_days = (len(days) - 1) * cadence_days + 1
+        for prefix in all_prefixes:
+            history = [counts.get(prefix, 0) for counts in daily]
+            max_daily = max(history)
+            if max_daily <= minimum:
+                continue  # step 1: discard small prefixes
+            change_days = self._count_change_days(history, max_daily)
+            report.prefixes[prefix] = PrefixDynamicity(
+                prefix=prefix,
+                max_daily=max_daily,
+                change_days=change_days,
+                observed_days=observed_days,
+                is_dynamic=change_days >= min_transitions,
+            )
+        return report
+
+    def _count_change_days(self, history: List[int], max_daily: int) -> int:
+        threshold = self.thresholds.change_percent
+        change_days = 0
+        for yesterday, today in zip(history, history[1:]):
+            change_percent = 100.0 * abs(today - yesterday) / max_daily
+            if change_percent > threshold:
+                change_days += 1
+        return change_days
+
+
+class ReferenceEngine(SimulationEngine):
+    """The single binary-heap scheduler.
+
+    Semantically identical to :class:`SimulationEngine` — same
+    ``(at, seq)`` total order, same tie-breaking, same cancellation
+    sentinels — but with every event in one global heap.
+    """
+
+    def __init__(self, start: int = 0):
+        super().__init__(start)
+        self._queue: List[list] = []
+
+    def schedule(self, at: int, callback: Callback) -> EventHandle:
+        if at < self.now:
+            raise ValueError(f"cannot schedule in the past ({at} < {self.now})")
+        entry = [at, next(self._seq), callback]
+        heapq.heappush(self._queue, entry)
+        self._live += 1
+        if self._live > self.queue_high_water:
+            self.queue_high_water = self._live
+        return EventHandle(entry, self)
+
+    def _pop_due(self, end: Optional[int]) -> Optional[Callback]:
+        queue = self._queue
+        while queue and (end is None or queue[0][_AT] <= end):
+            entry = heapq.heappop(queue)
+            callback = entry[_CALLBACK]
+            if callback is _CANCELLED:
+                continue
+            entry[_CALLBACK] = _EXECUTED
+            self._live -= 1
+            self.clock.advance_to(entry[_AT])
+            return callback
+        return None

@@ -1,5 +1,6 @@
 """Unit tests for the binary blockfile container (dataset format v4)."""
 
+import mmap
 import struct
 import zlib
 
@@ -41,10 +42,17 @@ class TestRoundTrip:
             assert [list(column) for column in reader.columns] == COLUMNS
             assert reader.verify() == 3  # 1 prefix + 2 day records
 
-    def test_mmap_and_read_fallback_agree(self, tmp_path):
+    def test_mmap_and_read_fallback_agree(self, tmp_path, monkeypatch):
         path = write_sample(tmp_path / "sample.rbf")
-        with BlockFileReader.open(path, use_mmap=True) as mapped:
-            with BlockFileReader.open(path, use_mmap=False) as read:
+
+        def refuse(*args, **kwargs):
+            raise OSError("mmap unavailable")
+
+        with BlockFileReader.open(path) as mapped:
+            assert mapped._mmap is not None
+            monkeypatch.setattr(mmap, "mmap", refuse)
+            with BlockFileReader.open(path) as read:
+                assert read._mmap is None
                 assert mapped.prefixes == read.prefixes
                 assert mapped.days == read.days
                 assert mapped.totals == read.totals

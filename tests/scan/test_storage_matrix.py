@@ -50,11 +50,3 @@ class TestCountMatrix:
             view["b-day-two-only"]
         # Zero counts are absent from the view, like the dict accessor.
         assert "a" not in matrix.day_view(1)
-
-    def test_pad_is_idempotent_and_lossless(self):
-        matrix = CountMatrix.from_day_dicts([{"a": 3}, {"b": 2}])
-        before = [matrix.day_counts(index) for index in range(matrix.day_count)]
-        matrix.pad()
-        matrix.pad()
-        assert len(matrix.column(0)) == len(matrix.prefixes)
-        assert [matrix.day_counts(index) for index in range(matrix.day_count)] == before

@@ -102,6 +102,13 @@ class TestSnapshotCommand:
         data_lines = [line for line in output.splitlines() if "\t" in line]
         assert len(data_lines) == 5
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_non_positive_limit_is_a_usage_error(self, limit, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--quick", "--seed", "1", "snapshot", "--limit", limit])
+        assert excinfo.value.code == 2
+        assert "argument --limit: must be a positive integer" in capsys.readouterr().err
+
 
 class TestAuditCommand:
     def test_audit_grades_networks(self):
@@ -141,6 +148,14 @@ class TestSnapshotCacheFlags:
         code, output = run_cli("--quick", "--seed", "1", "--workers", "2", "study")
         assert code == 0
         assert "dynamic" in output
+
+    @pytest.mark.parametrize("command", ["study", "evaluate"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_is_a_usage_error(self, command, workers, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--quick", "--workers", workers, command])
+        assert excinfo.value.code == 2
+        assert "argument --workers: must be a positive integer" in capsys.readouterr().err
 
 
 class TestObservabilityFlags:

@@ -1,7 +1,9 @@
-"""Every third-party module the package imports is a declared dependency.
+"""Packaging metadata matches what the code and CI actually need.
 
-``pyproject.toml`` is read with a regex rather than ``tomllib``, which
-only exists from Python 3.11 on.
+Every third-party module the package imports is a declared dependency,
+and ``requires-python`` names the oldest Python the CI test matrix runs.
+``pyproject.toml`` and the CI workflow are read with regexes rather than
+``tomllib`` (Python 3.11+) or a YAML parser (not a test dependency).
 """
 
 import ast
@@ -48,3 +50,20 @@ def test_every_third_party_import_is_declared():
         if module.lower() not in declared
     }
     assert not missing, f"imported but not in pyproject dependencies: {missing}"
+
+
+def version_key(text):
+    return tuple(int(part) for part in text.split("."))
+
+
+def test_requires_python_is_the_lowest_ci_version():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python\s*=\s*">=\s*([0-9.]+)"', text, re.MULTILINE)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    job = re.search(r"^  tests:\n(.*?)(?=^  \S|\Z)", workflow, re.MULTILINE | re.DOTALL)
+    assert job, "ci.yml has no tests job"
+    matrix = re.search(r"python-version:\s*\[(.*?)\]", job.group(1))
+    assert matrix, "the tests job has no python-version matrix"
+    versions = re.findall(r"[\"']([0-9.]+)[\"']", matrix.group(1))
+    assert floor.group(1) == min(versions, key=version_key)
