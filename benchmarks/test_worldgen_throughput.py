@@ -1,9 +1,12 @@
 """World-generation throughput: calendar engine + batched sweeps vs the
 per-event baseline.
 
-Not a paper table — this benchmarks the event engine and measurement
-plane that generate the supplemental campaign's world (Section 6.1).
-Three stages, each checked bit-identical before anything is timed:
+Not a paper table — this benchmarks the world build, the event engine
+and the measurement plane that generate the supplemental campaign's
+world (Section 6.1).  The world build is timed on its own (best-of-N
+seconds plus the ``IPv4Network`` objects it constructs; the tier-1
+``tests/netsim/test_world_pin.py`` bounds that count).  The other three
+stages are each checked bit-identical before anything is timed:
 
 * event engine: a campaign-shaped schedule (periodic lease-expiry and
   renewal streams plus midnight day-generators scattering one-shot
@@ -53,6 +56,7 @@ from repro.scan.observations import IcmpObservation
 from repro.scan.ratelimit import TokenBucket
 from repro.scan.rdns import RdnsLookupEngine
 from repro.scan.reactive import ReactiveMonitor
+from tests.netsim.test_world_pin import count_network_constructions
 from tests.oracles import ReferenceEngine
 
 SEED = 42
@@ -237,7 +241,14 @@ def _best_campaign(runner, *args, reps=SLOW_REPS):
     return best_elapsed, fingerprints
 
 
-def test_worldgen_throughput(write_artifact):
+def test_worldgen_throughput(write_artifact, monkeypatch):
+    # -- world build: construction count, then timing --------------------
+    network_constructions, world = count_network_constructions(
+        monkeypatch, lambda: build_world(seed=SEED, scale=_scale())
+    )
+    subnets = sum(len(network.subnets) for network in world.internet.networks)
+    build_s = _best_of(lambda: build_world(seed=SEED, scale=_scale()))
+
     # -- event engine: bit-identity, then timing -------------------------
     reference_run = _engine_workload(ReferenceEngine(), BENCH_DAYS)
     calendar_run = _engine_workload(SimulationEngine(), BENCH_DAYS)
@@ -298,6 +309,9 @@ def test_worldgen_throughput(write_artifact):
         aligns=["<", ">", ">", ">", ">"],
     )
     table.add_row(
+        ["world build", "-", f"{build_s:.4f}", "-", f"{subnets / build_s:.0f} subnets/s"]
+    )
+    table.add_row(
         [
             "event engine",
             f"{engine_reference_s:.4f}",
@@ -343,7 +357,8 @@ def test_worldgen_throughput(write_artifact):
         ]
     )
     body = table.render() + (
-        f"\n\nengine: {events} events, queue high-water {high_water}"
+        f"\n\nworld build: {subnets} subnets, {network_constructions} IPv4Network constructions"
+        f"\nengine: {events} events, queue high-water {high_water}"
         f"\nsweeps: {BENCH_SWEEPS} x {probes_per_sweep} probes over"
         f" {len(announced)} announced prefixes, {responders} responders"
         f"\nworld: scale={BENCH_SCALE} days={BENCH_DAYS}"
@@ -379,6 +394,11 @@ def test_worldgen_throughput(write_artifact):
         json.dumps(
             {
                 "config": config,
+                "world_build": {
+                    "seconds": build_s,
+                    "subnets": subnets,
+                    "ipv4network_constructions": network_constructions,
+                },
                 "engine": {
                     "reference_seconds": engine_reference_s,
                     "calendar_seconds": engine_calendar_s,

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.dns.resolver import StubResolver
 from repro.dns.server import FailureModel
 from repro.netsim.calendar import CovidTimeline
-from repro.netsim.network import IcmpPolicy, Network, NetworkType, Subnet
+from repro.netsim.network import IcmpPolicy, Network, NetworkType, Subnet, slash24_of
 from repro.netsim.personas import make_brian_devices
 from repro.netsim.population import NetworkBuilder
 from repro.netsim.rng import RngStreams
@@ -423,8 +423,8 @@ def build_world(seed: int = 0, scale: Optional[WorldScale] = None) -> World:
                 f"academic-{index:02d}",
                 str(prefix),
                 f"campus.uni{index:02d}.edu",
-                education_prefix=str(ipaddress.ip_network((int(base) + 10 * 256, 24))),
-                housing_prefix=str(ipaddress.ip_network((int(base) + 20 * 256, 24))),
+                education_prefix=slash24_of(int(base) + 10 * 256),
+                housing_prefix=slash24_of(int(base) + 20 * 256),
                 servers_prefix=str(ipaddress.ip_network((int(base) + 256, 26))),
                 staff=scale.people_per_extra // 2,
                 students=scale.people_per_extra // 2,
@@ -439,7 +439,7 @@ def build_world(seed: int = 0, scale: Optional[WorldScale] = None) -> World:
                 f"isp-{index:02d}",
                 str(prefix),
                 f"dyn.region{index:02d}-isp.net",
-                access_prefix=str(ipaddress.ip_network((int(base) + 10 * 256, 24))),
+                access_prefix=slash24_of(int(base) + 10 * 256),
                 subscribers=scale.people_per_extra,
                 icmp_response_rate=0.2,
             )
@@ -452,7 +452,7 @@ def build_world(seed: int = 0, scale: Optional[WorldScale] = None) -> World:
                 f"other-{index:02d}",
                 str(prefix),
                 f"members.club{index:02d}.example",
-                office_prefix=str(ipaddress.ip_network((int(base) + 10 * 256, 24))),
+                office_prefix=slash24_of(int(base) + 10 * 256),
                 employees=scale.people_per_extra,
                 net_type=NetworkType.OTHER,
             )
@@ -465,7 +465,7 @@ def build_world(seed: int = 0, scale: Optional[WorldScale] = None) -> World:
                 f"enterprise-{index:02d}",
                 str(prefix),
                 f"corp.firm{index:02d}.com",
-                office_prefix=str(ipaddress.ip_network((int(base) + 10 * 256, 24))),
+                office_prefix=slash24_of(int(base) + 10 * 256),
                 employees=scale.people_per_extra,
             )
         )
@@ -477,7 +477,7 @@ def build_world(seed: int = 0, scale: Optional[WorldScale] = None) -> World:
                 f"government-{index:02d}",
                 str(prefix),
                 f"agency{index:02d}.state.gov",
-                office_prefix=str(ipaddress.ip_network((int(base) + 10 * 256, 24))),
+                office_prefix=slash24_of(int(base) + 10 * 256),
                 employees=scale.people_per_extra,
             )
         )

@@ -176,9 +176,9 @@ class Subnet:
         return self.prefix.network_address + (RESERVED_LOW_ADDRESSES + index)
 
     def _count_fqdn(self, address: ipaddress.IPv4Address) -> str:
+        text = str(address)
         label = self.count_template.format(
-            dashed=str(address).replace(".", "-"),
-            last_octet=str(address).rsplit(".", 1)[-1],
+            dashed=text.replace(".", "-"), last_octet=text.rsplit(".", 1)[-1]
         )
         return f"{label}.{self.count_suffix}"
 
@@ -548,7 +548,13 @@ class Network:
         )
 
 
-def slash24_of(address) -> str:
-    """The /24 prefix key of an address, e.g. '192.0.2.0/24'."""
-    ip = ipaddress.ip_address(address)
-    return str(ipaddress.ip_network((int(ip) & ~0xFF, 24)))
+def slash24_of(address: Union[ipaddress.IPv4Address, int, str]) -> str:
+    """The /24 prefix key of an address, e.g. '192.0.2.0/24'.
+
+    Integer arithmetic on ``int(address)``, with no network object
+    built; only text input is parsed (as an :class:`IPv4Address`).
+    """
+    if isinstance(address, str):
+        address = ipaddress.IPv4Address(address)
+    value = int(address)
+    return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.0/24"

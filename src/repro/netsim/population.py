@@ -25,6 +25,7 @@ from repro.netsim.network import (
     RdnsMode,
     Subnet,
     SubnetRole,
+    slash24_of,
 )
 from repro.netsim.person import Person, PersonGenerator
 from repro.netsim.rng import RngStreams
@@ -45,17 +46,26 @@ _ROUTER_LOCATIONS = (
 )
 
 
+def _host_range(prefix: str) -> Tuple[ipaddress.IPv4Address, int]:
+    """``prefix``'s network address and its usable host count.
+
+    Host ``i`` (0-based) is ``base + (1 + i)``: the same addresses as
+    ``list(network)[1:-1]``, computed only for the entries returned.
+    """
+    network = ipaddress.IPv4Network(prefix)
+    return network.network_address, max(0, network.num_addresses - 2)
+
+
 def make_server_entries(prefix: str, suffix: str, *, count: Optional[int] = None) -> List[StaticEntry]:
     """Fixed records for a server subnet (www, mail, ns1, srvNN...)."""
-    network = ipaddress.IPv4Network(prefix)
-    addresses = list(network)[1:-1]
+    base, usable = _host_range(prefix)
     labels = list(_SERVER_LABELS)
-    total = count if count is not None else min(len(addresses), len(labels) + 16)
+    total = count if count is not None else min(usable, len(labels) + 16)
     while len(labels) < total:
         labels.append(f"srv{len(labels):02d}")
     return [
-        (addresses[index], f"{labels[index]}.{suffix}")
-        for index in range(min(total, len(addresses)))
+        (base + (1 + index), f"{labels[index]}.{suffix}")
+        for index in range(min(total, usable))
     ]
 
 
@@ -69,14 +79,13 @@ def make_infrastructure_entries(
     analysis' generic-term exclusion and suffix thresholds (Section
     5.1, "Dealing with City Names") have realistic confounders.
     """
-    network = ipaddress.IPv4Network(prefix)
-    addresses = list(network)[1:-1]
+    base, usable = _host_range(prefix)
     entries: List[StaticEntry] = []
-    for index in range(min(count, len(addresses))):
+    for index in range(min(count, usable)):
         interface = rng.choice(_ROUTER_INTERFACES)
         role = rng.choice(_ROUTER_ROLES)
         location = rng.choice(_ROUTER_LOCATIONS)
-        entries.append((addresses[index], f"{interface}.{role}.{location}.{suffix}"))
+        entries.append((base + (1 + index), f"{interface}.{role}.{location}.{suffix}"))
     return entries
 
 
@@ -92,13 +101,12 @@ def make_vanity_entries(
     """
     from repro.datasets.names import name_popularity_weights
 
-    network = ipaddress.IPv4Network(prefix)
-    addresses = list(network)[1:-1]
+    base, usable = _host_range(prefix)
     weights = name_popularity_weights()
     names = list(weights)
     name_weights = [weights[name] for name in names]
     entries: List[StaticEntry] = []
-    for index in range(min(count, len(addresses))):
+    for index in range(min(count, usable)):
         name = rng.choices(names, weights=name_weights, k=1)[0]
         style = rng.choice(
             [
@@ -110,8 +118,26 @@ def make_vanity_entries(
             ]
         )
         label = style.format(name=name, n=rng.randrange(1, 99))
-        entries.append((addresses[index], f"{label}.{suffix}"))
+        entries.append((base + (1 + index), f"{label}.{suffix}"))
     return entries
+
+
+def sample_slash24s(prefix: str, rng: random.Random, needed: int) -> List[str]:
+    """``needed`` distinct /24 keys of ``prefix``, drawn with ``rng``.
+
+    ``random.sample`` picks by position from the population's length
+    alone, so sampling /24 indices draws the same /24s, in the same
+    order, as sampling the enumerated subnets would, without building
+    one object per /24 of the space.
+    """
+    space = ipaddress.IPv4Network(prefix)
+    if space.prefixlen > 24:
+        raise ValueError(f"background prefix {prefix} is narrower than a /24")
+    total = 1 << (24 - space.prefixlen)
+    if needed > total:
+        raise ValueError(f"{prefix} holds only {total} /24s, need {needed}")
+    base = int(space.network_address)
+    return [slash24_of(base + (index << 8)) for index in rng.sample(range(total), needed)]
 
 
 def _take_devices(people: Iterable[Person]) -> List[Device]:
@@ -368,32 +394,27 @@ class NetworkBuilder:
             name, NetworkType.OTHER, prefix, suffix, rngs=self.rngs,
             zone_layout=zone_layout,
         )
-        slash24s = list(ipaddress.IPv4Network(prefix).subnets(new_prefix=24))
         rng = self.rngs.stream("background", name)
         needed = static_24s + dynamic_24s + vanity_hosting_24s
-        if needed > len(slash24s):
-            raise ValueError(f"{prefix} holds only {len(slash24s)} /24s, need {needed}")
-        chosen = rng.sample(slash24s, needed)
+        chosen = sample_slash24s(prefix, rng, needed)
         for index, subnet_prefix in enumerate(chosen[:static_24s]):
             if vanity and index == 0:
-                entries = make_vanity_entries(str(subnet_prefix), suffix, rng)
+                entries = make_vanity_entries(subnet_prefix, suffix, rng)
             else:
-                entries = make_infrastructure_entries(str(subnet_prefix), suffix, rng)
+                entries = make_infrastructure_entries(subnet_prefix, suffix, rng)
             network.add_subnet(
-                Subnet(str(subnet_prefix), SubnetRole.INFRASTRUCTURE, static_entries=entries)
+                Subnet(subnet_prefix, SubnetRole.INFRASTRUCTURE, static_entries=entries)
             )
         for subnet_prefix in chosen[static_24s + dynamic_24s:]:
-            entries = make_vanity_entries(
-                str(subnet_prefix), f"hosting.{suffix}", rng, count=180
-            )
+            entries = make_vanity_entries(subnet_prefix, f"hosting.{suffix}", rng, count=180)
             network.add_subnet(
-                Subnet(str(subnet_prefix), SubnetRole.STATIC_SERVERS, static_entries=entries)
+                Subnet(subnet_prefix, SubnetRole.STATIC_SERVERS, static_entries=entries)
             )
         for subnet_prefix in chosen[static_24s:static_24s + dynamic_24s]:
             mean = max(12, int(rng.gauss(dynamic_mean, dynamic_mean * 0.3)))
             network.add_subnet(
                 Subnet(
-                    str(subnet_prefix),
+                    subnet_prefix,
                     SubnetRole.DYNAMIC_CLIENTS,
                     count_model=CountModel(mean=min(mean, 220)),
                     count_suffix=f"dyn.{suffix}",

@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.netsim.internet import World
+from repro.netsim.network import slash24_of
 from repro.netsim.worldplan import WorldPlan
 from repro.scan.blockfile import BlockFileReader, append_day_records, write_blockfile
 from repro.scan.cache import CampaignCache
@@ -43,8 +44,7 @@ def normalise_slash24(text: str) -> str:
         if network.prefixlen != 24:
             raise ValueError(f"{text!r} is not a /24 prefix")
         return str(network)
-    address = ipaddress.ip_address(candidate)
-    return str(ipaddress.ip_network((int(address) & ~0xFF, 24)))
+    return slash24_of(candidate)
 
 
 class SnapshotRepository:

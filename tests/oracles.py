@@ -1,6 +1,6 @@
 """Straightforward reference implementations kept as test oracles.
 
-Neither class is used by the pipeline.  Property tests pin the
+None of these is used by the pipeline.  Property tests pin the
 production code to them bit-for-bit, and the throughput benchmarks
 time them as the baseline side:
 
@@ -11,10 +11,17 @@ time them as the baseline side:
   checked;
 * :class:`ReferenceEngine` — the single binary-heap event scheduler,
   against which the calendar-queue
-  :class:`~repro.netsim.engine.SimulationEngine` is checked.
+  :class:`~repro.netsim.engine.SimulationEngine` is checked;
+* :func:`enumerated_slash24_sample` and the ``enumerated_*_entries``
+  factories — background /24 selection and static record sets built
+  by enumerating every /24 of a prefix and every address of a /24,
+  against which the index-based :mod:`repro.netsim.population`
+  builders are checked.
 """
 
 import heapq
+import ipaddress
+import random
 from typing import List, Mapping, Optional, Union
 
 from repro.core.dynamicity import (
@@ -25,6 +32,7 @@ from repro.core.dynamicity import (
     PrefixDynamicity,
     _effective_min_transitions,
 )
+from repro.datasets.names import name_popularity_weights
 from repro.netsim.engine import (
     _AT,
     _CALLBACK,
@@ -33,6 +41,12 @@ from repro.netsim.engine import (
     Callback,
     EventHandle,
     SimulationEngine,
+)
+from repro.netsim.population import (
+    _ROUTER_INTERFACES,
+    _ROUTER_LOCATIONS,
+    _ROUTER_ROLES,
+    _SERVER_LABELS,
 )
 from repro.scan.snapshot import SnapshotSeries
 
@@ -140,3 +154,55 @@ class ReferenceEngine(SimulationEngine):
             self.clock.advance_to(entry[_AT])
             return callback
         return None
+
+
+def enumerated_slash24_sample(prefix: str, rng: random.Random, needed: int) -> List[str]:
+    """Background /24 selection by enumerating every /24 of ``prefix``."""
+    slash24s = list(ipaddress.IPv4Network(prefix).subnets(new_prefix=24))
+    if needed > len(slash24s):
+        raise ValueError(f"{prefix} holds only {len(slash24s)} /24s, need {needed}")
+    return [str(subnet) for subnet in rng.sample(slash24s, needed)]
+
+
+def enumerated_server_entries(prefix: str, suffix: str, *, count: Optional[int] = None):
+    addresses = list(ipaddress.IPv4Network(prefix))[1:-1]
+    labels = list(_SERVER_LABELS)
+    total = count if count is not None else min(len(addresses), len(labels) + 16)
+    while len(labels) < total:
+        labels.append(f"srv{len(labels):02d}")
+    return [
+        (addresses[index], f"{labels[index]}.{suffix}")
+        for index in range(min(total, len(addresses)))
+    ]
+
+
+def enumerated_infrastructure_entries(
+    prefix: str, suffix: str, rng: random.Random, *, count: int = 24
+):
+    addresses = list(ipaddress.IPv4Network(prefix))[1:-1]
+    entries = []
+    for index in range(min(count, len(addresses))):
+        interface = rng.choice(_ROUTER_INTERFACES)
+        role = rng.choice(_ROUTER_ROLES)
+        location = rng.choice(_ROUTER_LOCATIONS)
+        entries.append((addresses[index], f"{interface}.{role}.{location}.{suffix}"))
+    return entries
+
+
+def enumerated_vanity_entries(prefix: str, suffix: str, rng: random.Random, *, count: int = 8):
+    addresses = list(ipaddress.IPv4Network(prefix))[1:-1]
+    weights = name_popularity_weights()
+    names = list(weights)
+    name_weights = [weights[name] for name in names]
+    entries = []
+    for index in range(min(count, len(addresses))):
+        name = rng.choices(names, weights=name_weights, k=1)[0]
+        style = rng.choice(
+            [
+                "{name}", "{name}-pc", "{name}-ws", "{name}-desk", "{name}{n}",
+                "{name}-laptop", "{name}-desktop", "{name}-macbook",
+            ]
+        )
+        label = style.format(name=name, n=rng.randrange(1, 99))
+        entries.append((addresses[index], f"{label}.{suffix}"))
+    return entries
