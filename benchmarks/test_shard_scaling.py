@@ -1,10 +1,10 @@
-"""Shard scaling: the multi-/16 world model under the sharded engines.
+"""Shard scaling: the multi-/16 world model, collected in shards.
 
 Not a paper table — this benchmarks the sharded collection plane that
 lets a study span address space no single process could hold.  A
 :func:`~repro.netsim.worldplan.synthetic_plan` world of
 ``REPRO_SHARD_BENCH_SLASH16S`` /16s (default 400 → 102 400 /24-sized
-prefixes spanned) runs through :class:`ShardedCollector` at several
+prefixes spanned) runs through :class:`SnapshotCollector` at several
 shard counts, and every multi-shard payload is checked **byte-identical**
 to the single-shard run before anything is timed.
 
@@ -46,7 +46,7 @@ import time
 
 from repro.netsim.worldplan import synthetic_plan
 from repro.reporting import TextTable
-from repro.scan.sharded import ShardedCollector
+from repro.scan.snapshot import SnapshotCollector
 from tests.cache_bytes import series_bytes
 
 SEED = 42
@@ -95,11 +95,11 @@ def test_shard_scaling():
     prefixes_spanned = SLASH16S * 256
 
     # -- bit-identity first: nothing is timed until this holds ------------
-    reference = ShardedCollector(plan, shards=1).collect(START, end)
+    reference = SnapshotCollector.openintel_style(plan, shards=1).collect(START, end)
     reference_bytes = series_bytes(reference)
     identical_at = []
     for shards in SHARD_COUNTS[1:]:
-        series = ShardedCollector(plan, shards=shards).collect(START, end)
+        series = SnapshotCollector.openintel_style(plan, shards=shards).collect(START, end)
         assert (
             series_bytes(series) == reference_bytes
         ), f"shards={shards} diverged from the single-shard run"
@@ -107,15 +107,15 @@ def test_shard_scaling():
 
     # -- timings ----------------------------------------------------------
     serial_seconds = _best_of(
-        lambda: ShardedCollector(plan, shards=1).collect(START, end, workers=1)
+        lambda: SnapshotCollector.openintel_style(plan, shards=1).collect(START, end, workers=1)
     )
     sharded_serial_seconds = _best_of(
-        lambda: ShardedCollector(plan, shards=GATED_WORKERS).collect(
+        lambda: SnapshotCollector.openintel_style(plan, shards=GATED_WORKERS).collect(
             START, end, workers=1
         )
     )
     parallel_seconds = _best_of(
-        lambda: ShardedCollector(plan, shards=GATED_WORKERS).collect(
+        lambda: SnapshotCollector.openintel_style(plan, shards=GATED_WORKERS).collect(
             START, end, workers=GATED_WORKERS
         )
     )

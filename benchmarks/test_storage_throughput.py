@@ -46,8 +46,7 @@ import time
 from repro.netsim.worldplan import synthetic_plan
 from repro.reporting import TextTable
 from repro.scan.cache import SnapshotCache
-from repro.scan.sharded import ShardedCollector
-from repro.scan.snapshot import SnapshotSeries
+from repro.scan.snapshot import SnapshotCollector, SnapshotSeries
 from repro.scan.storage import DATASET_FORMAT_VERSION
 from tests.cache_bytes import series_bytes
 
@@ -107,7 +106,7 @@ def test_storage_throughput(tmp_path):
     end = START + dt.timedelta(days=BENCH_DAYS)
 
     # -- worker transport first: the parent's peak RSS is the leg's own ---
-    pooled_collector = ShardedCollector(plan, shards=TRANSPORT_WORKERS)
+    pooled_collector = SnapshotCollector.openintel_style(plan, shards=TRANSPORT_WORKERS)
     os.environ["REPRO_MAX_WORKERS"] = str(TRANSPORT_WORKERS)
     try:
         started = time.perf_counter()
@@ -124,7 +123,7 @@ def test_storage_throughput(tmp_path):
 
     # -- the serial collection: what a cache miss recomputes -------------
     started = time.perf_counter()
-    series = ShardedCollector(plan, shards=1).collect(START, end)
+    series = SnapshotCollector.openintel_style(plan, shards=1).collect(START, end)
     recompute_seconds = time.perf_counter() - started
     reference_bytes = series_bytes(series)
 

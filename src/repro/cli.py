@@ -59,7 +59,6 @@ from repro.obs import NULL_OBS, Observability, metrics_out_path
 from repro.reporting import TextTable
 from repro.scan import (
     CampaignCache,
-    ShardedCampaign,
     SnapshotCache,
     SupplementalCampaign,
     write_icmp_csv,
@@ -114,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "build the world from a WorldPlan JSON file (see the 'plan' "
-            "command); enables the sharded collection/campaign engines"
+            "command); collection and the campaign measure it in --shards "
+            "blocks without building it whole"
         ),
     )
     parser.add_argument(
@@ -133,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "machine-wide ceiling for every process pool (shard, day-chunk "
-            "and campaign levels share one budget); equivalent to setting "
+            "machine-wide ceiling for every process pool (collection, "
+            "campaign and evaluation cells); equivalent to setting "
             "REPRO_MAX_WORKERS"
         ),
     )
@@ -435,6 +435,11 @@ def _world(args):
     return build_world(seed=args.seed, scale=scale)
 
 
+def _world_source(args):
+    """What an engine measures: the ``--plan`` (never built whole here), else the world."""
+    return _plan(args) or _world(args)
+
+
 def _snapshot_cache(args) -> Optional[SnapshotCache]:
     if args.snapshot_cache is None:
         return None
@@ -541,29 +546,17 @@ def cmd_study(args, out) -> int:
 def cmd_campaign(args, out) -> int:
     obs = _obs(args)
     plan = _fault_plan(args)
-    world_plan = _plan(args)
-    if world_plan is not None:
-        # Sharded path: no full world build in this process.
-        obs.set_run_info(
-            world_fingerprint=f"plan:{world_plan.fingerprint()}",
-            fault_profile=plan.name if plan is not None else None,
-        )
-        campaign = ShardedCampaign(
-            world_plan,
-            shards=args.shards,
-            networks=args.networks,
-            fault_plan=plan,
-            obs=obs,
-        )
-    else:
-        world = _world(args)
-        obs.set_run_info(
-            world_fingerprint=world.internet.cache_token(),
-            fault_profile=plan.name if plan is not None else None,
-        )
-        campaign = SupplementalCampaign(
-            world, networks=args.networks, fault_plan=plan, obs=obs
-        )
+    campaign = SupplementalCampaign(
+        _world_source(args),
+        networks=args.networks,
+        shards=args.shards,
+        fault_plan=plan,
+        obs=obs,
+    )
+    obs.set_run_info(
+        world_fingerprint=campaign.internet.cache_token(),
+        fault_profile=plan.name if plan is not None else None,
+    )
     try:
         dataset = campaign.run(
             args.start, args.end, workers=args.workers, cache=_campaign_cache(args)

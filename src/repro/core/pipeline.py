@@ -28,7 +28,6 @@ from repro.netsim.worldplan import WorldPlan
 from repro.obs import Observability, resolve_obs
 from repro.scan.cache import CampaignCache, SnapshotCache
 from repro.scan.campaign import CampaignMetrics, SupplementalCampaign, SupplementalDataset
-from repro.scan.sharded import ShardedCampaign, ShardedCollector
 from repro.scan.snapshot import CollectionMetrics, SnapshotCollector, SnapshotSeries
 
 
@@ -59,9 +58,9 @@ class StudyConfig:
     scale: Optional[WorldScale] = None
     #: Optional :class:`~repro.netsim.worldplan.WorldPlan`.  When set,
     #: the world builds from the plan (``scale`` is ignored) and the
-    #: snapshot/campaign stages run the sharded engines of
-    #: :mod:`repro.scan.sharded` with ``shards`` partitions — output
-    #: stays byte-identical to an unsharded run over the same plan.
+    #: snapshot/campaign stages measure the plan in ``shards`` blocks
+    #: without building it whole — output stays byte-identical to a
+    #: run over the built plan world.
     plan: Optional[WorldPlan] = None
     shards: int = 1
     #: Ceiling on every process pool this study creates.  ``None``
@@ -160,33 +159,24 @@ class ReproductionStudy:
             )
         return self._world
 
+    def _world_source(self):
+        """What the engines measure: the plan if there is one, else the world."""
+        return self.config.plan if self.config.plan is not None else self.world
+
     def daily_series(self) -> SnapshotSeries:
         """Daily snapshots over the dynamicity window (OpenINTEL-style)."""
         if self._daily_series is None:
             with self.obs.span("daily_series"):
-                workers = self.config.capped_workers(self.config.snapshot_workers)
-                if self.config.plan is not None:
-                    sharded = ShardedCollector(
-                        self.config.plan, shards=self.config.shards, obs=self.obs
-                    )
-                    self._daily_series = sharded.collect(
-                        self.config.dynamicity_start,
-                        self.config.dynamicity_end,
-                        workers=workers,
-                        cache=self.config.snapshot_cache,
-                    )
-                    self.collection_metrics = sharded.last_metrics
-                else:
-                    collector = SnapshotCollector.openintel_style(
-                        self.world.internet, obs=self.obs
-                    )
-                    self._daily_series = collector.collect(
-                        self.config.dynamicity_start,
-                        self.config.dynamicity_end,
-                        workers=workers,
-                        cache=self.config.snapshot_cache,
-                    )
-                    self.collection_metrics = collector.last_metrics
+                collector = SnapshotCollector.openintel_style(
+                    self._world_source(), shards=self.config.shards, obs=self.obs
+                )
+                self._daily_series = collector.collect(
+                    self.config.dynamicity_start,
+                    self.config.dynamicity_end,
+                    workers=self.config.capped_workers(self.config.snapshot_workers),
+                    cache=self.config.snapshot_cache,
+                )
+                self.collection_metrics = collector.last_metrics
         return self._daily_series
 
     def dynamicity(self) -> DynamicityReport:
@@ -251,17 +241,12 @@ class ReproductionStudy:
                     # REPRO_FAULT_PROFILE environment variable itself.
                     else {}
                 )
-                if self.config.plan is not None:
-                    campaign = ShardedCampaign(
-                        self.config.plan,
-                        shards=self.config.shards,
-                        obs=self.obs,
-                        **fault_kwargs,
-                    )
-                else:
-                    campaign = SupplementalCampaign(
-                        self.world, obs=self.obs, **fault_kwargs
-                    )
+                campaign = SupplementalCampaign(
+                    self._world_source(),
+                    shards=self.config.shards,
+                    obs=self.obs,
+                    **fault_kwargs,
+                )
                 self.obs.set_run_info(
                     fault_profile=(
                         campaign.fault_plan.name

@@ -2,10 +2,10 @@
 
 Each cell runs the same two-stage pipeline a study does — snapshot
 collection over the dynamicity window, then the supplemental campaign
-— through the sharded engines (:mod:`repro.scan.sharded`), and is
-scored in the worker that ran it.  Parallel execution fans whole cells
-out over a :class:`~repro.scan.parallel.WorkerBudget`-sized process
-pool (:func:`~repro.scan.parallel.run_pool`); because a cell is scored
+— over the cell's plan, which it never builds whole — and is scored
+in the worker that ran it.  Parallel execution fans whole cells out
+over one process pool (:func:`~repro.scan.parallel.run_pool`) of at
+most ``workers`` processes; because a cell is scored
 from nothing but its own plan, windows and caches, and results come
 back in cell order, a parallel sweep is **byte-identical** to a serial
 one.
@@ -35,8 +35,9 @@ from repro.netsim.faults import plan_from_profile
 from repro.netsim.worldplan import WorldPlan
 from repro.obs import resolve_obs
 from repro.scan.cache import CampaignCache, SnapshotCache
-from repro.scan.parallel import WorkerBudget, run_pool, worker_cap
-from repro.scan.sharded import ShardedCampaign, ShardedCollector
+from repro.scan.campaign import SupplementalCampaign
+from repro.scan.parallel import run_pool, worker_cap
+from repro.scan.snapshot import SnapshotCollector
 
 
 @dataclass
@@ -138,7 +139,7 @@ def _evaluate_cell(state: Tuple, task: Tuple) -> Dict[str, Any]:
     snapshot_cache = SnapshotCache(snapshot_root) if snapshot_root else None
     campaign_cache = CampaignCache(campaign_root) if campaign_root else None
 
-    collector = ShardedCollector(plan, shards=1, fault_token=fault_token)
+    collector = SnapshotCollector.openintel_style(plan, fault_token=fault_token)
     series = collector.collect(
         spec.dynamicity_start,
         spec.dynamicity_end,
@@ -147,7 +148,7 @@ def _evaluate_cell(state: Tuple, task: Tuple) -> Dict[str, Any]:
     )
     # Fault plan always explicit (None = clean), never the environment:
     # the matrix axis owns the decision.
-    campaign = ShardedCampaign(plan, shards=1, fault_plan=fault_plan)
+    campaign = SupplementalCampaign(plan, fault_plan=fault_plan)
     dataset = campaign.run(
         spec.supplemental_start,
         spec.supplemental_end,
@@ -192,8 +193,7 @@ def run_matrix(
     obs = resolve_obs(obs)
     started = time.perf_counter()
     cells = spec.cells()
-    budget = WorkerBudget(workers if workers is not None else worker_cap())
-    pool_workers = min(budget.total, len(cells))
+    pool_workers = min(workers if workers is not None else worker_cap(), len(cells))
 
     snapshot_root = str(snapshot_cache.root) if snapshot_cache is not None else None
     campaign_root = str(campaign_cache.root) if campaign_cache is not None else None

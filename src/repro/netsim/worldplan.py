@@ -35,7 +35,7 @@ import hashlib
 import ipaddress
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.dns.zone import RdnsMode
 from repro.ipam.policy import POLICY_NAMES, make_policy
@@ -196,7 +196,7 @@ class WorldPlan:
         return cls(payload.get("seed", 0), payload["networks"])
 
     def fingerprint(self) -> str:
-        """A deterministic digest of the plan — the sharded cache key.
+        """A deterministic digest of the plan — the plan runs' cache key.
 
         Unlike :meth:`~repro.netsim.internet.Internet.cache_token`, this
         never needs the world built: two processes holding the same plan
@@ -326,8 +326,8 @@ class WorldPlan:
 class LazyPlanInternet:
     """An :class:`~repro.netsim.internet.Internet` built on first use.
 
-    Sharded collection never needs the full world in the coordinating
-    process — shard workers build their own slices — but the merged
+    Collecting a plan never needs the full world in the coordinating
+    process — each block is built where it is measured — but the merged
     :class:`~repro.scan.snapshot.SnapshotSeries` still wants an
     internet for the record-level paths (``records_on``,
     ``sample_records``).  This proxy defers (and memoises) the full
@@ -360,6 +360,49 @@ class LazyPlanInternet:
 
     def __len__(self) -> int:
         return len(self._materialize())
+
+
+def world_source(source: Any) -> Tuple[Optional["WorldPlan"], Any]:
+    """``(plan, internet)`` for the world a measurement engine was handed.
+
+    The one place that tells a plan from a built world.  A
+    :class:`WorldPlan` (or a :class:`LazyPlanInternet` over one) comes
+    back validated beside a lazy internet, so the coordinating process
+    never builds it whole; a built :class:`~repro.netsim.internet.World`
+    or a bare :class:`~repro.netsim.internet.Internet` comes back as
+    ``(None, internet)``.
+    """
+    if isinstance(source, WorldPlan):
+        source = LazyPlanInternet(source.validate())
+    if isinstance(source, LazyPlanInternet):
+        return source.plan, source
+    if isinstance(source, World):
+        return None, source.internet
+    return None, source
+
+
+#: Plan blocks memoised per worker process, keyed by (plan fingerprint,
+#: block names).  Bounded: a worker holds a few blocks' networks, never
+#: the whole plan.
+_SHARD_WORLDS: Dict[Any, World] = {}
+
+_SHARD_WORLD_LIMIT = 4
+
+
+def shard_world(plan: WorldPlan, names: Sequence[str]) -> World:
+    """Build (or reuse) the slice of ``plan`` holding exactly ``names``.
+
+    For pool workers, which receive several day-chunks of one block;
+    serial loops build each block once with :meth:`WorldPlan.build`.
+    """
+    key = (plan.fingerprint(), tuple(names))
+    world = _SHARD_WORLDS.get(key)
+    if world is None:
+        while len(_SHARD_WORLDS) >= _SHARD_WORLD_LIMIT:
+            _SHARD_WORLDS.pop(next(iter(_SHARD_WORLDS)))
+        world = plan.build(names)
+        _SHARD_WORLDS[key] = world
+    return world
 
 
 def _slash24(base: ipaddress.IPv4Address, offset_24s: int, prefixlen: int = 24) -> str:

@@ -24,7 +24,7 @@ from repro.scan.observations import (
 from repro.scan.ratelimit import TokenBucket
 from repro.scan.cache import CampaignCache, SnapshotCache
 from repro.scan.icmp import IcmpScanner
-from repro.scan.parallel import WorkerBudget, default_workers, worker_cap
+from repro.scan.parallel import worker_cap
 from repro.scan.rdns import RdnsLookupEngine
 from repro.scan.snapshot import (
     CollectionMetrics,
@@ -48,7 +48,6 @@ from repro.scan.storage import (
     RdnsColumns,
 )
 from repro.scan.persistence import load_dataset, save_dataset
-from repro.scan.sharded import ShardedCampaign, ShardedCollector
 
 __all__ = [
     "BackoffSchedule",
@@ -70,13 +69,9 @@ __all__ = [
     "SnapshotCollector",
     "SnapshotSeries",
     "SnapshotStats",
-    "ShardedCampaign",
-    "ShardedCollector",
     "SupplementalCampaign",
     "SupplementalDataset",
     "TokenBucket",
-    "WorkerBudget",
-    "default_workers",
     "worker_cap",
     "run_network_campaign",
     "load_dataset",

@@ -15,7 +15,10 @@ the serial path loops it over the networks, the parallel path
 (:mod:`repro.scan.campaign_parallel`) fans the same function out over
 a process pool, and both merge the per-network streams with the same
 deterministic timestamp merge — so parallel output is bit-identical to
-serial.  A completed dataset can also be persisted in a
+serial.  The campaign measures a built world or a
+:class:`~repro.netsim.worldplan.WorldPlan`, whose networks split into
+contiguous blocks that each process builds for itself.  A completed
+dataset can also be persisted in a
 :class:`~repro.scan.cache.CampaignCache`, making warm runs skip the
 six-week simulation entirely.
 
@@ -39,6 +42,7 @@ from repro.netsim.finegrained import build_runtimes
 from repro.netsim.internet import World
 from repro.netsim.network import NetworkType
 from repro.netsim.simtime import DAY, HOUR, date_of, from_date
+from repro.netsim.worldplan import PlanError, contiguous_blocks, world_source
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
 from repro.scan.icmp import IcmpScanner
 from repro.scan.observations import IcmpObservation, RdnsObservation
@@ -278,7 +282,11 @@ def _as_rdns_columns(observations: Iterable[RdnsObservation]) -> RdnsColumns:
 
 @dataclass
 class NetworkCampaignResult:
-    """One network's share of the campaign (picklable worker output)."""
+    """One network's share of the campaign (picklable worker output).
+
+    Carries the network's targets, type and targeted size too, so the
+    merged dataset never needs the coordinator to hold the world.
+    """
 
     network: str
     icmp: IcmpColumns
@@ -286,6 +294,9 @@ class NetworkCampaignResult:
     sweeps_run: int
     events_run: int
     seconds: float
+    targets: List[str]
+    net_type: NetworkType
+    target_size: int
     #: Instrument counters (probe/lookup/retry/loss totals); empty on
     #: clean runs for backwards-compatible equality.
     counters: Dict[str, int] = field(default_factory=dict)
@@ -356,8 +367,9 @@ def run_network_campaign(
     # Columnar stores are drop-in append targets for the monitor.
     monitor.icmp_observations = IcmpColumns()
     monitor.rdns_observations = RdnsColumns()
-    targets = {name: [str(subnet.prefix) for subnet in world.supplemental_targets(name)]}
-    monitor.start(targets, end=end_ts)
+    subnets = world.supplemental_targets(name)
+    targets = [str(subnet.prefix) for subnet in subnets]
+    monitor.start({name: targets}, end=end_ts)
     engine.run_until(end_ts)
     counters: Dict[str, int] = {}
     if fault_plan is not None:
@@ -386,6 +398,9 @@ def run_network_campaign(
         sweeps_run=monitor.sweeps_run,
         events_run=engine.events_run,
         seconds=time.perf_counter() - started,
+        targets=targets,
+        net_type=network.net_type,
+        target_size=sum(subnet.prefix.num_addresses for subnet in subnets),
         counters=counters,
         metrics=registry.snapshot(),
     )
@@ -398,13 +413,24 @@ _FAULTS_FROM_ENV = object()
 
 
 class SupplementalCampaign:
-    """Runs the supplemental measurement against a built world."""
+    """Runs the supplemental measurement against a built world or a plan.
+
+    ``world`` is a built :class:`~repro.netsim.internet.World` or a
+    :class:`~repro.netsim.worldplan.WorldPlan`.  Networks run in blocks
+    (see :meth:`blocks`), one pool task each: a built world sends one
+    network per task, shared with workers by fork; a plan sends
+    ``shards`` contiguous blocks, and each process builds only its
+    block's networks.  Results merge in campaign order, so the dataset
+    is byte-identical for any shard count, worker count or cache
+    temperature.
+    """
 
     def __init__(
         self,
-        world: World,
+        world,
         *,
         networks: Optional[Iterable[str]] = None,
+        shards: int = 1,
         schedule: BackoffSchedule = TABLE2_SCHEDULE,
         sweep_interval: int = HOUR,
         rdns_rate: float = 50.0,
@@ -412,41 +438,52 @@ class SupplementalCampaign:
         fault_plan=_FAULTS_FROM_ENV,
         obs=None,
     ):
-        self.world = world
+        if shards < 1:
+            raise PlanError(f"shard count must be >= 1, got {shards}")
+        self.plan, self.internet = world_source(world)
+        #: The built world; ``None`` for a plan, which is never built
+        #: whole in this process.
+        self.world: Optional[World] = None if self.plan is not None else world
+        self.shards = shards
         #: Optional :class:`repro.obs.Observability` handle; spans,
         #: deterministic counters and run-shape details are recorded
         #: there (no-op when ``None``).
         self.obs = obs
-        # Default to every supplemental-flagged network in the world
-        # (for the standard world, that is the Table 4 nine, in order).
-        candidates = list(networks) if networks is not None else list(world.supplemental)
-        self.network_names = [name for name in candidates if name in world.supplemental]
+        # Default to every supplemental-flagged network (for the
+        # standard world, that is the Table 4 nine, in order).
+        if self.plan is not None:
+            supplemental, seed = self.plan.supplemental_names, self.plan.seed
+        else:
+            supplemental, seed = list(world.supplemental), world.rngs.seed
+        candidates = list(networks) if networks is not None else supplemental
+        self.network_names = [name for name in candidates if name in supplemental]
         self.schedule = schedule
         self.sweep_interval = sweep_interval
         self.rdns_rate = rdns_rate
         self.blocklist = list(blocklist)
         if fault_plan is _FAULTS_FROM_ENV:
-            fault_plan = resolve_fault_plan(None, seed=world.rngs.seed)
+            fault_plan = resolve_fault_plan(None, seed=seed)
         self.fault_plan: Optional[FaultPlan] = fault_plan
         #: Counters from the most recent :meth:`run` call.
         self.last_metrics: Optional[CampaignMetrics] = None
 
-    def _targets(self) -> Dict[str, List[str]]:
-        targets: Dict[str, List[str]] = {}
-        for name in self.network_names:
-            subnets = self.world.supplemental_targets(name)
-            targets[name] = [str(subnet.prefix) for subnet in subnets]
-        return targets
+    def blocks(self) -> List[List[str]]:
+        """The campaign networks in pool-task blocks, in campaign order."""
+        if self.plan is None:
+            return [[name] for name in self.network_names]
+        return contiguous_blocks(self.network_names, self.shards)
 
     def cache_key(self, cache: "CampaignCache", start: dt.date, end: dt.date) -> str:
         """The cache key one ``run(start, end)`` would use.
 
         The fault plan token is folded in only when a plan is active,
         so clean runs keep exactly the keys they had before fault
-        injection existed (cached datasets stay valid).
+        injection existed (cached datasets stay valid).  A world plan
+        keys on its fingerprint and policy token, never on the shard
+        count.
         """
         return cache.key_for(
-            world_token=self.world.internet.cache_token(),
+            world_token=self.internet.cache_token(),
             networks=self.network_names,
             start=start,
             end=end,
@@ -458,6 +495,7 @@ class SupplementalCampaign:
             fault_token=(
                 self.fault_plan.cache_token() if self.fault_plan is not None else None
             ),
+            policy_token=self.plan.policy_token() if self.plan is not None else None,
         )
 
     def run(
@@ -533,6 +571,8 @@ class SupplementalCampaign:
     ) -> SupplementalDataset:
         if end <= start:
             raise ValueError("end must be after start (half-open [start, end) window)")
+        if not self.network_names:
+            raise PlanError("no supplemental networks to measure")
         started = time.perf_counter()
         metrics = CampaignMetrics(
             workers=max(1, workers), networks=len(self.network_names)
@@ -559,7 +599,7 @@ class SupplementalCampaign:
 
         simulate_started = time.perf_counter()
         results = self._run_networks(start, end, workers, metrics)
-        dataset = self._merge(start, end, results)
+        dataset = _merge(start, end, results)
         # Per-network registries merge in fixed campaign order, so the
         # totals are identical whether networks ran serial or fanned
         # out (and, via the cached copy below, on later replays).
@@ -598,47 +638,43 @@ class SupplementalCampaign:
     ) -> List[NetworkCampaignResult]:
         from repro.scan.campaign_parallel import effective_campaign_workers, run_networks
 
-        effective = effective_campaign_workers(workers, len(self.network_names))
+        blocks = self.blocks()
+        effective = effective_campaign_workers(workers, len(blocks))
         metrics.effective_workers = effective
         if effective > 1:
             return run_networks(self, start, end, workers=effective, metrics=metrics)
-        return [
-            run_network_campaign(
-                self.world,
-                name,
-                start,
-                end,
-                schedule=self.schedule,
-                sweep_interval=self.sweep_interval,
-                rdns_rate=self.rdns_rate,
-                blocklist=self.blocklist,
-                fault_plan=self.fault_plan,
+        results = []
+        for names in blocks:
+            world = self.world if self.plan is None else self.plan.build(names)
+            results.extend(
+                run_network_campaign(
+                    world,
+                    name,
+                    start,
+                    end,
+                    schedule=self.schedule,
+                    sweep_interval=self.sweep_interval,
+                    rdns_rate=self.rdns_rate,
+                    blocklist=self.blocklist,
+                    fault_plan=self.fault_plan,
+                )
+                for name in names
             )
-            for name in self.network_names
-        ]
+        return results
 
-    def _merge(
-        self,
-        start: dt.date,
-        end: dt.date,
-        results: Sequence[NetworkCampaignResult],
-    ) -> SupplementalDataset:
-        """Combine per-network streams into one dataset, deterministically."""
-        targets = self._targets()
-        target_sizes = {
-            name: sum(
-                subnet.prefix.num_addresses for subnet in self.world.supplemental_targets(name)
-            )
-            for name in self.network_names
-        }
-        return SupplementalDataset(
-            start=start,
-            end=end,
-            icmp=IcmpColumns.merged([result.icmp for result in results]),
-            rdns=RdnsColumns.merged([result.rdns for result in results]),
-            targets_by_network=targets,
-            network_types={
-                name: self.world.supplemental[name].net_type for name in self.network_names
-            },
-            target_sizes=target_sizes,
-        )
+
+def _merge(
+    start: dt.date,
+    end: dt.date,
+    results: Sequence[NetworkCampaignResult],
+) -> SupplementalDataset:
+    """Combine per-network streams into one dataset, deterministically."""
+    return SupplementalDataset(
+        start=start,
+        end=end,
+        icmp=IcmpColumns.merged([result.icmp for result in results]),
+        rdns=RdnsColumns.merged([result.rdns for result in results]),
+        targets_by_network={result.network: list(result.targets) for result in results},
+        network_types={result.network: result.net_type for result in results},
+        target_sizes={result.network: result.target_size for result in results},
+    )

@@ -5,10 +5,12 @@ nine supplemental networks owns its runtime, sweeper, authoritative
 server and RNG streams (all keyed by ``RngStreams.fresh`` labels), so
 :func:`~repro.scan.campaign.run_network_campaign` is a deterministic
 function of (world, network, window, parameters) no matter which
-process runs it.  :func:`run_networks` ships one network per task to a
-process pool and returns results in campaign order; the caller merges
-the streams with the same deterministic timestamp merge the serial
-path uses, so parallel output is bit-identical to serial (pinned by
+process runs it.  :func:`run_networks` ships one block of networks per
+task to a process pool — one network of a built world, or one shard of
+a plan's networks, which the worker builds for itself — and returns
+results in campaign order; the caller merges the streams with the same
+deterministic timestamp merge the serial path uses, so parallel output
+is bit-identical to serial (pinned by
 ``tests/scan/test_campaign_parallel_cache.py``).
 
 The pool itself — fork or spawn, shared-memory result transport,
@@ -16,8 +18,8 @@ segment cleanup — is :func:`repro.scan.parallel.run_pool`.
 
 :func:`effective_campaign_workers` implements the never-slower rule:
 the pool is capped at the machine's core count and the number of
-networks, and a single-core host (or single-network campaign) falls
-back to the serial loop rather than paying pool overhead for nothing.
+blocks, and a single-core host (or single-block campaign) falls back
+to the serial loop rather than paying pool overhead for nothing.
 """
 
 from __future__ import annotations
@@ -37,10 +39,9 @@ def effective_campaign_workers(requested: int, work_units: int) -> int:
     """Cap the requested pool size so parallelism never loses to serial.
 
     ``work_units`` is the number of tasks actually submitted to the
-    pool — per-network campaigns for a plain supplemental run, per-shard
-    batches for a sharded run.  Capping at the *network* count (the
-    historical behaviour) starved shard-batched runs, where one
-    submission carries many networks: a 2-batch run over 9 networks
+    pool — one per network for a built world, one per shard for a plan.
+    Capping at the *network* count starves shard-batched runs, where
+    one submission carries many networks: a 2-block run over 9 networks
     must size the pool by its 2 submissions, not its 9 networks.
     More workers than work units just idle; more workers than the
     machine-wide :func:`~repro.scan.parallel.worker_cap` just
@@ -52,32 +53,40 @@ def effective_campaign_workers(requested: int, work_units: int) -> int:
     return capped if capped >= 2 else 1
 
 
-def _run_one(state, task: Tuple[str, str, str]):
-    """Run one network's campaign inside a worker process.
+def _run_one(state, task: Tuple[Tuple[str, ...], int, int]):
+    """Run one block of network campaigns inside a worker process.
 
-    ``state`` is ``(world, schedule, sweep_interval, rdns_rate,
-    blocklist, fault_plan)``.  Returns the result shell without its
+    ``state`` is ``(plan, world, schedule, sweep_interval, rdns_rate,
+    blocklist, fault_plan)``: a built world is inherited as is, while a
+    plan's block is built here.  ``task`` is ``(names, start ordinal,
+    end ordinal)``.  Returns the result shells without their
     observation columns plus the columns packed into one blob
-    (:func:`~repro.scan.transport.pack_campaign_columns`).
+    (:func:`~repro.scan.transport.pack_campaign_batch`).
     """
+    from repro.netsim.worldplan import shard_world
     from repro.scan.campaign import run_network_campaign
 
-    world, schedule, sweep_interval, rdns_rate, blocklist, fault_plan = state
-    name, start_iso, end_iso = task
-    result = run_network_campaign(
-        world,
-        name,
-        dt.date.fromisoformat(start_iso),
-        dt.date.fromisoformat(end_iso),
-        schedule=schedule,
-        sweep_interval=sweep_interval,
-        rdns_rate=rdns_rate,
-        blocklist=blocklist,
-        fault_plan=fault_plan,
-    )
+    plan, world, schedule, sweep_interval, rdns_rate, blocklist, fault_plan = state
+    names, start_ordinal, end_ordinal = task
+    if plan is not None:
+        world = shard_world(plan, names)
+    results = [
+        run_network_campaign(
+            world,
+            name,
+            dt.date.fromordinal(start_ordinal),
+            dt.date.fromordinal(end_ordinal),
+            schedule=schedule,
+            sweep_interval=sweep_interval,
+            rdns_rate=rdns_rate,
+            blocklist=blocklist,
+            fault_plan=fault_plan,
+        )
+        for name in names
+    ]
     return (
-        replace(result, icmp=None, rdns=None),
-        transport.pack_campaign_columns(result.icmp, result.rdns),
+        [replace(result, icmp=None, rdns=None) for result in results],
+        transport.pack_campaign_batch((result.icmp, result.rdns) for result in results),
     )
 
 
@@ -89,15 +98,15 @@ def run_networks(
     workers: int,
     metrics=None,
 ) -> List["NetworkCampaignResult"]:
-    """Run every campaign network on a process pool, in campaign order.
+    """Run the campaign's network blocks on a process pool, in campaign order.
 
-    Raises ``ValueError`` if the platform lacks ``fork`` and the world
-    cannot be pickled (worlds from
-    :func:`repro.netsim.internet.build_world` always can).  ``metrics``
+    Raises ``ValueError`` if the platform lacks ``fork`` and the state
+    cannot be pickled (built worlds and plans always can).  ``metrics``
     (a :class:`~repro.scan.campaign.CampaignMetrics`) receives the
     result-transport byte total.
     """
     state = (
+        campaign.plan,
         campaign.world,
         campaign.schedule,
         campaign.sweep_interval,
@@ -106,13 +115,17 @@ def run_networks(
         campaign.fault_plan,
     )
     tasks = [
-        (name, start.isoformat(), end.isoformat()) for name in campaign.network_names
+        (tuple(names), start.toordinal(), end.toordinal()) for names in campaign.blocks()
     ]
-    shells = run_pool(
+    batches = run_pool(
         _run_one, tasks, state, workers,
         section="campaign_pool",
-        unpack=transport.unpack_campaign_columns,
+        unpack=transport.unpack_campaign_batch,
         obs=campaign.obs,
         metrics=metrics,
     )
-    return [replace(shell, icmp=icmp, rdns=rdns) for shell, (icmp, rdns) in shells]
+    return [
+        replace(shell, icmp=icmp, rdns=rdns)
+        for shells, columns in batches
+        for shell, (icmp, rdns) in zip(shells, columns)
+    ]

@@ -11,12 +11,12 @@ order.  The merged series is bit-identical to a serial run (the
 equivalence regression test in ``tests/scan/test_parallel_cache.py``
 pins this).
 
-Every fan-out in the package — snapshot day-chunks, record chunks,
-shard chunks, shard campaign batches, per-network campaigns and
-evaluation cells — goes through :func:`run_pool`, the one process-pool
-primitive.  Where ``fork`` is available (Linux), workers inherit the
-shared state (the :class:`~repro.netsim.internet.Internet`, a plan
-payload, ...) through copy-on-write memory — no pickling at all.
+Every fan-out in the package — snapshot block × day-chunks, record
+chunks, campaign network blocks and evaluation cells — goes through
+:func:`run_pool`, the one process-pool primitive.  Where ``fork`` is
+available (Linux), workers inherit the shared state (the
+:class:`~repro.netsim.internet.Internet`, a plan, ...) through
+copy-on-write memory — no pickling at all.
 Elsewhere the state is pickled once and shipped via the pool
 initializer.  Results travel the other way as packed columnar blobs in
 shared memory (:mod:`repro.scan.transport`): a worker returns a small
@@ -84,17 +84,14 @@ def worker_cap() -> int:
     return min(os.cpu_count() or 1, DEFAULT_WORKER_CEILING)
 
 
-def default_workers() -> int:
-    """A sensible worker count: the machine-wide :func:`worker_cap`."""
-    return worker_cap()
-
-
 def effective_workers(requested: int, day_count: int) -> int:
     """Cap the requested pool size so parallelism never loses to serial.
 
-    More workers than the :func:`worker_cap` just context-switch; more
-    workers than ``day_count / MIN_DAYS_PER_WORKER`` spend their time on
-    pool start-up.  Anything that caps to one means "run serial".
+    ``day_count`` counts block-days: a collection over ``k`` blocks of
+    networks derives ``k`` times as many.  More workers than the
+    :func:`worker_cap` just context-switch; more workers than
+    ``day_count / MIN_DAYS_PER_WORKER`` spend their time on pool
+    start-up.  Anything that caps to one means "run serial".
     """
     if requested < 2 or day_count < 2 * MIN_DAYS_PER_WORKER:
         return 1
@@ -104,36 +101,6 @@ def effective_workers(requested: int, day_count: int) -> int:
         day_count // MIN_DAYS_PER_WORKER,
     )
     return capped if capped >= 2 else 1
-
-
-class WorkerBudget:
-    """One worker budget shared between nested pool levels.
-
-    Sharded collection has two natural pool levels — across shards and
-    across day-chunks within a shard.  Sizing each level independently
-    oversubscribes the machine (outer × inner processes); a budget makes
-    the split explicit: ``split(outer_tasks)`` returns the outer pool
-    size and the per-task inner allowance whose product never exceeds
-    the total.
-    """
-
-    def __init__(self, total: Optional[int] = None):
-        if total is None:
-            total = worker_cap()
-        if total < 1:
-            raise ValueError(f"worker budget must be >= 1, got {total}")
-        self.total = total
-
-    def split(self, outer_tasks: int) -> Tuple[int, int]:
-        """(outer pool size, inner workers per outer task)."""
-        if outer_tasks < 1:
-            return 1, self.total
-        outer = min(self.total, outer_tasks)
-        inner = max(1, self.total // outer)
-        return outer, inner
-
-    def __repr__(self) -> str:
-        return f"WorkerBudget(total={self.total})"
 
 
 class PoolError(RuntimeError):
@@ -249,20 +216,27 @@ def _run_task(task, name: str, item):
     return header, transport.publish(blob, name)
 
 
-def _collect_chunk(state, ordinals: List[int]):
-    """Derive one contiguous chunk of days inside a worker process.
+def _collect_chunk(state, task):
+    """Derive one block's chunk of days inside a worker process.
 
-    Returns ``(None, blob)`` — the packed day results
-    (:func:`~repro.scan.transport.pack_day_chunk`).
+    ``state`` is ``(plan, internet, at_offset)``: a built world's
+    internet is inherited as is, while a plan's block is built here
+    (memoised, since a worker receives several chunks of one block).
+    ``task`` is ``(names, ordinals)``.  Returns ``(None, blob)`` — the
+    packed day results (:func:`~repro.scan.transport.pack_day_chunk`).
     """
+    from repro.netsim.worldplan import shard_world
     from repro.scan import transport
     from repro.scan.snapshot import derive_day
 
-    internet, network_names, at_offset = state
+    plan, internet, at_offset = state
+    names, ordinals = task
+    if plan is not None:
+        internet = shard_world(plan, names).internet
     results = []
     for ordinal in ordinals:
         day = dt.date.fromordinal(ordinal)
-        counts, ptrs = derive_day(internet, network_names, day, at_offset)
+        counts, ptrs = derive_day(internet, names, day, at_offset)
         results.append((ordinal, counts, ptrs))
     return None, transport.pack_day_chunk(results)
 
@@ -316,9 +290,11 @@ def collect_days(
 ) -> "SnapshotSeries":
     """Collect ``days`` for ``collector`` on a process pool.
 
-    Raises ``ValueError`` if the platform lacks ``fork`` and the world
-    cannot be pickled (worlds built by
-    :func:`repro.netsim.internet.build_world` always can).  ``obs`` (an
+    The work units are the collector's blocks × day-chunks, about two
+    chunks per worker overall, split evenly across blocks.  Results
+    merge in block order, so the series is identical to a serial pass.
+    Raises ``ValueError`` if the platform lacks ``fork`` and the state
+    cannot be pickled (built worlds and plans always can).  ``obs`` (an
     :class:`repro.obs.Observability` handle) receives the pool shape —
     start method, task and worker counts, result-blob bytes — under
     ``timings.execution``; those vary with the host, never the
@@ -327,29 +303,27 @@ def collect_days(
     receives the ``transport_bytes`` total.
     """
     from repro.scan import transport
-    from repro.scan.snapshot import SnapshotSeries
+    from repro.scan.snapshot import block_merger
 
-    series = SnapshotSeries(
-        collector.name,
-        collector.internet,
-        collector.networks,
-        at_offset=collector.at_offset,
-        cadence_days=collector.cadence_days,
-    )
+    series = collector.new_series()
+    blocks = collector.blocks()
+    merge = block_merger(series, len(blocks))
+    chunks = chunk_days(days, max(1, workers // len(blocks)))
+    tasks = [
+        (names, [day.toordinal() for day in chunk]) for names in blocks for chunk in chunks
+    ]
+    # ``run_pool`` unpacks results in task order: each block's chunks in turn.
+    task_blocks = iter(block for block in range(len(blocks)) for _ in chunks)
 
     def ingest(view: memoryview) -> None:
-        # Chunks arrive in order, so ingestion stays chronological and
-        # the merged series is identical to a serial pass.
+        block = next(task_blocks)
         for ordinal, counts, ptrs in transport.unpack_day_chunk(view):
-            series._ingest_day(dt.date.fromordinal(ordinal), counts, ptrs)
+            merge(block, ordinal, counts, ptrs)
 
-    chunks = [
-        [day.toordinal() for day in chunk] for chunk in chunk_days(days, workers)
-    ]
-    network_names = list(collector.networks) if collector.networks is not None else None
-    state = (collector.internet, network_names, collector.at_offset)
+    plan = collector.plan
+    state = (plan, collector.internet if plan is None else None, collector.at_offset)
     run_pool(
-        _collect_chunk, chunks, state, workers,
+        _collect_chunk, tasks, state, workers,
         section="snapshot_pool", unpack=ingest, obs=obs, metrics=metrics,
     )
     return series

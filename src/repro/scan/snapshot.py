@@ -14,10 +14,13 @@ Multi-year windows are expensive to simulate serially, so
 :meth:`SnapshotCollector.collect` can fan day-chunks out over a process
 pool (``workers=N``, see :mod:`repro.scan.parallel`) and consult an
 on-disk :class:`~repro.scan.cache.SnapshotCache` so repeated studies
-pay for each simulation once.  Per-day derivation draws only from
-``RngStreams.fresh(label, ..., day.toordinal())`` streams, which makes
-results independent of evaluation order: parallel and cached
-collection are bit-identical to serial.
+pay for each simulation once.  A collector measures a built world or a
+:class:`~repro.netsim.worldplan.WorldPlan`; a plan splits into
+``shards`` contiguous blocks of networks that each process builds for
+itself, so no process ever holds the whole plan.  Per-day derivation
+draws only from ``RngStreams.fresh(label, ..., day.toordinal())``
+streams, which makes results independent of evaluation order:
+parallel, sharded and cached collection are bit-identical to serial.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Seque
 from repro.netsim.internet import Internet
 from repro.netsim.network import Network
 from repro.netsim.simtime import days_between
+from repro.netsim.worldplan import PlanError, contiguous_blocks, world_source
 from repro.scan.blockfile import BlockFileReader
 from repro.scan.storage import DATASET_FORMAT_VERSION, CountMatrix, PrefixTable
 
@@ -467,8 +471,46 @@ class SnapshotSeries:
         return series
 
 
+def block_merger(series: SnapshotSeries, block_count: int):
+    """``merge(block, ordinal, counts, ptrs)``: fold one block's day into ``series``.
+
+    Blocks must arrive in block order, each block's days in date order.
+    Per-/24 keys are disjoint across networks (prefixes never overlap),
+    so updating in block order reproduces the insertion order of a
+    whole-world derivation.  A day is ingested when the last block
+    delivers it, so a one-block collection streams day by day.
+    """
+    pending: Dict[int, Tuple[Dict[str, int], Set[str]]] = {}
+    last = block_count - 1
+
+    def merge(block: int, ordinal: int, counts: Dict[str, int], ptrs: Set[str]) -> None:
+        if block:
+            merged_counts, merged_ptrs = pending.pop(ordinal)
+            merged_counts.update(counts)
+            merged_ptrs.update(ptrs)
+            counts, ptrs = merged_counts, merged_ptrs
+        if block == last:
+            series._ingest_day(dt.date.fromordinal(ordinal), counts, ptrs)
+        else:
+            pending[ordinal] = (counts, ptrs)
+
+    return merge
+
+
 class SnapshotCollector:
-    """Collects a snapshot series at a fixed cadence."""
+    """Collects a snapshot series at a fixed cadence.
+
+    ``internet`` is a built world (an :class:`~repro.netsim.internet.Internet`
+    or :class:`~repro.netsim.internet.World`) or a plan (a
+    :class:`~repro.netsim.worldplan.WorldPlan`, or a
+    :class:`~repro.netsim.worldplan.LazyPlanInternet` over one).  Work
+    splits into blocks of networks × day-chunks.  A built world is one
+    block, shared with pool workers by fork.  A plan splits into
+    ``shards`` contiguous blocks that each process builds for itself,
+    so no process holds the whole plan.  The merged series is
+    byte-identical for any shard count, worker count or cache
+    temperature.
+    """
 
     #: Second-of-day at which the daily sweep samples PTR state.  A
     #: snapshot is a point-in-time measurement: an evening-only client
@@ -477,21 +519,31 @@ class SnapshotCollector:
 
     def __init__(
         self,
-        internet: Internet,
+        internet,
         name: str,
         *,
         cadence_days: int = 1,
         networks: Optional[Sequence[str]] = None,
         at_offset: Optional[int] = DEFAULT_SNAPSHOT_OFFSET,
+        shards: int = 1,
+        fault_token: Optional[str] = None,
         obs=None,
     ):
         if cadence_days < 1:
             raise ValueError("cadence_days must be at least 1")
-        self.internet = internet
+        if shards < 1:
+            raise PlanError(f"shard count must be >= 1, got {shards}")
+        self.plan, self.internet = world_source(internet)
         self.name = name
         self.cadence_days = cadence_days
         self.networks = networks
         self.at_offset = at_offset
+        self.shards = shards
+        #: Key salt only.  Snapshot *content* never depends on faults
+        #: (they model resolver-path failures, not zone state), but the
+        #: evaluation matrix passes its cell's fault token so no two
+        #: cells can share a cache entry.
+        self.fault_token = fault_token
         #: Optional :class:`repro.obs.Observability` handle; spans and
         #: counters are recorded there (no-op when ``None``).
         self.obs = obs
@@ -499,12 +551,12 @@ class SnapshotCollector:
         self.last_metrics: Optional[CollectionMetrics] = None
 
     @classmethod
-    def openintel_style(cls, internet: Internet, **kwargs) -> "SnapshotCollector":
+    def openintel_style(cls, internet, **kwargs) -> "SnapshotCollector":
         """Daily snapshots (OpenINTEL collects daily)."""
         return cls(internet, "OpenINTEL", cadence_days=1, **kwargs)
 
     @classmethod
-    def rapid7_style(cls, internet: Internet, **kwargs) -> "SnapshotCollector":
+    def rapid7_style(cls, internet, **kwargs) -> "SnapshotCollector":
         """Weekly snapshots (Rapid7 collects one weekday every week)."""
         return cls(internet, "Rapid7 Sonar", cadence_days=7, **kwargs)
 
@@ -518,6 +570,45 @@ class SnapshotCollector:
             if index % self.cadence_days == 0
         ]
 
+    def blocks(self) -> List[Optional[Sequence[str]]]:
+        """The network blocks of one collection, in merge order.
+
+        ``None`` stands for every network of a built world.
+        """
+        if self.plan is None:
+            return [self.networks]
+        names = self.networks if self.networks is not None else self.plan.network_names
+        return contiguous_blocks(names, self.shards)
+
+    def new_series(self) -> SnapshotSeries:
+        """An empty series for this collector's days to be ingested into."""
+        return SnapshotSeries(
+            self.name,
+            self.internet,
+            self.networks,
+            at_offset=self.at_offset,
+            cadence_days=self.cadence_days,
+        )
+
+    def cache_key(self, cache: "SnapshotCache", start: dt.date, end: dt.date) -> str:
+        """The cache key one ``collect(start, end)`` uses.
+
+        A plan keys on its fingerprint and policy token, never on the
+        shard count, so runs at any shard width share one entry (their
+        payloads are identical bytes).
+        """
+        return cache.key_for(
+            world_token=self.internet.cache_token(),
+            name=self.name,
+            networks=self.networks,
+            start=start,
+            end=end,
+            cadence_days=self.cadence_days,
+            at_offset=self.at_offset,
+            policy_token=self.plan.policy_token() if self.plan is not None else None,
+            fault_token=self.fault_token,
+        )
+
     def collect(
         self,
         start: dt.date,
@@ -528,7 +619,7 @@ class SnapshotCollector:
     ) -> SnapshotSeries:
         """Collect all snapshots in the half-open window ``[start, end)``.
 
-        ``workers > 1`` fans day-chunks out over a process pool;
+        ``workers > 1`` fans blocks × day-chunks out over a process pool;
         ``cache`` consults and fills an on-disk
         :class:`~repro.scan.cache.SnapshotCache`.  Both produce results
         bit-identical to a serial, uncached run.  The pool is capped by
@@ -573,25 +664,18 @@ class SnapshotCollector:
         workers: int,
         cache: Optional["SnapshotCache"],
     ) -> SnapshotSeries:
-        from repro.scan.parallel import effective_workers
+        from repro.scan.parallel import collect_days, effective_workers
 
         started = time.perf_counter()
         days = self.snapshot_days(start, end)
+        blocks = self.blocks()
         metrics = CollectionMetrics(workers=max(1, workers), days=len(days))
-        metrics.effective_workers = effective_workers(workers, len(days))
+        metrics.effective_workers = effective_workers(workers, len(blocks) * len(days))
         self.last_metrics = metrics
 
         key: Optional[str] = None
         if cache is not None:
-            key = cache.key_for(
-                world_token=self.internet.cache_token(),
-                name=self.name,
-                networks=self.networks,
-                start=start,
-                end=end,
-                cadence_days=self.cadence_days,
-                at_offset=self.at_offset,
-            )
+            key = self.cache_key(cache, start, end)
             metrics.cache_key = key
             payload = cache.load(key)
             if payload is not None:
@@ -605,8 +689,6 @@ class SnapshotCollector:
 
         simulate_started = time.perf_counter()
         if metrics.effective_workers > 1:
-            from repro.scan.parallel import collect_days
-
             series = collect_days(
                 self,
                 days,
@@ -615,15 +697,13 @@ class SnapshotCollector:
                 metrics=metrics,
             )
         else:
-            series = SnapshotSeries(
-                self.name,
-                self.internet,
-                self.networks,
-                at_offset=self.at_offset,
-                cadence_days=self.cadence_days,
-            )
-            for day in days:
-                series._collect_day(day)
+            series = self.new_series()
+            merge = block_merger(series, len(blocks))
+            # Block by block: a plan holds one block's networks at a time.
+            for block, names in enumerate(blocks):
+                internet = self.internet if self.plan is None else self.plan.build(names).internet
+                for day in days:
+                    merge(block, day.toordinal(), *derive_day(internet, names, day, self.at_offset))
         metrics.simulate_seconds = time.perf_counter() - simulate_started
         metrics.responses = series.stats().total_responses if days else 0
 

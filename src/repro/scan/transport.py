@@ -337,34 +337,23 @@ def pack_rdns_columns(columns) -> bytes:
     return writer.getvalue()
 
 
-def pack_campaign_columns(icmp, rdns) -> bytes:
-    """One blob carrying a network result's ICMP and rDNS columns."""
-    writer = _Writer()
-    writer.raw(pack_icmp_columns(icmp))
-    writer.raw(pack_rdns_columns(rdns))
-    return writer.getvalue()
-
-
-def unpack_campaign_columns(view: memoryview):
-    reader = _Reader(view)
-    icmp = unpack_icmp_columns(reader.raw())
-    rdns = unpack_rdns_columns(reader.raw())
-    return icmp, rdns
-
-
 def pack_campaign_batch(column_pairs) -> bytes:
-    """One blob for a shard batch: ``[(icmp, rdns), ...]`` in order."""
+    """One blob for a block of network results: ``[(icmp, rdns), ...]`` in order."""
     writer = _Writer()
     pairs = list(column_pairs)
     writer.u32(len(pairs))
     for icmp, rdns in pairs:
-        writer.raw(pack_campaign_columns(icmp, rdns))
+        writer.raw(pack_icmp_columns(icmp))
+        writer.raw(pack_rdns_columns(rdns))
     return writer.getvalue()
 
 
 def unpack_campaign_batch(view: memoryview):
     reader = _Reader(view)
-    return [unpack_campaign_columns(reader.raw()) for _ in range(reader.u32())]
+    return [
+        (unpack_icmp_columns(reader.raw()), unpack_rdns_columns(reader.raw()))
+        for _ in range(reader.u32())
+    ]
 
 
 def unpack_rdns_columns(view: memoryview):

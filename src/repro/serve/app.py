@@ -34,7 +34,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.netsim.internet import World, build_world
 from repro.obs import Observability, resolve_obs
-from repro.scan.sharded import ShardedCollector
 from repro.scan.snapshot import SnapshotCollector
 from repro.serve.repositories import CampaignRepository, SnapshotRepository
 from repro.serve.services import ServeServices, ServiceError
@@ -218,45 +217,27 @@ def build_app(
     obs = resolve_obs(obs)
     plan = getattr(config, "plan", None)
     shards = getattr(config, "shards", 1)
-    if world is None and plan is not None:
-        world = plan.build()
-    if world is None:
-        world = build_world(seed=config.seed, scale=config.scale)
-    obs.set_run_info(
-        seed=config.seed,
-        world_fingerprint=(
-            f"plan:{plan.fingerprint()}"
-            if plan is not None
-            else world.internet.cache_token()
-        ),
+    # A plan is measured block by block and never built whole here.
+    source = plan if plan is not None else world
+    if source is None:
+        source = build_world(seed=config.seed, scale=config.scale)
+    collector = SnapshotCollector.openintel_style(source, shards=shards, obs=obs)
+    obs.set_run_info(seed=config.seed, world_fingerprint=collector.internet.cache_token())
+    series = collector.collect(
+        config.dynamicity_start,
+        config.dynamicity_end,
+        workers=config.capped_workers(config.snapshot_workers),
+        cache=config.snapshot_cache,
     )
-    workers = config.capped_workers(config.snapshot_workers)
-    if plan is not None:
-        sharded = ShardedCollector(plan, shards=shards, obs=obs)
-        series = sharded.collect(
-            config.dynamicity_start,
-            config.dynamicity_end,
-            workers=workers,
-            cache=config.snapshot_cache,
-        )
-    else:
-        collector = SnapshotCollector.openintel_style(world.internet, obs=obs)
-        series = collector.collect(
-            config.dynamicity_start,
-            config.dynamicity_end,
-            workers=workers,
-            cache=config.snapshot_cache,
-        )
     snapshots = SnapshotRepository(
         series, blockfile_path=getattr(config, "serve_blockfile", None)
     )
     campaigns = CampaignRepository(
-        world,
+        source,
         start=config.supplemental_start,
         end=config.supplemental_end,
         cache=config.campaign_cache,
         fault_plan=config.fault_plan,
-        plan=plan,
         shards=shards,
         obs=obs,
     )

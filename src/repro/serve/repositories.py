@@ -26,7 +26,6 @@ from repro.netsim.worldplan import WorldPlan
 from repro.scan.blockfile import BlockFileReader, append_day_records, write_blockfile
 from repro.scan.cache import CampaignCache
 from repro.scan.campaign import SupplementalCampaign, SupplementalDataset
-from repro.scan.sharded import ShardedCampaign
 from repro.scan.snapshot import SnapshotSeries
 from repro.scan.storage import CountMatrix, PrefixTable
 
@@ -193,8 +192,11 @@ class SnapshotRepository:
 class CampaignRepository:
     """Lazy access to the supplemental campaign dataset.
 
-    The dataset is only materialised when an hourly-occupancy query
-    needs it; a :class:`~repro.scan.cache.CampaignCache` (when given)
+    ``world`` is a built world or a
+    :class:`~repro.netsim.worldplan.WorldPlan` (measured in ``shards``
+    blocks, so the serve process never builds it whole).  The dataset
+    is only materialised when an hourly-occupancy query needs it; a
+    :class:`~repro.scan.cache.CampaignCache` (when given)
     makes that a replay rather than a re-simulation.  ``last_outcome``
     records whether the materialisation hit the cache, for the
     service layer's cache counters.
@@ -202,29 +204,24 @@ class CampaignRepository:
 
     def __init__(
         self,
-        world: World,
+        world: Union[World, WorldPlan],
         *,
         start: dt.date,
         end: dt.date,
         networks: Optional[Sequence[str]] = None,
         cache: Optional[CampaignCache] = None,
         fault_plan=None,
-        plan: Optional[WorldPlan] = None,
         shards: int = 1,
         obs=None,
     ):
-        self._world = world
         self._start = start
         self._end = end
         self._networks = list(networks) if networks is not None else None
         self._cache = cache
-        self._fault_plan = fault_plan
-        #: When set, materialisation runs the sharded campaign over the
-        #: plan (byte-identical to the single-world run, but the serve
-        #: process never holds more than one shard's networks at once).
-        self._plan = plan
-        self._shards = shards
-        self._obs = obs
+        fault_kwargs = {"fault_plan": fault_plan} if fault_plan is not None else {}
+        self._campaign = SupplementalCampaign(
+            world, networks=self._networks, shards=shards, obs=obs, **fault_kwargs
+        )
         self._dataset: Optional[SupplementalDataset] = None
         #: "hit" / "miss" / "memo" after :meth:`dataset`; None before.
         self.last_outcome: Optional[str] = None
@@ -237,23 +234,8 @@ class CampaignRepository:
         if self._dataset is not None:
             self.last_outcome = "memo"
             return self._dataset
-        fault_kwargs = (
-            {"fault_plan": self._fault_plan} if self._fault_plan is not None else {}
-        )
-        if self._plan is not None:
-            campaign = ShardedCampaign(
-                self._plan,
-                shards=self._shards,
-                networks=self._networks,
-                obs=self._obs,
-                **fault_kwargs,
-            )
-        else:
-            campaign = SupplementalCampaign(
-                self._world, networks=self._networks, obs=self._obs, **fault_kwargs
-            )
-        self._dataset = campaign.run(self._start, self._end, cache=self._cache)
-        metrics = campaign.last_metrics
+        self._dataset = self._campaign.run(self._start, self._end, cache=self._cache)
+        metrics = self._campaign.last_metrics
         self.last_outcome = (
             "hit" if metrics is not None and metrics.cache_hit else "miss"
         )
@@ -263,4 +245,4 @@ class CampaignRepository:
         """The networks the campaign measures (for 404 detail)."""
         if self._networks is not None:
             return list(self._networks)
-        return sorted(self._world.supplemental)
+        return sorted(self._campaign.network_names)

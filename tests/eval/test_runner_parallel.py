@@ -1,6 +1,6 @@
 """Serial and parallel matrix sweeps are byte-identical.
 
-Cells fan out over the shared ``WorkerBudget`` process pool; since a
+Cells fan out over one process pool (``run_pool``); since a
 cell is scored from nothing but its own plan, windows and caches, and
 results re-order by cell index, worker count must never change a byte
 of the report or the JSON payload.

@@ -51,10 +51,11 @@ def _sizes(view):
     return len(view)
 
 
-def _kill_first_chunk(state, ordinals):
+def _kill_first_chunk(state, task):
+    _, ordinals = task
     if ordinals[0] == _QUICK_FIRST_ORDINAL:
         os.kill(os.getpid(), signal.SIGKILL)
-    return _REAL_COLLECT_CHUNK(state, ordinals)
+    return _REAL_COLLECT_CHUNK(state, task)
 
 
 class TestContract:
@@ -135,7 +136,7 @@ class TestKilledWorker:
         before = segments()
         with pytest.raises(PoolError, match="^kill_pool: a pool worker died"):
             run_pool(
-                parallel._collect_chunk, [ordinals[:2], ordinals[2:]], None, 2,
+                parallel._collect_chunk, [(None, ordinals[:2]), (None, ordinals[2:])], None, 2,
                 section="kill_pool", unpack=bytes,
             )
         assert segments() - before == set()

@@ -1,10 +1,10 @@
 """Sharded == unsharded, byte for byte.
 
-The contract of :mod:`repro.scan.sharded`: for any shard count, worker
-count, fault profile or cache temperature, the sharded engines produce
-payloads byte-identical to the single-world engines run over the same
-plan.  Everything downstream (dynamicity, caching, the serve layer)
-leans on this, so the comparisons here are on serialized payloads, not
+The engines measure a built world or a plan.  For any shard count,
+worker count, fault profile or cache temperature, a plan run produces
+payloads byte-identical to a run over the built plan world.
+Everything downstream (dynamicity, caching, the serve layer) leans on
+this, so the comparisons here are on serialized payloads, not
 summaries.
 """
 
@@ -19,8 +19,7 @@ from repro.netsim.worldplan import PlanError, synthetic_plan
 from repro.scan.cache import CampaignCache, SnapshotCache
 from repro.scan.campaign import SupplementalCampaign
 from repro.scan.campaign_parallel import effective_campaign_workers
-from repro.scan.parallel import WorkerBudget, worker_cap
-from repro.scan.sharded import ShardedCampaign, ShardedCollector
+from repro.scan.parallel import worker_cap
 from repro.scan.snapshot import SnapshotCollector
 from tests.cache_bytes import series_bytes
 
@@ -58,17 +57,19 @@ def canonical(payload):
 class TestShardedSnapshots:
     @pytest.mark.parametrize("shards", [1, 2, 4, 11])
     def test_byte_identical_across_shard_counts(self, plan, baseline_series, shards):
-        series = ShardedCollector(plan, shards=shards).collect(START, END)
+        series = SnapshotCollector.openintel_style(plan, shards=shards).collect(START, END)
         assert series_bytes(series) == series_bytes(baseline_series)
 
     def test_parallel_matches_serial(self, plan, baseline_series, monkeypatch):
         # Force a real pool even on single-core hosts.
         monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
-        series = ShardedCollector(plan, shards=3).collect(START, END, workers=3)
+        collector = SnapshotCollector.openintel_style(plan, shards=3)
+        series = collector.collect(START, END, workers=3)
+        assert collector.last_metrics.effective_workers >= 2
         assert series_bytes(series) == series_bytes(baseline_series)
 
     def test_series_is_lazily_backed(self, plan):
-        collector = ShardedCollector(plan, shards=2)
+        collector = SnapshotCollector.openintel_style(plan, shards=2)
         series = collector.collect(START, END)
         # Count-level reads never materialise the full world...
         assert series.counts_by_slash24(START)
@@ -79,19 +80,19 @@ class TestShardedSnapshots:
 
     def test_invalid_shard_count_rejected(self, plan):
         with pytest.raises(PlanError):
-            ShardedCollector(plan, shards=0)
+            SnapshotCollector.openintel_style(plan, shards=0)
 
 
 class TestShardedSnapshotCache:
     def test_cache_hits_across_shard_counts(self, plan, baseline_series, tmp_path):
         cache = SnapshotCache(tmp_path / "snap")
-        writer = ShardedCollector(plan, shards=4)
+        writer = SnapshotCollector.openintel_style(plan, shards=4)
         written = writer.collect(START, END, cache=cache)
         assert writer.last_metrics.cache_stored
 
         # A different shard count reads the same entry: the key is
         # plan-level, and the payloads are identical bytes anyway.
-        reader = ShardedCollector(plan, shards=1)
+        reader = SnapshotCollector.openintel_style(plan, shards=1)
         replayed = reader.collect(START, END, cache=cache)
         assert reader.last_metrics.cache_hit
         assert series_bytes(replayed) == series_bytes(written)
@@ -100,7 +101,7 @@ class TestShardedSnapshotCache:
     def test_cache_key_is_shard_count_free(self, plan, tmp_path):
         cache = SnapshotCache(tmp_path / "snap")
         keys = {
-            ShardedCollector(plan, shards=shards)._cache_key(cache, START, END)
+            SnapshotCollector.openintel_style(plan, shards=shards).cache_key(cache, START, END)
             for shards in (1, 2, 4)
         }
         assert len(keys) == 1
@@ -109,16 +110,16 @@ class TestShardedSnapshotCache:
 class TestShardedCampaign:
     @pytest.mark.parametrize("shards", [1, 3])
     def test_byte_identical_across_shard_counts(self, plan, baseline_dataset, shards):
-        dataset = ShardedCampaign(plan, shards=shards, fault_plan=None).run(
+        dataset = SupplementalCampaign(plan, shards=shards, fault_plan=None).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
         assert canonical(dataset.to_payload()) == canonical(baseline_dataset.to_payload())
 
     def test_parallel_matches_serial(self, plan, baseline_dataset, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        dataset = ShardedCampaign(plan, shards=2, fault_plan=None).run(
-            CAMPAIGN_START, CAMPAIGN_END, workers=2
-        )
+        campaign = SupplementalCampaign(plan, shards=2, fault_plan=None)
+        dataset = campaign.run(CAMPAIGN_START, CAMPAIGN_END, workers=2)
+        assert campaign.last_metrics.effective_workers >= 2
         assert canonical(dataset.to_payload()) == canonical(baseline_dataset.to_payload())
 
     def test_faulted_run_matches_unsharded_faulted_run(self, plan, monkeypatch):
@@ -127,23 +128,23 @@ class TestShardedCampaign:
         reference = SupplementalCampaign(world, fault_plan=faults).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
-        serial = ShardedCampaign(plan, shards=3, fault_plan=faults).run(
+        serial = SupplementalCampaign(plan, shards=3, fault_plan=faults).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
         assert canonical(serial.to_payload()) == canonical(reference.to_payload())
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        parallel = ShardedCampaign(plan, shards=3, fault_plan=faults).run(
-            CAMPAIGN_START, CAMPAIGN_END, workers=2
-        )
+        campaign = SupplementalCampaign(plan, shards=3, fault_plan=faults)
+        parallel = campaign.run(CAMPAIGN_START, CAMPAIGN_END, workers=2)
+        assert campaign.last_metrics.effective_workers >= 2
         assert canonical(parallel.to_payload()) == canonical(reference.to_payload())
 
     def test_cache_hits_across_shard_counts(self, plan, baseline_dataset, tmp_path):
         cache = CampaignCache(tmp_path / "camp")
-        writer = ShardedCampaign(plan, shards=3, fault_plan=None)
+        writer = SupplementalCampaign(plan, shards=3, fault_plan=None)
         written = writer.run(CAMPAIGN_START, CAMPAIGN_END, cache=cache)
         assert writer.last_metrics.cache_stored
 
-        reader = ShardedCampaign(plan, shards=1, fault_plan=None)
+        reader = SupplementalCampaign(plan, shards=1, fault_plan=None)
         replayed = reader.run(CAMPAIGN_START, CAMPAIGN_END, cache=cache)
         assert reader.last_metrics.cache_hit
         assert canonical(replayed.to_payload()) == canonical(written.to_payload())
@@ -155,7 +156,7 @@ class TestShardedCampaign:
         reference = SupplementalCampaign(world, networks=names, fault_plan=None).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
-        dataset = ShardedCampaign(plan, shards=2, networks=names, fault_plan=None).run(
+        dataset = SupplementalCampaign(plan, shards=2, networks=names, fault_plan=None).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
         assert canonical(dataset.to_payload()) == canonical(reference.to_payload())
@@ -163,12 +164,12 @@ class TestShardedCampaign:
     def test_plan_without_supplementals_rejected(self):
         bare = synthetic_plan(seed=0, slash16s=2, people=2, supplemental_every=0)
         with pytest.raises(PlanError, match="supplemental"):
-            ShardedCampaign(bare).run(CAMPAIGN_START, CAMPAIGN_END)
+            SupplementalCampaign(bare).run(CAMPAIGN_START, CAMPAIGN_END)
 
 
 class TestDownstreamEquivalence:
     def test_dynamicity_report_matches_unsharded(self, plan, baseline_series):
-        sharded = ShardedCollector(plan, shards=4).collect(START, END)
+        sharded = SnapshotCollector.openintel_style(plan, shards=4).collect(START, END)
         analyzer = DynamicityAnalyzer()
         left = analyzer.analyze(baseline_series)
         right = analyzer.analyze(sharded)
@@ -176,7 +177,7 @@ class TestDownstreamEquivalence:
 
 
 class TestWorkerPlumbing:
-    """The parallel-plumbing sweep: one budget, capped everywhere."""
+    """One worker-count rule, capped everywhere."""
 
     def test_env_override_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "5")
@@ -196,17 +197,9 @@ class TestWorkerPlumbing:
 
         assert 1 <= worker_cap() <= max(os.cpu_count() or 1, 8)
 
-    def test_budget_split_never_oversubscribes(self):
-        budget = WorkerBudget(6)
-        for outer_tasks in (1, 2, 3, 4, 6, 10):
-            outer, inner = budget.split(outer_tasks)
-            assert outer * inner <= budget.total
-            assert outer >= 1 and inner >= 1
-
     def test_campaign_cap_counts_work_units_not_networks(self, monkeypatch):
-        # The regression this sweep fixes: a 2-batch sharded run over 9
-        # networks must size its pool by the 2 submissions it will make,
-        # not by the 9 networks they contain.
+        # A 2-block plan run over 9 networks must size its pool by the
+        # 2 submissions it will make, not by the 9 networks they contain.
         monkeypatch.setenv("REPRO_MAX_WORKERS", "8")
         assert effective_campaign_workers(8, work_units=2) == 2
         assert effective_campaign_workers(8, work_units=1) == 1
@@ -218,7 +211,7 @@ class TestWorkerPlumbing:
 
     def test_sharded_pool_is_budget_sized(self, plan, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        collector = ShardedCollector(plan, shards=4)
+        collector = SnapshotCollector.openintel_style(plan, shards=4)
         collector.collect(START, END, workers=2)
         # 4 shards' worth of tasks, but never more than 2 workers.
-        assert collector.last_metrics.effective_workers <= 2
+        assert collector.last_metrics.effective_workers == 2

@@ -116,8 +116,8 @@ class TestCampaignColumns:
 
     def test_campaign_pair_round_trip(self):
         icmp, rdns = sample_icmp(), sample_rdns()
-        blob = transport.pack_campaign_columns(icmp, rdns)
-        icmp2, rdns2 = transport.unpack_campaign_columns(memoryview(blob))
+        blob = transport.pack_campaign_batch([(icmp, rdns)])
+        [(icmp2, rdns2)] = transport.unpack_campaign_batch(memoryview(blob))
         assert icmp2 == icmp
         assert rdns2 == rdns
 
