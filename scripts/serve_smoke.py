@@ -2,12 +2,13 @@
 
 Boots ``repro.cli ... serve`` on the quick-configuration world as a
 subprocess, sends one request to every endpoint (including an
-incremental ingest), then fetches ``/metrics`` and diffs the manifest
-*shape* — the sorted metric names per kind — against the committed
-golden in ``results/serve_manifest_golden.json``.  Values are
-host-dependent (latency histograms, timings); the name set is not, so
-a changed shape means an endpoint stopped reporting or a metric was
-renamed without updating the golden.
+incremental ingest, then the leak reads it makes recompute), then
+fetches ``/metrics`` and diffs the manifest *shape* — the sorted metric
+names per kind — against the committed golden in
+``results/serve_manifest_golden.json``.  Values are host-dependent
+(latency histograms, timings); the name set is not, so a changed shape
+means an endpoint stopped reporting or a metric was renamed without
+updating the golden.
 
 Usage::
 
@@ -42,6 +43,9 @@ REQUESTS = [
     ("GET", "/occupancy", None, 200),
     ("GET", "/occupancy?network=Academic-C&source=rdns", None, 200),
     ("POST", "/ingest/day", {"day": "2021-01-22"}, 200),
+    # The ingest slid the leak window: these read the recomputed report.
+    ("GET", "/leaks", None, 200),
+    ("GET", "/names?top=5", None, 200),
     # Twice: the first /metrics request is only recorded in its own
     # histogram after it completes, so the second sees the full shape.
     ("GET", "/metrics", None, 200),

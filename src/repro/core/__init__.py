@@ -35,7 +35,13 @@ from repro.core.terms import (
     is_router_level,
 )
 from repro.core.names import GivenNameMatcher
-from repro.core.leaks import LeakIdentifier, LeakReport, LeakThresholds, SuffixStats
+from repro.core.leaks import (
+    LeakIdentifier,
+    LeakReport,
+    LeakThresholds,
+    LeakWindow,
+    SuffixStats,
+)
 from repro.core.classify import NetworkTypeClassifier
 from repro.core.exposure import ExposureAuditor, ExposureReport, audit_by_network
 from repro.core.grouping import ActivityGroup, GroupBuilder, GroupFunnel
@@ -65,6 +71,7 @@ __all__ = [
     "LeakIdentifier",
     "LeakReport",
     "LeakThresholds",
+    "LeakWindow",
     "LingeringAnalysis",
     "NetworkTypeClassifier",
     "PrefixDynamicity",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import datetime as dt
 import ipaddress
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.netsim.internet import World
 from repro.netsim.network import slash24_of
@@ -162,8 +162,8 @@ class SnapshotRepository:
     def daily_totals(self) -> Dict[dt.date, int]:
         return self._series.daily_totals()
 
-    def sample_records(self, days: Sequence[dt.date]) -> List[Tuple[object, str]]:
-        return self._series.sample_records(days)
+    def records_on(self, day: dt.date) -> Iterator[Tuple[object, str]]:
+        return self._series.records_on(day)
 
     def stats(self):
         return self._series.stats()

@@ -12,7 +12,8 @@ through the repositories (:mod:`repro.serve.repositories`):
   extended series (pinned by ``tests/serve/test_ingest_parity.py``).
 * :class:`LeakService` / :class:`NamesService` — the Section 5
   drill-down (leak verdicts, given-name and device-term hits) over the
-  trailing sample window.
+  trailing sample window, kept in a :class:`~repro.core.leaks.LeakWindow`
+  that an ingest slides by one day instead of re-identifying the window.
 * :class:`OccupancyService` — daily occupancy curves from the count
   matrix, plus hourly curves replayed from the campaign repository.
 
@@ -25,14 +26,15 @@ traffic is counted in the shared metrics registry
 from __future__ import annotations
 
 import datetime as dt
-from typing import Callable, List, Mapping, Optional, TypeVar
+from collections import Counter
+from typing import Callable, Dict, List, Mapping, Optional, TypeVar
 
 from repro.core.dynamicity import (
     DynamicityReport,
     DynamicityThresholds,
     IncrementalDynamicityAnalyzer,
 )
-from repro.core.leaks import LeakIdentifier, LeakReport, LeakThresholds
+from repro.core.leaks import LeakIdentifier, LeakReport, LeakThresholds, LeakWindow
 from repro.core.names import GivenNameMatcher
 from repro.core.occupancy import hourly_activity
 from repro.obs import Observability, resolve_obs
@@ -82,6 +84,73 @@ def dynamicity_summary(report: DynamicityReport) -> dict:
     }
 
 
+def leaks_payload(
+    report: LeakReport, sample_days: List[str], *, suffix: Optional[str] = None
+) -> dict:
+    """The ``/leaks`` body, whole or for one suffix.
+
+    Like :func:`dynamicity_summary`, shared by the service and the
+    batch-recompute parity tests.
+    """
+    if suffix is not None:
+        stats = report.suffix_stats.get(suffix)
+        if stats is None:
+            raise ServiceError(
+                404,
+                f"suffix {suffix!r} holds no name-matching records in "
+                "the sample window",
+                known_suffixes=sorted(report.suffix_stats),
+            )
+        return {
+            "suffix": suffix,
+            "identified": suffix in report.identified,
+            "records": stats.records,
+            "unique_names": stats.unique_name_count,
+            "ratio": stats.ratio,
+        }
+    return {
+        "identified": report.identified,
+        "sample_days": sample_days,
+        "thresholds": {
+            "min_unique_names": report.thresholds.min_unique_names,
+            "min_ratio": report.thresholds.min_ratio,
+        },
+        "suffixes": {
+            name: {
+                "records": stats.records,
+                "unique_names": stats.unique_name_count,
+                "ratio": stats.ratio,
+                "identified": name in report.identified,
+            }
+            for name, stats in sorted(report.suffix_stats.items())
+        },
+    }
+
+
+def _ranked(counter: Counter, top: Optional[int]) -> List[List[object]]:
+    ranked = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
+    if top is not None:
+        ranked = ranked[:top]
+    return [[name, count] for name, count in ranked]
+
+
+def names_payload(
+    report: LeakReport, sample_days: List[str], *, top: Optional[int] = None
+) -> dict:
+    """The ``/names`` body: given-name and device-term rankings."""
+    return {
+        "sample_days": sample_days,
+        "names": {
+            "all": _ranked(report.all_name_counts, top),
+            "identified": _ranked(report.filtered_name_counts, top),
+        },
+        "device_terms": {
+            "all": _ranked(report.all_device_term_counts, top),
+            "identified": _ranked(report.filtered_device_term_counts, top),
+        },
+    }
+
+
 class _MemoCell:
     """One length-versioned memo with hit/miss accounting.
 
@@ -108,6 +177,33 @@ class _MemoCell:
             self._value = compute()
             self._version = version
         return self._value
+
+
+def _validated_counts(counts: Mapping[str, int]) -> Dict[str, int]:
+    """An explicit count column keyed by canonical /24, or a 400.
+
+    Every key must name a /24, no two keys may name the same one, and
+    every count must be a non-negative integer (``bool`` is not).
+    """
+    column: Dict[str, int] = {}
+    keys: Dict[str, str] = {}
+    for key, count in counts.items():
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ServiceError(400, f"count for {key!r} must be a non-negative integer")
+        try:
+            prefix = normalise_slash24(key)
+        except ValueError as error:
+            raise ServiceError(400, f"invalid /24 prefix {key!r}: {error}") from error
+        if prefix in keys:
+            raise ServiceError(
+                400,
+                f"keys {keys[prefix]!r} and {key!r} both name {prefix}",
+                prefix=prefix,
+                keys=[keys[prefix], key],
+            )
+        keys[prefix] = key
+        column[prefix] = count
+    return column
 
 
 class DynamicityService:
@@ -207,14 +303,7 @@ class DynamicityService:
         if counts is None:
             column = self.snapshots.append_derived_day(day)
         else:
-            for prefix, count in counts.items():
-                if not isinstance(count, int) or count < 0:
-                    raise ServiceError(
-                        400, f"count for {prefix!r} must be a non-negative integer"
-                    )
-            column = self.snapshots.append_counts(
-                day, {normalise_slash24(prefix): count for prefix, count in counts.items()}
-            )
+            column = self.snapshots.append_counts(day, _validated_counts(counts))
         self._analyzer.ingest(day, column)
         self.obs.metrics.counter("serve_ingested_days_total").inc()
         summary = self.summary()
@@ -247,9 +336,12 @@ class LeakService:
         self.dynamicity = dynamicity
         self.sample_days = sample_days
         self.obs = resolve_obs(obs)
-        self._identifier = LeakIdentifier(
-            matcher or GivenNameMatcher(),
-            thresholds or LeakThresholds(min_unique_names=6, min_ratio=0.1),
+        #: The trailing ``sample_days`` days, folded one day at a time.
+        self.window = LeakWindow(
+            LeakIdentifier(
+                matcher or GivenNameMatcher(),
+                thresholds or LeakThresholds(min_unique_names=6, min_ratio=0.1),
+            )
         )
         self._report = _MemoCell("leaks")
 
@@ -257,49 +349,24 @@ class LeakService:
         return self._report.get(self.snapshots.day_count, self._compute, self.obs)
 
     def _compute(self) -> LeakReport:
-        dynamic = set(self.dynamicity.report().dynamic_prefixes())
+        # Slide the window onto the trailing days: fold the entering
+        # days in before the leaving ones out, so hostnames held by
+        # both keep their memoised verdicts.
         days = self.snapshots.days[-self.sample_days:]
-        records = self.snapshots.sample_records(days)
-        return self._identifier.identify(records, dynamic)
+        held = self.window.days
+        for day in days:
+            if day not in held:
+                self.window.add_day(day, self.snapshots.records_on(day))
+        for day in held:
+            if day not in days:
+                self.window.retract_day(day)
+        return self.window.report(self.dynamicity.report().dynamic_prefixes())
 
     def sample_window(self) -> List[str]:
         return [day.isoformat() for day in self.snapshots.days[-self.sample_days:]]
 
     def payload(self, *, suffix: Optional[str] = None) -> dict:
-        report = self.report()
-        if suffix is not None:
-            stats = report.suffix_stats.get(suffix)
-            if stats is None:
-                raise ServiceError(
-                    404,
-                    f"suffix {suffix!r} holds no name-matching records in "
-                    "the sample window",
-                    known_suffixes=sorted(report.suffix_stats),
-                )
-            return {
-                "suffix": suffix,
-                "identified": suffix in report.identified,
-                "records": stats.records,
-                "unique_names": stats.unique_name_count,
-                "ratio": stats.ratio,
-            }
-        return {
-            "identified": report.identified,
-            "sample_days": self.sample_window(),
-            "thresholds": {
-                "min_unique_names": report.thresholds.min_unique_names,
-                "min_ratio": report.thresholds.min_ratio,
-            },
-            "suffixes": {
-                name: {
-                    "records": stats.records,
-                    "unique_names": stats.unique_name_count,
-                    "ratio": stats.ratio,
-                    "identified": name in report.identified,
-                }
-                for name, stats in sorted(report.suffix_stats.items())
-            },
-        }
+        return leaks_payload(self.report(), self.sample_window(), suffix=suffix)
 
 
 class NamesService:
@@ -308,28 +375,10 @@ class NamesService:
     def __init__(self, leaks: LeakService):
         self.leaks = leaks
 
-    @staticmethod
-    def _ranked(counter, top: Optional[int]) -> List[List[object]]:
-        ranked = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
-        if top is not None:
-            ranked = ranked[:top]
-        return [[name, count] for name, count in ranked]
-
     def payload(self, *, top: Optional[int] = None) -> dict:
         if top is not None and top < 1:
             raise ServiceError(400, "top must be a positive integer")
-        report = self.leaks.report()
-        return {
-            "sample_days": self.leaks.sample_window(),
-            "names": {
-                "all": self._ranked(report.all_name_counts, top),
-                "identified": self._ranked(report.filtered_name_counts, top),
-            },
-            "device_terms": {
-                "all": self._ranked(report.all_device_term_counts, top),
-                "identified": self._ranked(report.filtered_device_term_counts, top),
-            },
-        }
+        return names_payload(self.leaks.report(), self.leaks.sample_window(), top=top)
 
 
 class OccupancyService:

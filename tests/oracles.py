@@ -16,13 +16,18 @@ time them as the baseline side:
   factories — background /24 selection and static record sets built
   by enumerating every /24 of a prefix and every address of a /24,
   against which the index-based :mod:`repro.netsim.population`
-  builders are checked.
+  builders are checked;
+* :func:`reference_identify` — the record-at-a-time Section 5.1
+  drill-down, against which the fold of
+  :class:`~repro.core.leaks.LeakWindow` (and so
+  :meth:`~repro.core.leaks.LeakIdentifier.identify`) is checked.
 """
 
 import heapq
 import ipaddress
 import random
-from typing import List, Mapping, Optional, Union
+from collections import Counter
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.dynamicity import (
     DailyCounts,
@@ -32,6 +37,8 @@ from repro.core.dynamicity import (
     PrefixDynamicity,
     _effective_min_transitions,
 )
+from repro.core.leaks import LeakIdentifier, LeakReport, SuffixStats
+from repro.core.terms import hostname_suffix, is_router_level
 from repro.datasets.names import name_popularity_weights
 from repro.netsim.engine import (
     _AT,
@@ -42,6 +49,7 @@ from repro.netsim.engine import (
     EventHandle,
     SimulationEngine,
 )
+from repro.netsim.network import slash24_of
 from repro.netsim.population import (
     _ROUTER_INTERFACES,
     _ROUTER_LOCATIONS,
@@ -154,6 +162,61 @@ class ReferenceEngine(SimulationEngine):
             self.clock.advance_to(entry[_AT])
             return callback
         return None
+
+
+def reference_identify(
+    identifier: LeakIdentifier,
+    records: Iterable[Tuple[object, str]],
+    dynamic_24s: Iterable[str],
+) -> LeakReport:
+    """Steps 1-6 one record at a time, with ``identifier``'s matcher,
+    device terms and thresholds.  Every record counts, so pass
+    deduplicated records to compare with the fold."""
+    dynamic = set(dynamic_24s)
+    suffix_stats: Dict[str, SuffixStats] = {}
+    all_names: Counter = Counter()
+    all_terms: Counter = Counter()
+
+    for address, hostname in records:
+        matched = identifier.matcher.match(hostname)
+        if matched:
+            all_names.update(matched)
+            all_terms.update(identifier._device_terms_in(hostname))
+        if slash24_of(address) not in dynamic:
+            continue  # step 1: only dynamic space can identify
+        if is_router_level(hostname):
+            continue  # step 2: exclude router-level records
+        if not matched:
+            continue  # step 3: given-name match required
+        suffix = hostname_suffix(hostname)
+        stats = suffix_stats.get(suffix)
+        if stats is None:
+            stats = suffix_stats[suffix] = SuffixStats(suffix)
+        stats.records += 1
+        stats.unique_names.update(matched)
+        stats.name_counts.update(matched)
+        stats.device_term_counts.update(identifier._device_terms_in(hostname))
+
+    identified = sorted(
+        suffix
+        for suffix, stats in suffix_stats.items()
+        if stats.meets(identifier.thresholds)
+    )
+    filtered_names: Counter = Counter()
+    filtered_terms: Counter = Counter()
+    for suffix in identified:
+        filtered_names.update(suffix_stats[suffix].name_counts)
+        filtered_terms.update(suffix_stats[suffix].device_term_counts)
+
+    return LeakReport(
+        thresholds=identifier.thresholds,
+        suffix_stats=suffix_stats,
+        identified=identified,
+        all_name_counts=all_names,
+        filtered_name_counts=filtered_names,
+        all_device_term_counts=all_terms,
+        filtered_device_term_counts=filtered_terms,
+    )
 
 
 def enumerated_slash24_sample(prefix: str, rng: random.Random, needed: int) -> List[str]:

@@ -1,6 +1,7 @@
 """Unit tests for the serve repositories and services."""
 
 import datetime as dt
+import json
 
 import pytest
 
@@ -114,6 +115,32 @@ class TestDynamicityService:
         with pytest.raises(ServiceError) as excinfo:
             service.ingest(service.snapshots.next_day, {"192.0.2.0/24": -1})
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize(
+        "counts, named",
+        [
+            ({"20.0.10.0/24": 5, "not-a-prefix": 3}, ["not-a-prefix"]),
+            ({"20.0.10.0/24": 5, "192.0.2.0/25": 3}, ["192.0.2.0/25"]),
+            ({"20.0.10.0/24": True}, ["20.0.10.0/24"]),
+            ({"20.0.10.0/24": 5, "20.0.10.7": 4}, ["20.0.10.0/24", "20.0.10.7"]),
+        ],
+        ids=["malformed-key", "non-slash24-key", "bool-count", "colliding-keys"],
+    )
+    def test_ingest_rejects_bad_explicit_counts_without_mutating(
+        self, app, counts, named
+    ):
+        snapshots = app.services.dynamicity.snapshots
+        day_count, next_day = snapshots.day_count, snapshots.next_day
+        status, payload = app.dispatch(
+            "POST",
+            "/ingest/day",
+            body=json.dumps({"day": next_day.isoformat(), "counts": counts}).encode(),
+        )
+        assert status == 400, payload
+        for key in named:
+            assert repr(key) in payload["error"]
+        assert snapshots.day_count == day_count
+        assert snapshots.next_day == next_day
 
 
 class TestLeakService:
