@@ -34,13 +34,7 @@ from repro.netsim.internet import build_world
 from repro.obs import Observability
 from repro.reporting import TextTable
 from repro.scan.snapshot import SnapshotCollector
-from repro.serve import (
-    CampaignRepository,
-    ServeApp,
-    ServeServices,
-    ServerThread,
-    SnapshotRepository,
-)
+from repro.serve import ServeApp, ServerThread
 
 SEED = 1
 WARM_REQUESTS = int(os.environ.get("REPRO_SERVE_BENCH_REQUESTS", "400"))
@@ -53,20 +47,7 @@ def build_quick_app() -> ServeApp:
     world = build_world(seed=config.seed, scale=config.scale)
     collector = SnapshotCollector.openintel_style(world.internet)
     series = collector.collect(config.dynamicity_start, config.dynamicity_end)
-    obs = Observability()
-    snapshots = SnapshotRepository(series)
-    campaigns = CampaignRepository(
-        world, start=config.supplemental_start, end=config.supplemental_end
-    )
-    services = ServeServices.build(
-        snapshots,
-        campaigns,
-        dynamicity_thresholds=config.dynamicity_thresholds,
-        leak_thresholds=config.leak_thresholds,
-        leak_sample_days=config.leak_sample_days,
-        obs=obs,
-    )
-    return ServeApp(services, obs=obs)
+    return ServeApp(series, config, world, obs=Observability())
 
 
 def timed_request(connection, method, target, body=None):
@@ -87,7 +68,7 @@ def percentile(sorted_values, fraction):
 
 def test_serve_throughput(write_artifact):
     app = build_quick_app()
-    prefix = app.services.dynamicity.report().dynamic_prefixes()[0]
+    prefix = app.dynamicity.report().dynamic_prefixes()[0]
     endpoints = [
         f"/prefix/{prefix.replace('/', '%2F')}/dynamicity",
         "/leaks",
@@ -111,7 +92,7 @@ def test_serve_throughput(write_artifact):
                 warm.append(timed_request(connection, "GET", target))
 
             # Incremental ingest: one day appended over the socket.
-            next_day = app.services.dynamicity.snapshots.next_day
+            next_day = app.snapshots.next_day
             ingest_seconds = timed_request(
                 connection,
                 "POST",
@@ -127,7 +108,7 @@ def test_serve_throughput(write_artifact):
     warm_p99 = percentile(warm, 0.99)
     requests_per_second = len(warm) / sum(warm)
     warm_speedup = cold_mean / warm_p50
-    prefix_count = len(app.services.dynamicity.snapshots.prefix_table())
+    prefix_count = len(app.snapshots.series.prefix_table())
 
     table = TextTable(
         ["Path", "Requests", "p50 (ms)", "p99 (ms)", "Requests/s"],

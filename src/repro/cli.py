@@ -473,16 +473,22 @@ def _print_error_report(dataset, out) -> None:
     print(table.render(), file=out)
 
 
+def _print_cache_outcome(label: str, metrics, out) -> None:
+    """The ``[timings] <label> cache hit|miss, stored|miss`` line, if keyed."""
+    if metrics.cache_key is None:
+        return
+    outcome = "hit" if metrics.cache_hit else (
+        "miss, stored" if metrics.cache_stored else "miss"
+    )
+    print(f"[timings] {label} cache {outcome} (key {metrics.cache_key[:12]}…)", file=out)
+
+
 def _print_campaign_timings(campaign, out) -> None:
     metrics = campaign.last_metrics
     if metrics is None:
         return
     print(f"[timings] supplemental campaign: {metrics.describe()}", file=out)
-    if metrics.cache_key is not None:
-        outcome = "hit" if metrics.cache_hit else (
-            "miss, stored" if metrics.cache_stored else "miss"
-        )
-        print(f"[timings] campaign cache {outcome} (key {metrics.cache_key[:12]}…)", file=out)
+    _print_cache_outcome("campaign", metrics, out)
 
 
 def _study_config(args) -> StudyConfig:
@@ -506,13 +512,7 @@ def _study_config(args) -> StudyConfig:
 def cmd_study(args, out) -> int:
     config = _study_config(args)
     study = ReproductionStudy(config, obs=_obs(args))
-    try:
-        report = study.dynamicity()
-    except ValueError as error:
-        if not _is_cadence_error(error):
-            raise
-        print(f"error: irregular snapshot series — {error}", file=sys.stderr)
-        return 2
+    report = study.dynamicity()
     print(
         f"Dynamicity ({config.dynamicity_start} .. {config.dynamicity_end}): "
         f"{report.dynamic_count} of {report.total_observed} observed /24s are dynamic",
@@ -532,11 +532,7 @@ def cmd_study(args, out) -> int:
     if args.timings and study.collection_metrics is not None:
         metrics = study.collection_metrics
         print(f"\n[timings] snapshot collection: {metrics.describe()}", file=out)
-        if metrics.cache_key is not None:
-            outcome = "hit" if metrics.cache_hit else (
-                "miss, stored" if metrics.cache_stored else "miss"
-            )
-            print(f"[timings] snapshot cache {outcome} (key {metrics.cache_key[:12]}…)", file=out)
+        _print_cache_outcome("snapshot", metrics, out)
         sample = study.daily_series().last_sample_metrics
         if sample is not None:
             print(f"[timings] leak sample: {sample.describe()}", file=out)
@@ -557,15 +553,9 @@ def cmd_campaign(args, out) -> int:
         world_fingerprint=campaign.internet.cache_token(),
         fault_profile=plan.name if plan is not None else None,
     )
-    try:
-        dataset = campaign.run(
-            args.start, args.end, workers=args.workers, cache=_campaign_cache(args)
-        )
-    except ValueError as error:
-        if not _is_cadence_error(error):
-            raise
-        print(f"error: irregular snapshot series — {error}", file=sys.stderr)
-        return 2
+    dataset = campaign.run(
+        args.start, args.end, workers=args.workers, cache=_campaign_cache(args)
+    )
     icmp_total, icmp_unique = dataset.icmp_stats()
     rdns_total, rdns_unique, rdns_ptrs = dataset.rdns_stats()
     print(
@@ -863,16 +853,10 @@ def cmd_serve(args, out) -> int:
         file=out,
         flush=True,
     )
-    try:
-        app = build_app(config, world=world, obs=obs)
-    except ValueError as error:
-        if not _is_cadence_error(error):
-            raise
-        print(f"error: irregular snapshot series — {error}", file=sys.stderr)
-        return 2
-    repo = app.services.dynamicity.snapshots
+    app = build_app(config, world=world, obs=obs)
+    series = app.snapshots.series
     print(
-        f"serving {repo.day_count} day(s), {len(repo.prefix_table())} /24 "
+        f"serving {len(series)} day(s), {len(series.prefix_table())} /24 "
         f"prefix(es) on http://{args.host}:{args.port} (Ctrl-C to stop)",
         file=out,
         flush=True,
@@ -999,7 +983,10 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except ValueError as error:
         # Bad user input (e.g. an empty half-open window) — report it
         # like an argument error instead of a traceback.
-        print(f"{parser.prog}: error: {error}", file=sys.stderr)
+        if _is_cadence_error(error):
+            print(f"error: irregular snapshot series — {error}", file=sys.stderr)
+        else:
+            print(f"{parser.prog}: error: {error}", file=sys.stderr)
         return 2
     except PoolError as error:
         print(f"{parser.prog}: error: {error}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """Handlers and wiring for the leak-analysis query service.
 
-The thin top layer of the handlers → services → repositories split:
-:class:`ServeApp` routes a decoded request to one service call and
-maps :class:`~repro.serve.services.ServiceError` onto HTTP statuses.
+The top tier of the handlers → services split: :class:`ServeApp`
+wires the services once from a
+:class:`~repro.core.pipeline.StudyConfig`, routes a decoded request to
+one service call and maps
+:class:`~repro.serve.services.ServiceError` onto HTTP statuses.
 ``dispatch`` is synchronous and transport-agnostic — the asyncio layer
 (:mod:`repro.serve.http`), tests and the load benchmark all call the
 same method, so instrumentation and behaviour cannot diverge between
@@ -30,13 +32,20 @@ from __future__ import annotations
 import datetime as dt
 import json
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.netsim.internet import World, build_world
+from repro.netsim.worldplan import WorldPlan
 from repro.obs import Observability, resolve_obs
-from repro.scan.snapshot import SnapshotCollector
-from repro.serve.repositories import CampaignRepository, SnapshotRepository
-from repro.serve.services import ServeServices, ServiceError
+from repro.scan.campaign import SupplementalCampaign
+from repro.scan.snapshot import SnapshotCollector, SnapshotSeries
+from repro.serve.repositories import SnapshotRepository
+from repro.serve.services import (
+    DynamicityService,
+    LeakService,
+    OccupancyService,
+    ServiceError,
+)
 
 #: Sub-second latency buckets (seconds) for the request histograms.
 REQUEST_SECONDS_BOUNDS = (
@@ -45,11 +54,44 @@ REQUEST_SECONDS_BOUNDS = (
 
 
 class ServeApp:
-    """Routes requests into the service bundle; owns the obs wiring."""
+    """Wires the services from ``config``, routes requests, owns the obs wiring.
 
-    def __init__(self, services: ServeServices, *, obs: Optional[Observability] = None):
-        self.services = services
+    ``series`` is the collected dynamicity window and ``source`` the
+    built world or :class:`~repro.netsim.worldplan.WorldPlan` the
+    supplemental campaign measures (in ``config.shards`` blocks).
+    """
+
+    def __init__(
+        self,
+        series: SnapshotSeries,
+        config,
+        source: Union[World, WorldPlan],
+        *,
+        obs: Optional[Observability] = None,
+    ):
         self.obs = resolve_obs(obs)
+        self.snapshots = SnapshotRepository(
+            series, blockfile_path=config.serve_blockfile
+        )
+        self.dynamicity = DynamicityService(
+            self.snapshots, thresholds=config.dynamicity_thresholds, obs=self.obs
+        )
+        self.leaks = LeakService(
+            self.snapshots,
+            self.dynamicity,
+            thresholds=config.leak_thresholds,
+            sample_days=config.leak_sample_days,
+            obs=self.obs,
+        )
+        # No fault plan leaves the campaign's REPRO_FAULT_PROFILE default.
+        faults = {"fault_plan": config.fault_plan} if config.fault_plan is not None else {}
+        self.occupancy = OccupancyService(
+            self.snapshots,
+            SupplementalCampaign(source, shards=config.shards, obs=self.obs, **faults),
+            window=(config.supplemental_start, config.supplemental_end),
+            cache=config.campaign_cache,
+            obs=self.obs,
+        )
         self._inflight = 0
 
     # -- dispatch -------------------------------------------------------------
@@ -141,13 +183,13 @@ class ServeApp:
 
     def _prefix(self, slash24: str, query: Dict[str, str]) -> Tuple[int, dict]:
         include_history = query.get("history", "") in ("1", "true", "yes")
-        payload = self.services.dynamicity.prefix_payload(
+        payload = self.dynamicity.prefix_payload(
             slash24, include_history=include_history
         )
         return 200, payload
 
     def _leaks(self, query: Dict[str, str], body: bytes) -> Tuple[int, dict]:
-        return 200, self.services.leaks.payload(suffix=query.get("suffix"))
+        return 200, self.leaks.payload(suffix=query.get("suffix"))
 
     def _names(self, query: Dict[str, str], body: bytes) -> Tuple[int, dict]:
         top: Optional[int] = None
@@ -156,16 +198,14 @@ class ServeApp:
                 top = int(query["top"])
             except ValueError:
                 raise ServiceError(400, f"top={query['top']!r} is not an integer")
-        return 200, self.services.names.payload(top=top)
+        return 200, self.leaks.names_payload(top=top)
 
     def _occupancy(self, query: Dict[str, str], body: bytes) -> Tuple[int, dict]:
         if "network" in query:
-            return 200, self.services.occupancy.hourly_payload(
+            return 200, self.occupancy.hourly_payload(
                 query["network"], source=query.get("source", "rdns")
             )
-        return 200, self.services.occupancy.daily_payload(
-            prefix=query.get("prefix")
-        )
+        return 200, self.occupancy.daily_payload(prefix=query.get("prefix"))
 
     def _ingest_day(self, query: Dict[str, str], body: bytes) -> Tuple[int, dict]:
         try:
@@ -181,16 +221,17 @@ class ServeApp:
         counts = payload.get("counts")
         if counts is not None and not isinstance(counts, dict):
             raise ServiceError(400, "counts must map /24 prefixes to integers")
-        return 200, self.services.dynamicity.ingest(day, counts)
+        return 200, self.dynamicity.ingest(day, counts)
 
     def _healthz(self, query: Dict[str, str], body: bytes) -> Tuple[int, dict]:
-        repo = self.services.dynamicity.snapshots
+        series = self.snapshots.series
+        next_day = self.snapshots.next_day
         return 200, {
             "status": "ok",
-            "days": repo.day_count,
-            "last_day": repo.days[-1].isoformat() if repo.day_count else None,
-            "next_day": repo.next_day.isoformat() if repo.next_day else None,
-            "prefixes": len(repo.prefix_table()),
+            "days": len(series),
+            "last_day": series.days[-1].isoformat() if len(series) else None,
+            "next_day": next_day.isoformat() if next_day else None,
+            "prefixes": len(series.prefix_table()),
         }
 
     def _metrics(self, query: Dict[str, str], body: bytes) -> Tuple[int, dict]:
@@ -203,25 +244,25 @@ def build_app(
     world: Optional[World] = None,
     obs: Optional[Observability] = None,
 ) -> ServeApp:
-    """Boot a service instance: collect the window, wire the layers.
+    """Boot a service instance: pick the source, collect the window, wire it.
 
     ``config`` is a :class:`~repro.core.pipeline.StudyConfig` (defaults
-    to the full-scale one); the snapshot series over its dynamicity
-    window is collected up front (honouring ``snapshot_workers`` and
-    ``snapshot_cache``), after which every query is served from the
-    columnar store and ingest extends it one day at a time.
+    to the full-scale one).  The source is ``config.plan`` when set,
+    else ``world``, else the world built from ``config``.  The snapshot
+    series over its dynamicity window is collected up front (honouring
+    ``snapshot_workers`` and ``snapshot_cache``), after which every
+    query is served from the columnar store and ingest extends it one
+    day at a time.
     """
     from repro.core.pipeline import StudyConfig
 
     config = config or StudyConfig()
     obs = resolve_obs(obs)
-    plan = getattr(config, "plan", None)
-    shards = getattr(config, "shards", 1)
     # A plan is measured block by block and never built whole here.
-    source = plan if plan is not None else world
+    source = config.plan if config.plan is not None else world
     if source is None:
         source = build_world(seed=config.seed, scale=config.scale)
-    collector = SnapshotCollector.openintel_style(source, shards=shards, obs=obs)
+    collector = SnapshotCollector.openintel_style(source, shards=config.shards, obs=obs)
     obs.set_run_info(seed=config.seed, world_fingerprint=collector.internet.cache_token())
     series = collector.collect(
         config.dynamicity_start,
@@ -229,24 +270,4 @@ def build_app(
         workers=config.capped_workers(config.snapshot_workers),
         cache=config.snapshot_cache,
     )
-    snapshots = SnapshotRepository(
-        series, blockfile_path=getattr(config, "serve_blockfile", None)
-    )
-    campaigns = CampaignRepository(
-        source,
-        start=config.supplemental_start,
-        end=config.supplemental_end,
-        cache=config.campaign_cache,
-        fault_plan=config.fault_plan,
-        shards=shards,
-        obs=obs,
-    )
-    services = ServeServices.build(
-        snapshots,
-        campaigns,
-        dynamicity_thresholds=config.dynamicity_thresholds,
-        leak_thresholds=config.leak_thresholds,
-        leak_sample_days=config.leak_sample_days,
-        obs=obs,
-    )
-    return ServeApp(services, obs=obs)
+    return ServeApp(series, config, source, obs=obs)

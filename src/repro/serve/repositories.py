@@ -1,16 +1,11 @@
-"""Data access for the query service: stores behind repositories.
+"""The snapshot store behind the query service.
 
-Following the MAAS service-layer split, repositories are the only
-layer that touches storage: :class:`SnapshotRepository` wraps the
-collected :class:`~repro.scan.snapshot.SnapshotSeries` (and through it
-the columnar :class:`~repro.scan.storage.CountMatrix`), and
-:class:`CampaignRepository` wraps the supplemental campaign behind a
-:class:`~repro.scan.cache.CampaignCache` so hourly-occupancy queries
-replay a previously measured dataset instead of re-simulating it.
-
-Services (:mod:`repro.serve.services`) depend on these classes, never
-on the stores directly; handlers (:mod:`repro.serve.app`) depend on
-services only.
+:class:`SnapshotRepository` holds the collected
+:class:`~repro.scan.snapshot.SnapshotSeries` and owns what the series
+itself does not: the optional on-disk blockfile mirror of its count
+matrix, the cadence's next expected day, and the two append paths of
+the incremental-ingest contract.  Services read the series directly
+through :attr:`SnapshotRepository.series`.
 """
 
 from __future__ import annotations
@@ -18,16 +13,11 @@ from __future__ import annotations
 import datetime as dt
 import ipaddress
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import List, Mapping, Optional, Set, Union
 
-from repro.netsim.internet import World
 from repro.netsim.network import slash24_of
-from repro.netsim.worldplan import WorldPlan
 from repro.scan.blockfile import BlockFileReader, append_day_records, write_blockfile
-from repro.scan.cache import CampaignCache
-from repro.scan.campaign import SupplementalCampaign, SupplementalDataset
 from repro.scan.snapshot import SnapshotSeries
-from repro.scan.storage import CountMatrix, PrefixTable
 
 
 def normalise_slash24(text: str) -> str:
@@ -35,11 +25,12 @@ def normalise_slash24(text: str) -> str:
 
     Accepts ``192.0.2.0``, ``192.0.2.0/24`` (also percent-encoded as
     ``192.0.2.0%2F24`` once the HTTP layer has decoded it) and any
-    address inside the /24; raises :class:`ValueError` otherwise.
+    address inside the /24; raises :class:`ValueError` otherwise
+    (IPv6 text included: the store keys IPv4 /24s only).
     """
     candidate = text.strip()
     if "/" in candidate:
-        network = ipaddress.ip_network(candidate, strict=False)
+        network = ipaddress.IPv4Network(candidate, strict=False)
         if network.prefixlen != 24:
             raise ValueError(f"{text!r} is not a /24 prefix")
         return str(network)
@@ -114,24 +105,10 @@ class SnapshotRepository:
         """The backing blockfile, or ``None`` in in-memory mode."""
         return self._blockfile_path
 
-    # -- window ---------------------------------------------------------------
-
     @property
     def series(self) -> SnapshotSeries:
         """The wrapped series (shared; treat as read-only outside appends)."""
         return self._series
-
-    @property
-    def days(self) -> List[dt.date]:
-        return self._series.days
-
-    @property
-    def day_count(self) -> int:
-        return len(self._series)
-
-    @property
-    def cadence_days(self) -> int:
-        return self._series.cadence_days
 
     @property
     def next_day(self) -> Optional[dt.date]:
@@ -141,32 +118,12 @@ class SnapshotRepository:
             return None
         return days[-1] + dt.timedelta(days=self._series.cadence_days)
 
-    # -- columnar reads -------------------------------------------------------
-
-    def prefix_table(self) -> PrefixTable:
-        return self._series.prefix_table()
-
-    def matrix(self) -> CountMatrix:
-        return self._series.count_matrix()
-
     def history(self, prefix: str) -> Optional[List[int]]:
         """One /24's per-day count history, or ``None`` if never seen."""
         prefix_id = self._series.prefix_table().get(prefix)
         if prefix_id is None:
             return None
         return self._series.count_matrix().row(prefix_id)
-
-    def counts_view(self, day: dt.date) -> Mapping[str, int]:
-        return self._series.counts_view(day)
-
-    def daily_totals(self) -> Dict[dt.date, int]:
-        return self._series.daily_totals()
-
-    def records_on(self, day: dt.date) -> Iterator[Tuple[object, str]]:
-        return self._series.records_on(day)
-
-    def stats(self):
-        return self._series.stats()
 
     # -- appends (the incremental-ingest contract) ----------------------------
 
@@ -188,61 +145,3 @@ class SnapshotRepository:
         self._append_blockfile(day)
         return self._series.counts_view(day)
 
-
-class CampaignRepository:
-    """Lazy access to the supplemental campaign dataset.
-
-    ``world`` is a built world or a
-    :class:`~repro.netsim.worldplan.WorldPlan` (measured in ``shards``
-    blocks, so the serve process never builds it whole).  The dataset
-    is only materialised when an hourly-occupancy query needs it; a
-    :class:`~repro.scan.cache.CampaignCache` (when given)
-    makes that a replay rather than a re-simulation.  ``last_outcome``
-    records whether the materialisation hit the cache, for the
-    service layer's cache counters.
-    """
-
-    def __init__(
-        self,
-        world: Union[World, WorldPlan],
-        *,
-        start: dt.date,
-        end: dt.date,
-        networks: Optional[Sequence[str]] = None,
-        cache: Optional[CampaignCache] = None,
-        fault_plan=None,
-        shards: int = 1,
-        obs=None,
-    ):
-        self._start = start
-        self._end = end
-        self._networks = list(networks) if networks is not None else None
-        self._cache = cache
-        fault_kwargs = {"fault_plan": fault_plan} if fault_plan is not None else {}
-        self._campaign = SupplementalCampaign(
-            world, networks=self._networks, shards=shards, obs=obs, **fault_kwargs
-        )
-        self._dataset: Optional[SupplementalDataset] = None
-        #: "hit" / "miss" / "memo" after :meth:`dataset`; None before.
-        self.last_outcome: Optional[str] = None
-
-    @property
-    def window(self) -> Tuple[dt.date, dt.date]:
-        return (self._start, self._end)
-
-    def dataset(self) -> SupplementalDataset:
-        if self._dataset is not None:
-            self.last_outcome = "memo"
-            return self._dataset
-        self._dataset = self._campaign.run(self._start, self._end, cache=self._cache)
-        metrics = self._campaign.last_metrics
-        self.last_outcome = (
-            "hit" if metrics is not None and metrics.cache_hit else "miss"
-        )
-        return self._dataset
-
-    def networks(self) -> List[str]:
-        """The networks the campaign measures (for 404 detail)."""
-        if self._networks is not None:
-            return list(self._networks)
-        return sorted(self._campaign.network_names)

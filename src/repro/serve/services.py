@@ -1,7 +1,8 @@
 """Domain logic for the query service.
 
-Each service owns one analysis surface and talks to storage only
-through the repositories (:mod:`repro.serve.repositories`):
+Each service owns one analysis surface and reads the collected
+:class:`~repro.scan.snapshot.SnapshotSeries` directly through
+:attr:`~repro.serve.repositories.SnapshotRepository.series`:
 
 * :class:`DynamicityService` — per-prefix and whole-window dynamicity,
   backed by an :class:`~repro.core.dynamicity.IncrementalDynamicityAnalyzer`
@@ -10,12 +11,13 @@ through the repositories (:mod:`repro.serve.repositories`):
   contract — and its report stays bit-identical to a full
   :class:`~repro.core.dynamicity.DynamicityAnalyzer` recompute over the
   extended series (pinned by ``tests/serve/test_ingest_parity.py``).
-* :class:`LeakService` / :class:`NamesService` — the Section 5
-  drill-down (leak verdicts, given-name and device-term hits) over the
-  trailing sample window, kept in a :class:`~repro.core.leaks.LeakWindow`
-  that an ingest slides by one day instead of re-identifying the window.
+* :class:`LeakService` — the Section 5 drill-down (leak verdicts,
+  given-name and device-term hits) over the trailing sample window,
+  kept in a :class:`~repro.core.leaks.LeakWindow` that an ingest
+  slides by one day instead of re-identifying the window.
 * :class:`OccupancyService` — daily occupancy curves from the count
-  matrix, plus hourly curves replayed from the campaign repository.
+  matrix, plus hourly curves from the supplemental campaign, which it
+  runs (or replays from its cache) on the first hourly query.
 
 Derived reports are memoised against the series length: every GET is a
 cache hit until the next ingest grows the window, and the hit/miss
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import datetime as dt
 from collections import Counter
-from typing import Callable, Dict, List, Mapping, Optional, TypeVar
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.core.dynamicity import (
     DynamicityReport,
@@ -38,11 +40,9 @@ from repro.core.leaks import LeakIdentifier, LeakReport, LeakThresholds, LeakWin
 from repro.core.names import GivenNameMatcher
 from repro.core.occupancy import hourly_activity
 from repro.obs import Observability, resolve_obs
-from repro.serve.repositories import (
-    CampaignRepository,
-    SnapshotRepository,
-    normalise_slash24,
-)
+from repro.scan.cache import CampaignCache
+from repro.scan.campaign import SupplementalCampaign, SupplementalDataset
+from repro.serve.repositories import SnapshotRepository, normalise_slash24
 
 T = TypeVar("T")
 
@@ -219,21 +219,22 @@ class DynamicityService:
         self.snapshots = snapshots
         self.thresholds = thresholds or DynamicityThresholds()
         self.obs = resolve_obs(obs)
+        series = snapshots.series
         self._analyzer = IncrementalDynamicityAnalyzer(
-            self.thresholds, cadence_days=snapshots.cadence_days
+            self.thresholds, cadence_days=series.cadence_days
         )
         # Seed the analyzer by replaying the collected window day by
         # day through the same column append as live ingest; each
         # report then scans the retained columns once.
-        for day in snapshots.days:
-            self._analyzer.ingest(day, snapshots.counts_view(day))
+        for day in series.days:
+            self._analyzer.ingest(day, series.counts_view(day))
         self._report = _MemoCell("dynamicity")
 
     # -- reads ----------------------------------------------------------------
 
     def report(self) -> DynamicityReport:
         return self._report.get(
-            self.snapshots.day_count, self._analyzer.report, self.obs
+            len(self.snapshots.series), self._analyzer.report, self.obs
         )
 
     def summary(self) -> dict:
@@ -245,19 +246,20 @@ class DynamicityService:
             prefix = normalise_slash24(raw_prefix)
         except ValueError as error:
             raise ServiceError(400, f"invalid /24 prefix: {error}") from error
+        series = self.snapshots.series
         history = self.snapshots.history(prefix)
         if history is None:
             raise ServiceError(
                 404,
                 f"prefix {prefix} was never observed",
                 prefix=prefix,
-                observed_prefixes=len(self.snapshots.prefix_table()),
+                observed_prefixes=len(series.prefix_table()),
             )
         report = self.report()
         info = report.prefixes.get(prefix)
         payload = {
             "prefix": prefix,
-            "days": self.snapshots.day_count,
+            "days": len(series),
             "cadence_days": report.cadence_days,
             "max_daily": max(history) if history else 0,
             # Prefixes below the min-daily floor are discarded by step 1
@@ -270,7 +272,7 @@ class DynamicityService:
         }
         if include_history:
             payload["history"] = {
-                "days": [day.isoformat() for day in self.snapshots.days],
+                "days": [day.isoformat() for day in series.days],
                 "counts": history,
             }
         return payload
@@ -290,15 +292,16 @@ class DynamicityService:
         *before* either is mutated so a rejected ingest leaves no
         torn state.
         """
+        series = self.snapshots.series
         expected = self.snapshots.next_day
         if expected is not None and day != expected:
             raise ServiceError(
                 409,
                 f"day {day.isoformat()} does not extend the window: the "
-                f"{self.snapshots.cadence_days}-day cadence expects "
+                f"{series.cadence_days}-day cadence expects "
                 f"{expected.isoformat()} next",
                 expected_day=expected.isoformat(),
-                last_day=self.snapshots.days[-1].isoformat(),
+                last_day=series.days[-1].isoformat(),
             )
         if counts is None:
             column = self.snapshots.append_derived_day(day)
@@ -309,10 +312,8 @@ class DynamicityService:
         summary = self.summary()
         return {
             "ingested": day.isoformat(),
-            "days": self.snapshots.day_count,
-            "day_responses": self.snapshots.matrix().day_total(
-                self.snapshots.day_count - 1
-            ),
+            "days": len(series),
+            "day_responses": series.count_matrix().day_total(len(series) - 1),
             "dynamicity": summary,
         }
 
@@ -325,9 +326,8 @@ class LeakService:
         snapshots: SnapshotRepository,
         dynamicity: DynamicityService,
         *,
-        thresholds: Optional[LeakThresholds] = None,
-        sample_days: int = 7,
-        matcher: Optional[GivenNameMatcher] = None,
+        thresholds: LeakThresholds,
+        sample_days: int,
         obs: Optional[Observability] = None,
     ):
         if sample_days < 1:
@@ -337,72 +337,76 @@ class LeakService:
         self.sample_days = sample_days
         self.obs = resolve_obs(obs)
         #: The trailing ``sample_days`` days, folded one day at a time.
-        self.window = LeakWindow(
-            LeakIdentifier(
-                matcher or GivenNameMatcher(),
-                thresholds or LeakThresholds(min_unique_names=6, min_ratio=0.1),
-            )
-        )
+        self.window = LeakWindow(LeakIdentifier(GivenNameMatcher(), thresholds))
         self._report = _MemoCell("leaks")
 
     def report(self) -> LeakReport:
-        return self._report.get(self.snapshots.day_count, self._compute, self.obs)
+        return self._report.get(len(self.snapshots.series), self._compute, self.obs)
 
     def _compute(self) -> LeakReport:
         # Slide the window onto the trailing days: fold the entering
         # days in before the leaving ones out, so hostnames held by
         # both keep their memoised verdicts.
-        days = self.snapshots.days[-self.sample_days:]
+        series = self.snapshots.series
+        days = series.days[-self.sample_days:]
         held = self.window.days
         for day in days:
             if day not in held:
-                self.window.add_day(day, self.snapshots.records_on(day))
+                self.window.add_day(day, series.records_on(day))
         for day in held:
             if day not in days:
                 self.window.retract_day(day)
         return self.window.report(self.dynamicity.report().dynamic_prefixes())
 
     def sample_window(self) -> List[str]:
-        return [day.isoformat() for day in self.snapshots.days[-self.sample_days:]]
+        days = self.snapshots.series.days[-self.sample_days:]
+        return [day.isoformat() for day in days]
 
     def payload(self, *, suffix: Optional[str] = None) -> dict:
         return leaks_payload(self.report(), self.sample_window(), suffix=suffix)
 
-
-class NamesService:
-    """Given-name and device-term hit counts (Figures 2-3)."""
-
-    def __init__(self, leaks: LeakService):
-        self.leaks = leaks
-
-    def payload(self, *, top: Optional[int] = None) -> dict:
+    def names_payload(self, *, top: Optional[int] = None) -> dict:
+        """Given-name and device-term hit counts (Figures 2-3)."""
         if top is not None and top < 1:
             raise ServiceError(400, "top must be a positive integer")
-        return names_payload(self.leaks.report(), self.leaks.sample_window(), top=top)
+        return names_payload(self.report(), self.sample_window(), top=top)
 
 
 class OccupancyService:
-    """Occupancy curves: daily from the count matrix, hourly on demand."""
+    """Occupancy curves: daily from the count matrix, hourly on demand.
+
+    The hourly curves come from ``campaign`` over ``window``.  The
+    dataset is only materialised when an hourly query for a campaign
+    network first needs it; a :class:`~repro.scan.cache.CampaignCache`
+    (when given) makes that a replay rather than a re-simulation.
+    """
 
     def __init__(
         self,
         snapshots: SnapshotRepository,
-        campaigns: Optional[CampaignRepository] = None,
+        campaign: SupplementalCampaign,
         *,
+        window: Tuple[dt.date, dt.date],
+        cache: Optional[CampaignCache] = None,
         obs: Optional[Observability] = None,
     ):
         self.snapshots = snapshots
-        self.campaigns = campaigns
+        self.campaign = campaign
+        self.window = window
+        self.cache = cache
         self.obs = resolve_obs(obs)
         self._daily = _MemoCell("occupancy")
+        self._dataset: Optional[SupplementalDataset] = None
 
     def daily_payload(self, *, prefix: Optional[str] = None) -> dict:
         if prefix is not None:
             return self._prefix_payload(prefix)
-        return self._daily.get(self.snapshots.day_count, self._compute_daily, self.obs)
+        return self._daily.get(
+            len(self.snapshots.series), self._compute_daily, self.obs
+        )
 
     def _compute_daily(self) -> dict:
-        totals = self.snapshots.daily_totals()
+        totals = self.snapshots.series.daily_totals()
         days = sorted(totals)
         values = [totals[day] for day in days]
         peak = max(values, default=0)
@@ -428,7 +432,7 @@ class OccupancyService:
         return {
             "scope": "daily",
             "prefix": prefix,
-            "days": [day.isoformat() for day in self.snapshots.days],
+            "days": [day.isoformat() for day in self.snapshots.series.days],
             "totals": history,
             "relative_percent": [
                 (100.0 * value / peak) if peak else 0.0 for value in history
@@ -436,26 +440,30 @@ class OccupancyService:
             "peak": peak,
         }
 
+    def dataset(self) -> SupplementalDataset:
+        """The campaign dataset: run or replayed once, then memoised."""
+        if self._dataset is not None:
+            outcome = "memo"
+        else:
+            self._dataset = self.campaign.run(*self.window, cache=self.cache)
+            outcome = "hit" if self.campaign.last_metrics.cache_hit else "miss"
+        self.obs.metrics.counter("serve_campaign_cache_total").labels(
+            outcome=outcome
+        ).inc()
+        return self._dataset
+
     def hourly_payload(self, network: str, *, source: str = "rdns") -> dict:
-        if self.campaigns is None:
-            raise ServiceError(
-                404, "hourly occupancy is not enabled (no campaign repository)"
-            )
         if source not in ("rdns", "icmp"):
             raise ServiceError(400, "source must be 'rdns' or 'icmp'")
-        dataset = self.campaigns.dataset()
-        self.obs.metrics.counter("serve_campaign_cache_total").labels(
-            outcome=self.campaigns.last_outcome or "miss"
-        ).inc()
-        if network not in self.campaigns.networks():
+        if network not in self.campaign.network_names:
             raise ServiceError(
                 404,
                 f"network {network!r} is not part of the campaign",
-                networks=self.campaigns.networks(),
+                networks=sorted(self.campaign.network_names),
             )
-        icmp_hours, rdns_hours = hourly_activity(dataset, network)
+        icmp_hours, rdns_hours = hourly_activity(self.dataset(), network)
         hours = rdns_hours if source == "rdns" else icmp_hours
-        start, end = self.campaigns.window
+        start, end = self.window
         return {
             "scope": "hourly",
             "network": network,
@@ -463,48 +471,3 @@ class OccupancyService:
             "window": [start.isoformat(), end.isoformat()],
             "hours": {str(hour): count for hour, count in sorted(hours.items())},
         }
-
-
-class ServeServices:
-    """The bundle one app instance dispatches into."""
-
-    def __init__(
-        self,
-        dynamicity: DynamicityService,
-        leaks: LeakService,
-        names: NamesService,
-        occupancy: OccupancyService,
-    ):
-        self.dynamicity = dynamicity
-        self.leaks = leaks
-        self.names = names
-        self.occupancy = occupancy
-
-    @classmethod
-    def build(
-        cls,
-        snapshots: SnapshotRepository,
-        campaigns: Optional[CampaignRepository] = None,
-        *,
-        dynamicity_thresholds: Optional[DynamicityThresholds] = None,
-        leak_thresholds: Optional[LeakThresholds] = None,
-        leak_sample_days: int = 7,
-        obs: Optional[Observability] = None,
-    ) -> "ServeServices":
-        obs = resolve_obs(obs)
-        dynamicity = DynamicityService(
-            snapshots, thresholds=dynamicity_thresholds, obs=obs
-        )
-        leaks = LeakService(
-            snapshots,
-            dynamicity,
-            thresholds=leak_thresholds,
-            sample_days=leak_sample_days,
-            obs=obs,
-        )
-        return cls(
-            dynamicity=dynamicity,
-            leaks=leaks,
-            names=NamesService(leaks),
-            occupancy=OccupancyService(snapshots, campaigns, obs=obs),
-        )

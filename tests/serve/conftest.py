@@ -15,12 +15,7 @@ from repro.netsim.internet import build_world
 from repro.obs import Observability
 from repro.scan.cache import SnapshotCache
 from repro.scan.snapshot import SnapshotCollector, SnapshotSeries
-from repro.serve import (
-    CampaignRepository,
-    ServeApp,
-    ServeServices,
-    SnapshotRepository,
-)
+from repro.serve import ServeApp
 
 
 @pytest.fixture(scope="session")
@@ -49,20 +44,7 @@ def fresh_series(quick_world, series_payload):
 
 
 def build_quick_app(world, series, config, *, obs=None) -> ServeApp:
-    obs = obs or Observability()
-    snapshots = SnapshotRepository(series)
-    campaigns = CampaignRepository(
-        world, start=config.supplemental_start, end=config.supplemental_end
-    )
-    services = ServeServices.build(
-        snapshots,
-        campaigns,
-        dynamicity_thresholds=config.dynamicity_thresholds,
-        leak_thresholds=config.leak_thresholds,
-        leak_sample_days=config.leak_sample_days,
-        obs=obs,
-    )
-    return ServeApp(services, obs=obs)
+    return ServeApp(series, config, world, obs=obs or Observability())
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ repository before *and* after ingest, the file must strictly grow
 (append-only, no rewrite), and the sidecar must stay fully verifiable.
 """
 
+import dataclasses
 import json
 
 from repro.scan.blockfile import BlockFileReader
@@ -16,13 +17,11 @@ from tests.serve.conftest import build_quick_app
 
 
 def build_blockfile_app(world, series, config, path):
-    app = build_quick_app(world, series, config)
-    # Re-home the freshly built repository onto the blockfile: same
-    # wiring as ``build_app(config.serve_blockfile)``, without a second
-    # campaign replay.
-    snapshots = app.services.dynamicity.snapshots
-    snapshots._attach_blockfile(path)
-    return app
+    # The same wiring as ``build_app`` with ``config.serve_blockfile``
+    # set, over an already collected series.
+    return build_quick_app(
+        world, series, dataclasses.replace(config, serve_blockfile=path)
+    )
 
 
 def dispatch_json(app, method, route, body=None):
@@ -42,7 +41,7 @@ class TestBlockfileMode:
     ):
         path = tmp_path / "serve.rbf"
         app = build_blockfile_app(quick_world, fresh_series, quick_config, path)
-        snapshots = app.services.dynamicity.snapshots
+        snapshots = app.snapshots
         assert snapshots.blockfile_path == path
         with BlockFileReader.open(path) as reader:
             reader.verify()
@@ -79,7 +78,7 @@ class TestBlockfileMode:
 
         sizes = [path.stat().st_size]
         for _ in range(2):
-            day = mapped_app.services.dynamicity.snapshots.next_day
+            day = mapped_app.snapshots.next_day
             body = {"day": day.isoformat()}
             expected = dispatch_json(memory_app, "POST", "/ingest/day", body)
             actual = dispatch_json(mapped_app, "POST", "/ingest/day", body)
@@ -93,7 +92,7 @@ class TestBlockfileMode:
         with BlockFileReader.open(path) as reader:
             reader.verify()
             assert len(reader.days) == len(
-                mapped_app.services.dynamicity.snapshots.days
+                mapped_app.snapshots.series.days
             )
 
         # Post-ingest reads still match the in-memory app.

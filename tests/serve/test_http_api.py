@@ -34,7 +34,7 @@ class TestEndpoints:
         assert payload["next_day"] == "2021-01-22"
 
     def test_prefix_dynamicity_with_encoded_slash(self, app, server):
-        prefix = app.services.dynamicity.snapshots.prefix_table().values[0]
+        prefix = app.snapshots.series.prefix_table().values[0]
         encoded = prefix.replace("/", "%2F")
         status, payload = request(server, "GET", f"/prefix/{encoded}/dynamicity")
         assert status == 200
@@ -106,6 +106,10 @@ class TestErrorPaths:
     def test_bad_prefix_is_400(self, server):
         status, payload = request(server, "GET", "/prefix/banana/dynamicity")
         assert status == 400
+
+    def test_ipv6_prefix_is_400(self, server):
+        status, payload = request(server, "GET", "/prefix/2001:db8::/24/dynamicity")
+        assert status == 400, payload
 
     def test_unobserved_prefix_is_404(self, server):
         status, payload = request(server, "GET", "/prefix/203.0.113.0/dynamicity")

@@ -27,7 +27,7 @@ class TestIngestParity:
         self, app, quick_world, quick_config
     ):
         for _ in range(3):
-            day = app.services.dynamicity.snapshots.next_day
+            day = app.snapshots.next_day
             status, payload = app.dispatch(
                 "POST",
                 "/ingest/day",
@@ -47,7 +47,7 @@ class TestIngestParity:
     def test_prefix_verdicts_match_batch_after_ingest(
         self, app, quick_world, quick_config
     ):
-        day = app.services.dynamicity.snapshots.next_day
+        day = app.snapshots.next_day
         app.dispatch(
             "POST", "/ingest/day", body=json.dumps({"day": day.isoformat()}).encode()
         )
@@ -72,7 +72,7 @@ class TestIngestParity:
             return SnapshotSeries.from_payload(series_payload, quick_world.internet)
 
         derived_app = build_quick_app(quick_world, pristine_series(), quick_config)
-        day = derived_app.services.dynamicity.snapshots.next_day
+        day = derived_app.snapshots.next_day
         status, derived = derived_app.dispatch(
             "POST", "/ingest/day", body=json.dumps({"day": day.isoformat()}).encode()
         )

@@ -28,9 +28,9 @@ def get(app, path, query=None):
 
 class TestSlidingWindowParity:
     def test_window_slides_past_boot_days_in_parity_with_batch(self, app):
-        leaks = app.services.leaks
+        leaks = app.leaks
         snapshots = leaks.snapshots
-        boot_window = set(snapshots.days[-leaks.sample_days:])
+        boot_window = set(snapshots.series.days[-leaks.sample_days:])
         get(app, "/leaks")  # fold the boot window before the first ingest
 
         for _ in range(leaks.sample_days + 3):
@@ -40,9 +40,9 @@ class TestSlidingWindowParity:
             )
             assert status == 200
 
-            window_days = snapshots.days[-leaks.sample_days:]
+            window_days = snapshots.series.days[-leaks.sample_days:]
             records = snapshots.series.sample_records(window_days)
-            dynamic = app.services.dynamicity.report().dynamic_prefixes()
+            dynamic = app.dynamicity.report().dynamic_prefixes()
             batch = reference_identify(leaks.window.identifier, records, dynamic)
             sample = leaks.sample_window()
 
@@ -58,4 +58,4 @@ class TestSlidingWindowParity:
             }
 
         assert boot_window.isdisjoint(leaks.window.days)
-        assert leaks.window.days == snapshots.days[-leaks.sample_days:]
+        assert leaks.window.days == snapshots.series.days[-leaks.sample_days:]

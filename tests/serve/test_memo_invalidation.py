@@ -18,7 +18,7 @@ def get(app, path, query=None):
 
 
 def ingest_next_day(app):
-    day = app.services.dynamicity.snapshots.next_day
+    day = app.snapshots.next_day
     status, payload = app.dispatch(
         "POST", "/ingest/day", body=json.dumps({"day": day.isoformat()}).encode()
     )
@@ -27,12 +27,12 @@ def ingest_next_day(app):
 
 
 def some_prefix(app):
-    return next(iter(app.services.dynamicity.snapshots.prefix_table()))
+    return next(iter(app.snapshots.series.prefix_table()))
 
 
 class TestIngestInvalidatesEveryMemo:
     def test_all_read_endpoints_reflect_the_new_day(self, app):
-        before_days = app.services.dynamicity.snapshots.day_count
+        before_days = len(app.snapshots.series)
         prefix = some_prefix(app)
         before = {
             "dynamicity": get(app, f"/prefix/{prefix}/dynamicity"),
@@ -68,7 +68,7 @@ class TestIngestInvalidatesEveryMemo:
     def test_three_consecutive_ingests_never_serve_stale_days(self, app):
         prefix = some_prefix(app)
         for _ in range(3):
-            before = app.services.dynamicity.snapshots.day_count
+            before = len(app.snapshots.series)
             day, _ = ingest_next_day(app)
             assert get(app, f"/prefix/{prefix}/dynamicity")["days"] == before + 1
             assert get(app, "/leaks")["sample_days"][-1] == day.isoformat()

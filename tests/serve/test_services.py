@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.core.dynamicity import DynamicityAnalyzer
+from repro.scan.campaign import SupplementalCampaign
 from repro.serve import (
     SnapshotRepository,
     ServiceError,
@@ -27,7 +28,9 @@ class TestNormaliseSlash24:
     def test_accepts_addresses_and_prefixes(self, text, expected):
         assert normalise_slash24(text) == expected
 
-    @pytest.mark.parametrize("text", ["192.0.2.0/23", "192.0.2.0/25", "nope", ""])
+    @pytest.mark.parametrize(
+        "text", ["192.0.2.0/23", "192.0.2.0/25", "nope", "", "2001:db8::/24"]
+    )
     def test_rejects_non_slash24(self, text):
         with pytest.raises(ValueError):
             normalise_slash24(text)
@@ -36,16 +39,18 @@ class TestNormaliseSlash24:
 class TestSnapshotRepository:
     def test_window_properties(self, fresh_series):
         repo = SnapshotRepository(fresh_series)
-        assert repo.day_count == len(fresh_series)
-        assert repo.cadence_days == 1
-        assert repo.next_day == repo.days[-1] + dt.timedelta(days=1)
+        assert len(repo.series) == len(fresh_series)
+        assert repo.series.cadence_days == 1
+        assert repo.next_day == repo.series.days[-1] + dt.timedelta(days=1)
 
     def test_history_matches_counts(self, fresh_series):
         repo = SnapshotRepository(fresh_series)
-        prefix = repo.prefix_table().values[0]
+        prefix = repo.series.prefix_table().values[0]
         history = repo.history(prefix)
-        assert len(history) == repo.day_count
-        expected = [repo.counts_view(day).get(prefix, 0) for day in repo.days]
+        assert len(history) == len(repo.series)
+        expected = [
+            repo.series.counts_view(day).get(prefix, 0) for day in repo.series.days
+        ]
         assert history == expected
 
     def test_history_of_unknown_prefix_is_none(self, fresh_series):
@@ -58,60 +63,60 @@ class TestDynamicityService:
         batch = DynamicityAnalyzer(quick_config.dynamicity_thresholds).analyze(
             fresh_series
         )
-        assert app.services.dynamicity.summary() == dynamicity_summary(batch)
+        assert app.dynamicity.summary() == dynamicity_summary(batch)
 
     def test_prefix_payload_carries_verdict(self, app, quick_config):
-        report = app.services.dynamicity.report()
+        report = app.dynamicity.report()
         dynamic = report.dynamic_prefixes()
         assert dynamic, "quick world should flag dynamic prefixes"
-        payload = app.services.dynamicity.prefix_payload(dynamic[0])
+        payload = app.dynamicity.prefix_payload(dynamic[0])
         assert payload["is_dynamic"] is True
         assert payload["eligible"] is True
         assert payload["change_days"] >= report.effective_min_change_transitions
 
     def test_prefix_payload_includes_history_on_request(self, app):
-        prefix = app.services.dynamicity.snapshots.prefix_table().values[0]
-        payload = app.services.dynamicity.prefix_payload(prefix, include_history=True)
+        prefix = app.snapshots.series.prefix_table().values[0]
+        payload = app.dynamicity.prefix_payload(prefix, include_history=True)
         assert len(payload["history"]["counts"]) == payload["days"]
         assert payload["history"]["days"][0] == "2021-01-01"
 
     def test_unknown_prefix_is_404_with_detail(self, app):
         with pytest.raises(ServiceError) as excinfo:
-            app.services.dynamicity.prefix_payload("203.0.113.0/24")
+            app.dynamicity.prefix_payload("203.0.113.0/24")
         assert excinfo.value.status == 404
         assert "observed_prefixes" in excinfo.value.detail
 
     def test_report_is_memoised_until_ingest(self, app):
         metrics = app.obs.metrics
-        app.services.dynamicity.report()
-        app.services.dynamicity.report()
+        app.dynamicity.report()
+        app.dynamicity.report()
         assert metrics.value(
             "serve_report_cache_total", {"report": "dynamicity", "outcome": "miss"}
         ) == 1
         assert metrics.value(
             "serve_report_cache_total", {"report": "dynamicity", "outcome": "hit"}
         ) == 1
-        day = app.services.dynamicity.snapshots.next_day
-        app.services.dynamicity.ingest(day)
-        app.services.dynamicity.report()
+        day = app.snapshots.next_day
+        app.dynamicity.ingest(day)
+        app.dynamicity.report()
         assert metrics.value(
             "serve_report_cache_total", {"report": "dynamicity", "outcome": "miss"}
         ) == 2
 
     def test_ingest_rejects_cadence_gap_without_mutating(self, app):
-        service = app.services.dynamicity
-        before = service.snapshots.day_count
+        service = app.dynamicity
+        before = len(service.snapshots.series)
         bad_day = service.snapshots.next_day + dt.timedelta(days=5)
         with pytest.raises(ServiceError) as excinfo:
             service.ingest(bad_day)
         assert excinfo.value.status == 409
-        assert service.snapshots.day_count == before
+        assert len(service.snapshots.series) == before
         # The analyzer did not diverge either: the next valid ingest works.
         summary = service.ingest(service.snapshots.next_day)
         assert summary["days"] == before + 1
 
     def test_ingest_rejects_negative_counts(self, app):
-        service = app.services.dynamicity
+        service = app.dynamicity
         with pytest.raises(ServiceError) as excinfo:
             service.ingest(service.snapshots.next_day, {"192.0.2.0/24": -1})
         assert excinfo.value.status == 400
@@ -123,14 +128,18 @@ class TestDynamicityService:
             ({"20.0.10.0/24": 5, "192.0.2.0/25": 3}, ["192.0.2.0/25"]),
             ({"20.0.10.0/24": True}, ["20.0.10.0/24"]),
             ({"20.0.10.0/24": 5, "20.0.10.7": 4}, ["20.0.10.0/24", "20.0.10.7"]),
+            ({"2001:db8::/24": 3}, ["2001:db8::/24"]),
         ],
-        ids=["malformed-key", "non-slash24-key", "bool-count", "colliding-keys"],
+        ids=[
+            "malformed-key", "non-slash24-key", "bool-count", "colliding-keys",
+            "ipv6-key",
+        ],
     )
     def test_ingest_rejects_bad_explicit_counts_without_mutating(
         self, app, counts, named
     ):
-        snapshots = app.services.dynamicity.snapshots
-        day_count, next_day = snapshots.day_count, snapshots.next_day
+        snapshots = app.snapshots
+        day_count, next_day = len(snapshots.series), snapshots.next_day
         status, payload = app.dispatch(
             "POST",
             "/ingest/day",
@@ -139,70 +148,83 @@ class TestDynamicityService:
         assert status == 400, payload
         for key in named:
             assert repr(key) in payload["error"]
-        assert snapshots.day_count == day_count
+        assert len(snapshots.series) == day_count
         assert snapshots.next_day == next_day
 
 
 class TestLeakService:
     def test_payload_identifies_quick_world_leaks(self, app):
-        payload = app.services.leaks.payload()
+        payload = app.leaks.payload()
         assert "stateu.edu" in payload["identified"]
         stats = payload["suffixes"]["stateu.edu"]
         assert stats["identified"] is True
         assert stats["unique_names"] >= 3
 
     def test_suffix_drilldown_and_404(self, app):
-        payload = app.services.leaks.payload(suffix="stateu.edu")
+        payload = app.leaks.payload(suffix="stateu.edu")
         assert payload["suffix"] == "stateu.edu"
         assert payload["identified"] is True
         with pytest.raises(ServiceError) as excinfo:
-            app.services.leaks.payload(suffix="never.example")
+            app.leaks.payload(suffix="never.example")
         assert excinfo.value.status == 404
 
     def test_sample_window_is_trailing_days(self, app, quick_config):
-        window = app.services.leaks.sample_window()
+        window = app.leaks.sample_window()
         assert len(window) == quick_config.leak_sample_days
         assert window[-1] == "2021-01-21"
 
 
 class TestNamesService:
     def test_top_truncates_rankings(self, app):
-        payload = app.services.names.payload(top=3)
+        payload = app.leaks.names_payload(top=3)
         assert len(payload["names"]["all"]) == 3
-        full = app.services.names.payload()
+        full = app.leaks.names_payload()
         assert payload["names"]["all"] == full["names"]["all"][:3]
 
     def test_rankings_sorted_by_count_then_name(self, app):
-        ranked = app.services.names.payload()["names"]["all"]
+        ranked = app.leaks.names_payload()["names"]["all"]
         keys = [(-count, name) for name, count in ranked]
         assert keys == sorted(keys)
 
     def test_rejects_non_positive_top(self, app):
         with pytest.raises(ServiceError):
-            app.services.names.payload(top=0)
+            app.leaks.names_payload(top=0)
 
 
 class TestOccupancyService:
     def test_daily_totals_match_series(self, app, fresh_series):
-        payload = app.services.occupancy.daily_payload()
+        payload = app.occupancy.daily_payload()
         totals = fresh_series.daily_totals()
         assert payload["totals"] == [totals[day] for day in sorted(totals)]
         assert payload["peak"] == max(totals.values())
         assert max(payload["relative_percent"]) == 100.0
 
     def test_prefix_scoped_daily(self, app):
-        prefix = app.services.occupancy.snapshots.prefix_table().values[0]
-        payload = app.services.occupancy.daily_payload(prefix=prefix)
+        prefix = app.snapshots.series.prefix_table().values[0]
+        payload = app.occupancy.daily_payload(prefix=prefix)
         assert payload["prefix"] == prefix
-        assert payload["totals"] == app.services.occupancy.snapshots.history(prefix)
+        assert payload["totals"] == app.snapshots.history(prefix)
 
     def test_hourly_unknown_network_is_404(self, app):
         with pytest.raises(ServiceError) as excinfo:
-            app.services.occupancy.hourly_payload("No-Such-Network")
+            app.occupancy.hourly_payload("No-Such-Network")
         assert excinfo.value.status == 404
         assert excinfo.value.detail["networks"]
 
+    def test_hourly_unknown_network_404s_before_running_the_campaign(
+        self, app, monkeypatch
+    ):
+        def run(self, *args, **kwargs):
+            raise AssertionError("the campaign ran for an unknown network")
+
+        monkeypatch.setattr(SupplementalCampaign, "run", run)
+        status, payload = app.dispatch(
+            "GET", "/occupancy", query={"network": "No-Such-Network"}
+        )
+        assert status == 404, payload
+        assert "Academic-C" in payload["networks"]
+
     def test_hourly_bad_source_is_400(self, app):
         with pytest.raises(ServiceError) as excinfo:
-            app.services.occupancy.hourly_payload("Academic-C", source="sonar")
+            app.occupancy.hourly_payload("Academic-C", source="sonar")
         assert excinfo.value.status == 400

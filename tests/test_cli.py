@@ -319,6 +319,21 @@ class TestCadenceErrorSurfacing:
         )
         assert "Traceback" not in captured.err
 
+    def test_campaign_prints_the_same_one_line_error(self, monkeypatch, capsys):
+        from repro.scan import SupplementalCampaign
+
+        def boom(self, *args, **kwargs):
+            raise ValueError(TestCadenceErrorSurfacing.MESSAGE)
+
+        monkeypatch.setattr(SupplementalCampaign, "run", boom)
+        code, _ = run_cli("--quick", "--seed", "1", "campaign")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            f"error: irregular snapshot series — {self.MESSAGE}"
+        )
+        assert "Traceback" not in captured.err
+
     def test_unrelated_value_errors_use_generic_handler(self, monkeypatch, capsys):
         from repro.core.pipeline import ReproductionStudy
 
