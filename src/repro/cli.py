@@ -15,7 +15,7 @@
   machine-readable ``eval_matrix.json``;
 * ``snapshot`` — dump one day's PTR records, OpenINTEL-style;
 * ``cache``    — inspect/verify the on-disk caches: report entry
-  format versions and checksum v4 blockfile sidecars;
+  format versions and checksum blockfile sidecars;
 * ``serve``    — the long-running leak-analysis query service
   (:mod:`repro.serve`): per-prefix dynamicity, leak verdicts, name
   counts and occupancy over HTTP, with ``POST /ingest/day`` folding
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("inspect", "verify"),
         help=(
             "inspect: list entries with their payload format versions; "
-            "verify: checksum every v4 blockfile sidecar (full body CRC + "
+            "verify: checksum every blockfile sidecar (full body CRC + "
             "SHA-256) and exit non-zero on damage (entries in any other "
             "format are reported stale: the next run recomputes them)"
         ),

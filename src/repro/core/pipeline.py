@@ -200,13 +200,10 @@ class ReproductionStudy:
 
         Records from the last ``leak_sample_days`` collected days feed
         the matcher (the paper uses daily OpenINTEL data).  The sample
-        is built by one shared derivation pass
-        (:meth:`~repro.scan.snapshot.SnapshotSeries.sample_records`):
-        each (network, day) record list is derived exactly once and
-        deduplicated up front — not re-simulated per sample day — and
-        the pass fans out over the collection process pool when
-        ``snapshot_workers > 1``.  Sample counters land in the series'
-        ``last_sample_metrics``.
+        is one pass over the records the series stored at collection
+        (:meth:`~repro.scan.snapshot.SnapshotSeries.sample_records`),
+        deduplicated up front; nothing is re-simulated.  Sample
+        counters land in the series' ``last_sample_metrics``.
         """
         if self._leaks is None:
             series = self.daily_series()
@@ -214,11 +211,7 @@ class ReproductionStudy:
             with self.obs.span("leaks") as span:
                 identifier = LeakIdentifier(GivenNameMatcher(), self.config.leak_thresholds)
                 sample_days = series.days[-self.config.leak_sample_days:]
-                records = series.sample_records(
-                    sample_days,
-                    workers=self.config.snapshot_workers,
-                    obs=self.obs,
-                )
+                records = series.sample_records(sample_days, obs=self.obs)
                 self._leaks = identifier.identify(records, dynamic)
                 span.set("sample_days", len(sample_days))
                 span.set("identified_networks", len(self._leaks.identified))

@@ -283,10 +283,11 @@ class Subnet:
 class Network:
     """One organisation's network."""
 
-    #: How many (day, at_offset) record derivations each network memoises.
-    #: Small on purpose: a multi-year sweep visits each day once, while
-    #: the analysis stages (leak sampling, tracking, repeated
-    #: ``records_on`` calls) revisit a handful of recent days many times.
+    #: How many (day, at_offset) /24 count derivations each network
+    #: memoises.  Small on purpose: a multi-year sweep visits each day
+    #: once.  Records are not memoised: a snapshot series stores each
+    #: day's records when it collects them, so re-reads (leak sampling,
+    #: the serve leak window) never reach the world.
     DAY_CACHE_SIZE = 32
 
     def __init__(
@@ -330,7 +331,6 @@ class Network:
         self.covid = covid or CovidTimeline.none()
         self.rngs = rngs or RngStreams(0)
         self._slash24_cache: Dict[ipaddress.IPv4Network, str] = {}
-        self._records_cache: "OrderedDict[Tuple[dt.date, Optional[int]], List[Tuple[ipaddress.IPv4Address, str]]]" = OrderedDict()
         self._counts_cache: "OrderedDict[Tuple[dt.date, Optional[int]], Dict[str, int]]" = OrderedDict()
         if zone_layout not in ("flat", "delegated"):
             raise ValueError("zone_layout must be 'flat' or 'delegated'")
@@ -431,8 +431,7 @@ class Network:
         return list(self.server.zones())
 
     def clear_day_caches(self) -> None:
-        """Drop memoised per-day records/counts (after topology changes)."""
-        self._records_cache.clear()
+        """Drop memoised per-day counts (after topology changes)."""
         self._counts_cache.clear()
 
     def default_policy(self) -> DnsUpdatePolicy:
@@ -454,34 +453,15 @@ class Network:
     def records_on(
         self, day: dt.date, *, at_offset: Optional[int] = None
     ) -> Iterator[Tuple[ipaddress.IPv4Address, str]]:
-        """(address, hostname) pairs present on ``day``, memoised.
+        """(address, hostname) pairs present on ``day``, subnet by subnet.
 
-        Derivation walks every device's presence draws; analysis stages
-        (leak sampling, snapshot re-reads) revisit the same days many
-        times, so the materialised list is kept in a small LRU keyed by
-        ``(day, at_offset)``.
+        Every call re-runs the day's presence draws; a snapshot series
+        stores what collection derived, so analyses read that instead.
         """
-        yield from self._records_list(day, at_offset)
-
-    def _records_list(
-        self, day: dt.date, at_offset: Optional[int]
-    ) -> List[Tuple[ipaddress.IPv4Address, str]]:
-        key = (day, at_offset)
-        cached = self._records_cache.get(key)
-        if cached is not None:
-            self._records_cache.move_to_end(key)
-            return cached
-        records = [
-            pair
-            for subnet in self.subnets
-            for pair in subnet.records_on(
+        for subnet in self.subnets:
+            yield from subnet.records_on(
                 day, self.rngs, self.day_factor(day, subnet), at_offset=at_offset
             )
-        ]
-        self._records_cache[key] = records
-        while len(self._records_cache) > self.DAY_CACHE_SIZE:
-            self._records_cache.popitem(last=False)
-        return records
 
     def counts_by_subnet(self, day: dt.date, *, at_offset: Optional[int] = None) -> Dict[SubnetRole, int]:
         counts: Dict[SubnetRole, int] = {}
@@ -501,7 +481,7 @@ class Network:
         Subnets no wider than a /24 map to a single key, so their count
         is taken without materialising records — the fast path that
         makes multi-year daily collection tractable.  Results are
-        memoised per ``(day, at_offset)`` alongside the record lists.
+        memoised per ``(day, at_offset)``.
         """
         cache_key = (day, at_offset)
         cached = self._counts_cache.get(cache_key)

@@ -1,11 +1,12 @@
-"""Binary, mmap-able columnar container for snapshot count matrices.
+"""Binary, mmap-able columnar container for snapshot series.
 
-The snapshot cache's at-rest format (dataset format v4): counts live
-on disk exactly as the little-endian ``u32`` words the
-:class:`~repro.scan.storage.CountMatrix` holds in memory, padded to
-64-byte boundaries, so a warm read is ``mmap`` plus
-``numpy.frombuffer`` — memory bandwidth, not parse speed — and the
-matrix never has to be resident at all for mmap-backed consumers.
+The snapshot cache's at-rest format (dataset format v5): counts and
+per-day PTR records live on disk exactly as the little-endian ``u32``
+words the :class:`~repro.scan.storage.CountMatrix` and the series'
+record columns hold in memory, padded to 64-byte boundaries, so a warm
+read is ``mmap`` plus ``numpy.frombuffer`` — memory bandwidth, not
+parse speed — and neither has to be resident at all for mmap-backed
+consumers.
 
 On-disk layout (all integers little-endian)::
 
@@ -23,14 +24,14 @@ On-disk layout (all integers little-endian)::
 
     RECORD (header 64 bytes, 64-byte aligned, body immediately after)
       0   magic           4s   b"RBRC"
-      4   record_type     u16  1 = PREFIXES, 2 = DAY, 3 = PTRS
+      4   record_type     u16  1 = PREFIXES, 2 = DAY, 3 = PTRS, 4 = RECORDS
       6   reserved        u16  0
       8   body_length     u64  exact body bytes (pre-padding)
       16  body_crc32      u32  crc32 of the body bytes
       20  reserved        u32  0
-      24  aux1            u64  PREFIXES/PTRS: string count · DAY: day ordinal
-      32  aux2            u64  PREFIXES/PTRS: 0            · DAY: element count
-      40  aux3            u64  PREFIXES/PTRS: 0            · DAY: column total
+      24  aux1            u64  PREFIXES/PTRS: string count · DAY/RECORDS: day ordinal
+      32  aux2            u64  PREFIXES/PTRS: 0 · DAY: element count · RECORDS: record count
+      40  aux3            u64  PREFIXES/PTRS/RECORDS: 0 · DAY: column total
       48  reserved        8x   zero
       56  header_crc32    u32  crc32 of record header bytes [0, 56)
       60  reserved        u32  0
@@ -41,12 +42,18 @@ the interned prefix table (first-seen order, the determinism anchor
 shared with :class:`~repro.scan.storage.PrefixTable`).  A ``DAY``
 record's body is the raw ``<u4`` count column for one day; its length
 may trail the prefix table (ragged columns, exactly as in memory).
-A ``PTRS`` record carries the series' unique PTR names (sorted,
-newline-joined UTF-8).  PTR bodies are *lazy*: :meth:`_scan` only
-notes their spans, and the strings are decoded on the first
-:meth:`BlockFileReader.unique_ptrs` call — warm count reads never pay
-for name parsing, while :attr:`BlockFileReader.unique_ptr_count`
-(from ``aux1``) stays O(1).
+A ``PTRS`` record carries the series' PTR name pool (newline-joined
+UTF-8) in pool order: the order the names were first seen in the
+collection walk, so a name's position is its id.  A ``RECORDS``
+record holds one day's PTR records: ``aux2`` ``<u4`` addresses in the
+collection walk's order (duplicates kept), then as many ``<u4`` ids
+into the PTRS pool.  PTRS and RECORDS bodies are *lazy*: :meth:`_scan`
+only notes their spans (plus one ``max`` over each id column, so an
+id outside the pool fails at open), and nothing is decoded until
+:meth:`BlockFileReader.ptr_names` or
+:meth:`BlockFileReader.day_records` is called — warm count reads never
+pay for records or name parsing, while
+:attr:`BlockFileReader.unique_ptr_count` (from ``aux1``) stays O(1).
 
 Appending a day is "write new records at EOF": record headers carry
 their own CRC, so a reader that mapped the shorter file is untouched
@@ -66,7 +73,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import BinaryIO, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,11 +87,20 @@ RECORD_HEADER_SIZE = 64
 RECORD_PREFIXES = 1
 RECORD_DAY = 2
 RECORD_PTRS = 3
+RECORD_RECORDS = 4
+
+#: How :meth:`BlockFileReader.verify` names each record type.
+_KIND = {
+    RECORD_PREFIXES: "prefix table",
+    RECORD_DAY: "day column",
+    RECORD_PTRS: "ptr table",
+    RECORD_RECORDS: "record columns",
+}
 
 _HEADER = struct.Struct("<4sHHHHIQ32xI4x")
 _RECORD = struct.Struct("<4sHHQIIQQQ8xI4x")
 
-#: File suffix used by the snapshot cache for v4 sidecar blockfiles.
+#: File suffix used by the snapshot cache for its sidecar blockfiles.
 SUFFIX = ".rbf"
 
 
@@ -129,38 +145,46 @@ def _column_bytes(column: Sequence[int]) -> bytes:
     return np.asarray(column, dtype="<u4").tobytes()
 
 
+def _write_record(
+    out: io.BytesIO, record_type: int, body: bytes, aux1: int, aux2: int, aux3: int
+) -> None:
+    out.write(_pack_record_header(record_type, body, aux1, aux2, aux3))
+    out.write(body)
+    out.write(b"\0" * _pad(len(body)))
+
+
 def encode_records(
     prefixes: Sequence[str],
     days: Sequence[int],
     columns: Sequence[Sequence[int]],
     totals: Sequence[int],
     ptrs: Optional[Sequence[str]] = None,
+    records: Sequence[Tuple[int, Sequence[int], Sequence[int]]] = (),
 ) -> bytes:
-    """The full blockfile byte string for a matrix (header + records)."""
+    """The full blockfile byte string for a matrix (header + records).
+
+    ``ptrs`` is the PTR name pool in id order; ``records`` holds
+    ``(ordinal, addresses, ptr_ids)`` per day that has record columns.
+    """
     if len(days) != len(columns) or len(days) != len(totals):
         raise ValueError("days, columns and totals must be parallel sequences")
     out = io.BytesIO()
-    record_count = (1 if prefixes else 0) + (1 if ptrs else 0) + len(days)
+    record_count = (1 if prefixes else 0) + (1 if ptrs else 0) + len(days) + len(records)
     out.write(_pack_header(record_count))
     if prefixes:
         body = "\n".join(prefixes).encode("utf-8")
-        out.write(_pack_record_header(RECORD_PREFIXES, body, len(prefixes), 0, 0))
-        out.write(body)
-        out.write(b"\0" * _pad(len(body)))
+        _write_record(out, RECORD_PREFIXES, body, len(prefixes), 0, 0)
     if ptrs:
         body = "\n".join(ptrs).encode("utf-8")
-        out.write(_pack_record_header(RECORD_PTRS, body, len(ptrs), 0, 0))
-        out.write(body)
-        out.write(b"\0" * _pad(len(body)))
+        _write_record(out, RECORD_PTRS, body, len(ptrs), 0, 0)
     for ordinal, column, total in zip(days, columns, totals):
         body = _column_bytes(column)
-        out.write(
-            _pack_record_header(
-                RECORD_DAY, body, int(ordinal), len(column), int(total)
-            )
-        )
-        out.write(body)
-        out.write(b"\0" * _pad(len(body)))
+        _write_record(out, RECORD_DAY, body, int(ordinal), len(column), int(total))
+    for ordinal, addresses, ptr_ids in records:
+        if len(addresses) != len(ptr_ids):
+            raise ValueError("record address and id columns must be parallel")
+        body = _column_bytes(addresses) + _column_bytes(ptr_ids)
+        _write_record(out, RECORD_RECORDS, body, int(ordinal), len(addresses), 0)
     return out.getvalue()
 
 
@@ -201,15 +225,9 @@ def append_day_records(
     out = io.BytesIO()
     if new_prefixes:
         body = "\n".join(new_prefixes).encode("utf-8")
-        out.write(_pack_record_header(RECORD_PREFIXES, body, len(new_prefixes), 0, 0))
-        out.write(body)
-        out.write(b"\0" * _pad(len(body)))
+        _write_record(out, RECORD_PREFIXES, body, len(new_prefixes), 0, 0)
     body = _column_bytes(column)
-    out.write(
-        _pack_record_header(RECORD_DAY, body, int(ordinal), len(column), int(total))
-    )
-    out.write(body)
-    out.write(b"\0" * _pad(len(body)))
+    _write_record(out, RECORD_DAY, body, int(ordinal), len(column), int(total))
     blob = out.getvalue()
     with open(path, "r+b") as handle:
         handle.seek(0, os.SEEK_END)
@@ -233,7 +251,8 @@ class BlockFileReader:
 
     ``prefixes``, ``days``, ``totals`` are plain Python lists; each
     entry of ``columns`` is a zero-copy ``u32`` NumPy view into the
-    mapping.  The reader object keeps the mapping alive; views taken
+    mapping, and so are the record columns :meth:`day_records` hands
+    out.  The reader object keeps the mapping alive; views taken
     from it remain valid for its lifetime (and, because
     ``numpy.frombuffer`` holds a reference to its buffer, beyond it).
     """
@@ -255,6 +274,8 @@ class BlockFileReader:
         self.columns: List[Sequence[int]] = []
         #: PTR-record spans, decoded lazily: (body_offset, body_len, count)
         self._ptr_spans: List[Tuple[int, int, int]] = []
+        #: RECORDS spans by day ordinal: (body_offset, record count)
+        self._record_spans: Dict[int, Tuple[int, int]] = {}
         #: (record_type, header_offset, body_offset, body_length, body_crc)
         self._records: List[Tuple[int, int, int, int, int]] = []
         self._scan()
@@ -374,8 +395,19 @@ class BlockFileReader:
                 self.columns.append(_u32_view(buf, body_offset, int(aux2)))
             elif rtype == RECORD_PTRS:
                 # Lazy: note the span only — names are decoded on the
-                # first unique_ptrs() call, never on the warm count path.
+                # first ptr_names() call, never on the warm count path.
                 self._ptr_spans.append((body_offset, int(body_len), int(aux1)))
+            elif rtype == RECORD_RECORDS:
+                if body_len != 8 * aux2:
+                    raise BlockFileError(
+                        f"{self.path}: RECORDS record at offset {offset} declares "
+                        f"{aux2} records but {body_len} body bytes"
+                    )
+                if aux1 in self._record_spans:
+                    raise BlockFileError(
+                        f"{self.path}: day ordinal {aux1} has two RECORDS records"
+                    )
+                self._record_spans[int(aux1)] = (body_offset, int(aux2))
             else:
                 raise BlockFileError(
                     f"{self.path}: unknown record type {rtype} at offset {offset}"
@@ -391,6 +423,19 @@ class BlockFileReader:
                     f"{self.path}: day column wider ({len(column)}) than the "
                     f"prefix table ({width})"
                 )
+        days = set(self.days)
+        pool = self.unique_ptr_count
+        for ordinal, (body_offset, count) in self._record_spans.items():
+            if ordinal not in days:
+                raise BlockFileError(
+                    f"{self.path}: RECORDS for day ordinal {ordinal}, "
+                    "which has no day record"
+                )
+            if count and int(_u32_view(buf, body_offset + 4 * count, count).max()) >= pool:
+                raise BlockFileError(
+                    f"{self.path}: RECORDS for day ordinal {ordinal} name a PTR id "
+                    f"outside the {pool}-name pool"
+                )
 
     def verify(self) -> int:
         """Check every body CRC; returns the record count on success."""
@@ -398,12 +443,8 @@ class BlockFileReader:
         for rtype, offset, body_offset, body_len, body_crc in self._records:
             body = bytes(buf[body_offset : body_offset + body_len])
             if zlib.crc32(body) != body_crc:
-                kind = {
-                    RECORD_PREFIXES: "prefix table",
-                    RECORD_PTRS: "ptr table",
-                }.get(rtype, "day column")
                 raise BlockFileError(
-                    f"{self.path}: {kind} body checksum mismatch at offset {offset}"
+                    f"{self.path}: {_KIND[rtype]} body checksum mismatch at offset {offset}"
                 )
         return len(self._records)
 
@@ -418,9 +459,9 @@ class BlockFileReader:
         """Total PTR names across PTRS records — O(1), no body decode."""
         return sum(count for _, _, count in self._ptr_spans)
 
-    def unique_ptrs(self) -> set:
-        """Decode every PTRS record body into one set of names."""
-        names: set = set()
+    def ptr_names(self) -> List[str]:
+        """Decode the PTRS record bodies into the name pool, in id order."""
+        names: List[str] = []
         for body_offset, body_len, count in self._ptr_spans:
             body = bytes(self._buffer[body_offset : body_offset + body_len])
             strings = body.decode("utf-8").split("\n") if body else []
@@ -429,8 +470,22 @@ class BlockFileReader:
                     f"{self.path}: ptr record declares {count} strings "
                     f"but carries {len(strings)}"
                 )
-            names.update(strings)
+            names.extend(strings)
         return names
+
+    def day_records(self, ordinal: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """One day's ``(addresses, ptr_ids)`` as zero-copy ``u32`` views.
+
+        ``None`` when the file holds no RECORDS record for ``ordinal``.
+        """
+        span = self._record_spans.get(ordinal)
+        if span is None:
+            return None
+        body_offset, count = span
+        return (
+            _u32_view(self._buffer, body_offset, count),
+            _u32_view(self._buffer, body_offset + 4 * count, count),
+        )
 
     def count_matrix(self):
         """The file's contents as a view-backed ``CountMatrix``.

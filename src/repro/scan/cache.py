@@ -187,7 +187,7 @@ class _JsonFileCache:
         """Drop everything; returns entries plus orphans removed.
 
         Each entry counts once regardless of how many files represent
-        it on disk (a v4 pair's ``*.rbf`` sidecar is swept silently
+        it on disk (a snapshot pair's ``*.rbf`` sidecar is swept silently
         with its ``*.json`` document).  Orphaned ``*.tmp`` files left
         behind by writers that crashed between creating the temp file
         and the atomic rename count individually — they are leaks, not
@@ -249,14 +249,14 @@ class _JsonFileCache:
 class SnapshotCache(_JsonFileCache):
     """A content-keyed store of collected snapshot series.
 
-    Since payload format v4 an entry is a *pair* of files: the
-    ``<key>.json`` document holds the metadata (name, networks, days,
-    totals) plus a pointer to a ``<key>.rbf`` sidecar blockfile
-    (:mod:`repro.scan.blockfile`) carrying the prefix table and raw
-    count columns.  :meth:`store_series` writes the pair (blockfile
-    first, JSON last — the JSON rename is the commit point, so a torn
-    writer can only ever leave an unreferenced sidecar behind, never a
-    referenced-but-missing one).  :meth:`load` validates the sidecar's
+    An entry is a *pair* of files: the ``<key>.json`` document holds
+    the metadata (name, networks, days, totals) plus a pointer to a
+    ``<key>.rbf`` sidecar blockfile (:mod:`repro.scan.blockfile`)
+    carrying the prefix table, the raw count columns, the PTR name pool
+    and each day's record columns.  :meth:`store_series` writes the
+    pair (blockfile first, JSON last — the JSON rename is the commit
+    point, so a torn writer can only ever leave an unreferenced sidecar
+    behind, never a referenced-but-missing one).  :meth:`load` validates the sidecar's
     header and record checksums and repairs the whole entry if either
     half is corrupt or missing.
     """
@@ -270,8 +270,10 @@ class SnapshotCache(_JsonFileCache):
     def load(self, key: str) -> Optional[dict]:
         """The stored payload, with the sidecar validated and resolved.
 
-        The sidecar blockfile is opened once to check
-        its header and per-record checksums (bodies are not hashed —
+        The sidecar blockfile is opened once to check its header and
+        per-record header checksums plus the record columns' structure
+        (record lengths, day ordinals, PTR ids inside the pool; bodies
+        are not hashed —
         that is :meth:`~repro.scan.blockfile.BlockFileReader.verify`'s
         job, exposed via ``repro cache verify``), and its absolute path
         is injected as ``payload["blockfile_path"]`` for the decoder.
@@ -298,7 +300,7 @@ class SnapshotCache(_JsonFileCache):
         return payload
 
     def store_series(self, key: str, series) -> pathlib.Path:
-        """Persist a series as a v4 blockfile + JSON metadata pair.
+        """Persist a series as a blockfile + JSON metadata pair.
 
         The sidecar is written through a unique temp file and renamed
         into place before the JSON document (itself atomic), so racing
@@ -307,13 +309,8 @@ class SnapshotCache(_JsonFileCache):
         wins.  A failure on either half cleans up its temp file
         (counted in :attr:`tmp_cleanups`) before propagating.
         """
-        from .blockfile import encode_records
-
         self.root.mkdir(parents=True, exist_ok=True)
-        prefixes, ordinals, columns, totals = series.blockfile_parts()
-        blob = encode_records(
-            prefixes, ordinals, columns, totals, series.sorted_unique_ptrs()
-        )
+        blob = series.encode_blockfile()
         digest = hashlib.sha256(blob).hexdigest()
         target = self.blockfile_path_for(key)
         fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")

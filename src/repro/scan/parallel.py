@@ -11,8 +11,8 @@ order.  The merged series is bit-identical to a serial run (the
 equivalence regression test in ``tests/scan/test_parallel_cache.py``
 pins this).
 
-Every fan-out in the package — snapshot block × day-chunks, record
-chunks, campaign network blocks and evaluation cells — goes through
+Every fan-out in the package — snapshot block × day-chunks, campaign
+network blocks and evaluation cells — goes through
 :func:`run_pool`, the one process-pool primitive.  Where ``fork`` is
 available (Linux), workers inherit the shared state (the
 :class:`~repro.netsim.internet.Internet`, a plan, ...) through
@@ -223,7 +223,8 @@ def _collect_chunk(state, task):
     internet is inherited as is, while a plan's block is built here
     (memoised, since a worker receives several chunks of one block).
     ``task`` is ``(names, ordinals)``.  Returns ``(None, blob)`` — the
-    packed day results (:func:`~repro.scan.transport.pack_day_chunk`).
+    packed day counts and records
+    (:func:`~repro.scan.transport.pack_day_chunk`).
     """
     from repro.netsim.worldplan import shard_world
     from repro.scan import transport
@@ -236,8 +237,8 @@ def _collect_chunk(state, task):
     results = []
     for ordinal in ordinals:
         day = dt.date.fromordinal(ordinal)
-        counts, ptrs = derive_day(internet, names, day, at_offset)
-        results.append((ordinal, counts, ptrs))
+        counts, records = derive_day(internet, names, day, at_offset)
+        results.append((ordinal, counts, records))
     return None, transport.pack_day_chunk(results)
 
 
@@ -248,21 +249,13 @@ def _records_chunk(state, ordinals: List[int]):
     rebuilds ``IPv4Address`` objects on ingestion.
     """
     from repro.scan import transport
+    from repro.scan.snapshot import derive_records
 
-    internet, network_names, at_offset = state
-    if network_names is None:
-        networks = internet.networks
-    else:
-        networks = [internet.network(name) for name in network_names]
-    results = []
-    for ordinal in ordinals:
-        day = dt.date.fromordinal(ordinal)
-        records = [
-            (int(address), hostname)
-            for network in networks
-            for address, hostname in network.records_on(day, at_offset=at_offset)
-        ]
-        results.append((ordinal, records))
+    internet, names, at_offset = state
+    results = [
+        (ordinal, derive_records(internet, names, dt.date.fromordinal(ordinal), at_offset))
+        for ordinal in ordinals
+    ]
     return None, transport.pack_record_chunk(results)
 
 
@@ -317,8 +310,8 @@ def collect_days(
 
     def ingest(view: memoryview) -> None:
         block = next(task_blocks)
-        for ordinal, counts, ptrs in transport.unpack_day_chunk(view):
-            merge(block, ordinal, counts, ptrs)
+        for ordinal, counts, records in transport.unpack_day_chunk(view):
+            merge(block, ordinal, counts, records)
 
     plan = collector.plan
     state = (plan, collector.internet if plan is None else None, collector.at_offset)
@@ -340,12 +333,13 @@ def sample_day_records(
 ) -> List[Tuple[object, str]]:
     """Derive full per-day record lists for ``days`` on a process pool.
 
-    The fan-out behind :meth:`repro.scan.snapshot.SnapshotSeries.sample_records`:
-    day-chunks derive concurrently and merge chronologically, so the
+    Day-chunks derive concurrently and merge chronologically, so the
     flattened record stream is bit-identical to a serial
     ``records_on`` walk (derivation is deterministic per day).  The
-    returned records are *not* deduplicated — the caller owns that, so
-    serial and parallel paths share one dedup pass.
+    returned records are *not* deduplicated.  Nothing in the package
+    calls this any more — a series reads its stored record columns —
+    but ``bench/layers.py`` still names :func:`_records_chunk`, so the
+    pair goes with that benchmark entry.
     """
     import ipaddress
 

@@ -21,6 +21,11 @@ itself, so no process ever holds the whole plan.  Per-day derivation
 draws only from ``RngStreams.fresh(label, ..., day.toordinal())``
 streams, which makes results independent of evaluation order:
 parallel, sharded and cached collection are bit-identical to serial.
+
+A collected day is data, as in the paper's stored OpenINTEL snapshots:
+the series keeps its /24 counts and its PTR records, (address, PTR id)
+column pairs over one series-wide name pool, so reading records back —
+the leak sample, the serve leak window — simulates nothing.
 """
 
 from __future__ import annotations
@@ -28,14 +33,17 @@ from __future__ import annotations
 import datetime as dt
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+import ipaddress
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.netsim.internet import Internet
 from repro.netsim.network import Network
 from repro.netsim.simtime import days_between
 from repro.netsim.worldplan import PlanError, contiguous_blocks, world_source
-from repro.scan.blockfile import BlockFileReader
-from repro.scan.storage import DATASET_FORMAT_VERSION, CountMatrix, PrefixTable
+from repro.scan.blockfile import BlockFileReader, encode_records
+from repro.scan.storage import DATASET_FORMAT_VERSION, CountMatrix, PrefixTable, _Interner
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scan.cache import SnapshotCache
@@ -99,9 +107,12 @@ class CollectionMetrics:
 
 @dataclass
 class SampleMetrics:
-    """Counters for one :meth:`SnapshotSeries.sample_records` call."""
+    """Counters for one :meth:`SnapshotSeries.sample_records` call.
 
-    workers: int = 1
+    ``effective_workers`` is always 1: the sample is read from stored
+    record columns, which leaves nothing to fan out.
+    """
+
     effective_workers: int = 1
     days: int = 0
     raw_records: int = 0
@@ -111,9 +122,37 @@ class SampleMetrics:
     def describe(self) -> str:
         return (
             f"{self.unique_records:,} unique of {self.raw_records:,} records "
-            f"over {self.days} day(s) via {self.effective_workers} worker(s) "
-            f"in {self.total_seconds:.2f}s"
+            f"over {self.days} day(s) in {self.total_seconds:.2f}s"
         )
+
+
+#: One PTR record in transit: ``(IPv4 address as int, hostname)``.
+Record = Tuple[int, str]
+
+#: One day's stored records: parallel ``u32`` address and PTR-id columns.
+RecordColumns = Tuple[np.ndarray, np.ndarray]
+
+
+def _networks_of(
+    internet: Internet, network_names: Optional[Sequence[str]]
+) -> List[Network]:
+    if network_names is None:
+        return internet.networks
+    return [internet.network(name) for name in network_names]
+
+
+def derive_records(
+    internet: Internet,
+    network_names: Optional[Sequence[str]],
+    day: dt.date,
+    at_offset: Optional[int],
+) -> List[Record]:
+    """One day's PTR records in ``records_on`` walk order, duplicates kept."""
+    return [
+        (int(address), hostname)
+        for network in _networks_of(internet, network_names)
+        for address, hostname in network.records_on(day, at_offset=at_offset)
+    ]
 
 
 def derive_day(
@@ -121,62 +160,69 @@ def derive_day(
     network_names: Optional[Sequence[str]],
     day: dt.date,
     at_offset: Optional[int],
-) -> Tuple[Dict[str, int], Set[str]]:
-    """One day's (/24 counts, PTR hostnames) — the unit of collection.
+) -> Tuple[Dict[str, int], List[Record]]:
+    """One day's (/24 counts, PTR records) — the unit of collection.
 
     Shared by the serial path and the worker processes of
     :mod:`repro.scan.parallel`; determinism of this function is what
     guarantees parallel results are bit-identical to serial ones.
+    Counts take their own memoised pass (it skips materialising the
+    records of subnets no wider than a /24).
     """
-    if network_names is None:
-        networks: List[Network] = internet.networks
-    else:
-        networks = [internet.network(name) for name in network_names]
     counts: Dict[str, int] = {}
-    ptrs: Set[str] = set()
-    for network in networks:
+    for network in _networks_of(internet, network_names):
         for key, count in network.counts_by_slash24(day, at_offset=at_offset).items():
             counts[key] = counts.get(key, 0) + count
-        for _, hostname in network.records_on(day, at_offset=at_offset):
-            ptrs.add(hostname)
-    return counts, ptrs
+    return counts, derive_records(internet, network_names, day, at_offset)
 
 
-class LazyPtrSet:
-    """Unique PTR names backed by a blockfile's PTRS records.
+class PtrPool:
+    """The series' unique PTR names, each with a dense id.
 
-    Installed by :meth:`SnapshotSeries.from_payload` for v4 cache
-    pairs: ``len()`` answers from the record headers without decoding
-    a single name (the warm-stats path), while any real set operation
-    — iteration, membership, :meth:`update` — materialises the names
-    from the sidecar first.
+    Ids are assigned in first-seen order of the collection walk, so
+    serial, parallel, sharded and cache-replayed series share one pool.
+    On a cache hit the names stay in the blockfile's PTRS record:
+    ``len()`` answers from the record headers, and the first read of a
+    name (or a new interning) decodes them.
     """
 
-    def __init__(self, reader):
+    def __init__(self, reader: Optional[BlockFileReader] = None):
         self._reader = reader
-        self._names: Optional[Set[str]] = None
+        self._interner: Optional[_Interner] = None if reader is not None else _Interner()
 
-    def _materialise(self) -> Set[str]:
-        if self._names is None:
-            self._names = self._reader.unique_ptrs()
-        return self._names
+    def _materialise(self) -> _Interner:
+        if self._interner is None:
+            self._interner = _Interner(self._reader.ptr_names())
+        return self._interner
 
     def __len__(self) -> int:
-        if self._names is None:
+        if self._interner is None:
             return self._reader.unique_ptr_count
-        return len(self._names)
+        return len(self._interner.values)
 
-    def __iter__(self):
-        return iter(self._materialise())
+    @property
+    def names(self) -> List[str]:
+        """The names in id order (shared; treat as read-only)."""
+        return self._materialise().values
 
-    def __contains__(self, name) -> bool:
-        return name in self._materialise()
+    def encode(self, records: Iterable[Record]) -> RecordColumns:
+        """``records`` as an (address, id) column pair, interning new names."""
+        return encode_columns(records, self._materialise())
 
-    def add(self, name: str) -> None:
-        self._materialise().add(name)
 
-    def update(self, names) -> None:
-        self._materialise().update(names)
+def encode_columns(records: Iterable[Record], interner: _Interner) -> RecordColumns:
+    """``(address, hostname)`` records as ``u32`` address and id columns.
+
+    Ids index ``interner``, which assigns new names the next id.
+    """
+    records = list(records)
+    addresses = np.fromiter(
+        (address for address, _ in records), dtype=np.uint32, count=len(records)
+    )
+    ids = np.fromiter(
+        (interner.code(hostname) for _, hostname in records), dtype=np.uint32, count=len(records)
+    )
+    return addresses, ids
 
 
 class SnapshotSeries:
@@ -187,9 +233,12 @@ class SnapshotSeries:
     :class:`~repro.scan.storage.PrefixTable` plus one dense count
     column per day (:class:`~repro.scan.storage.CountMatrix`); the
     dict-shaped accessors below are thin views over those columns.
-    Full per-day record sets are re-derived on demand from the
-    deterministic simulation, mirroring how one would re-read raw
-    snapshot files from disk.
+    Each collected day also keeps its PTR records as data: a ``u32``
+    address column in collection walk order and a ``u32`` column of
+    ids into the series' :class:`PtrPool`, the way one re-reads raw
+    snapshot files from disk.  Only a day appended as bare counts
+    (:meth:`~repro.serve.repositories.SnapshotRepository.append_counts`)
+    has no columns; its records are derived from the world on demand.
     """
 
     def __init__(
@@ -212,23 +261,26 @@ class SnapshotSeries:
         self._day_index: Dict[dt.date, int] = {}
         self._matrix = CountMatrix()
         self._total_responses = 0
-        self._unique_ptrs: Set[str] = set()
+        self._pool = PtrPool()
+        #: Per-day record columns (``None``: a day appended as counts).
+        self._records: List[Optional[RecordColumns]] = []
         #: Counters from the most recent :meth:`sample_records` call.
         self.last_sample_metrics: Optional["SampleMetrics"] = None
 
     # -- collection (used by SnapshotCollector) ------------------------------
 
-    def _networks(self) -> List[Network]:
-        if self._network_names is None:
-            return self._internet.networks
-        return [self._internet.network(name) for name in self._network_names]
-
     def _collect_day(self, day: dt.date) -> None:
-        counts, ptrs = derive_day(self._internet, self._network_names, day, self._at_offset)
-        self._ingest_day(day, counts, ptrs)
+        derived = derive_day(self._internet, self._network_names, day, self._at_offset)
+        self._ingest_day(day, *derived)
 
-    def _ingest_day(self, day: dt.date, counts: Dict[str, int], ptrs: Set[str]) -> None:
-        """Append one derived day, enforcing order and cadence."""
+    def _ingest_day(
+        self, day: dt.date, counts: Dict[str, int], records: Optional[Iterable[Record]]
+    ) -> None:
+        """Append one day, enforcing order and cadence.
+
+        ``records`` are the day's ``(address, hostname)`` pairs, stored
+        as columns; ``None`` appends the counts alone.
+        """
         if self._days:
             gap = (day - self._days[-1]).days
             if gap <= 0:
@@ -241,7 +293,7 @@ class SnapshotSeries:
         self._day_index[day] = len(self._days)
         self._matrix.append_day(counts)
         self._total_responses += self._matrix.day_total(self._day_index[day])
-        self._unique_ptrs.update(ptrs)
+        self._records.append(None if records is None else self._pool.encode(records))
         self._days.append(day)
 
     # -- access ------------------------------------------------------------------
@@ -298,72 +350,79 @@ class SnapshotSeries:
         """Per-day response totals (accumulated at ingest, never re-summed)."""
         return dict(zip(self._days, self._matrix.totals))
 
-    def records_on(self, day: dt.date) -> Iterator[Tuple[object, str]]:
-        """Re-derive the full (address, hostname) set for a collected day."""
-        if day not in self._day_index:
-            raise KeyError(f"{self.name} holds no snapshot for {day}")
-        for network in self._networks():
-            yield from network.records_on(day, at_offset=self._at_offset)
+    def _columns(self, days: Sequence[dt.date]) -> Tuple[List[RecordColumns], List[str]]:
+        """The record columns of ``days`` and the names their ids index.
+
+        A day without columns is derived from the world and encoded
+        against a private copy of the pool, so reading never changes
+        the series.
+        """
+        for day in days:
+            if day not in self._day_index:
+                raise KeyError(f"{self.name} holds no snapshot for {day}")
+        stored = [self._records[self._day_index[day]] for day in days]
+        names = self._pool.names if days else []
+        if any(columns is None for columns in stored):
+            interner = _Interner(names)
+            names = interner.values
+            stored = [
+                columns
+                if columns is not None
+                else encode_columns(
+                    derive_records(self._internet, self._network_names, day, self._at_offset),
+                    interner,
+                )
+                for day, columns in zip(days, stored)
+            ]
+        return stored, names
+
+    def record_pairs(self, day: dt.date) -> Iterator[Record]:
+        """The day's ``(address as int, hostname)`` records, in walk order."""
+        [(addresses, ids)], names = self._columns([day])
+        return zip(addresses.tolist(), map(names.__getitem__, ids.tolist()))
+
+    def records_on(self, day: dt.date) -> Iterator[Tuple[ipaddress.IPv4Address, str]]:
+        """The full (address, hostname) record list of a collected day."""
+        for address, hostname in self.record_pairs(day):
+            yield ipaddress.IPv4Address(address), hostname
 
     def sample_records(
         self,
         days: Optional[Sequence[dt.date]] = None,
         *,
-        workers: int = 1,
         obs=None,
-    ) -> List[Tuple[object, str]]:
+    ) -> List[Tuple[ipaddress.IPv4Address, str]]:
         """One deduplicated (address, hostname) sample over ``days``.
 
-        The shared derivation pass behind the leak funnel: every
-        (network, day) record list is derived exactly once — reusing
-        the per-network day caches — and records are deduplicated in
-        first-seen order, so downstream consumers no longer re-walk
-        ``records_on`` day by day.  ``workers > 1`` fans day-chunks
-        over the same process pool as collection (capped by
-        :func:`repro.scan.parallel.effective_workers`); the merged
-        sample is bit-identical to the serial pass.  Counters land in
-        :attr:`last_sample_metrics`, and when ``obs`` (an
-        :class:`repro.obs.Observability` handle) is given the pass is
-        traced as a ``snapshot.sample`` span with deterministic record
-        counters.
+        The shared pass behind the leak funnel: the days' record
+        columns are concatenated and deduplicated on integer
+        ``address << 32 | ptr_id`` keys in first-seen order, and only
+        the unique records are formatted as ``(IPv4Address, hostname)``.
+        Counters land in :attr:`last_sample_metrics`, and when ``obs``
+        (an :class:`repro.obs.Observability` handle) is given the pass
+        is traced as a ``snapshot.sample`` span with deterministic
+        record counters.
         """
         from repro.obs import resolve_obs
-        from repro.scan.parallel import effective_workers, sample_day_records
 
         obs = resolve_obs(obs)
         sample_days = list(days) if days is not None else list(self._days)
-        for day in sample_days:
-            if day not in self._day_index:
-                raise KeyError(f"{self.name} holds no snapshot for {day}")
         started = time.perf_counter()
-        metrics = SampleMetrics(workers=max(1, workers), days=len(sample_days))
-        metrics.effective_workers = effective_workers(workers, len(sample_days))
+        columns, names = self._columns(sample_days)
+        metrics = SampleMetrics(days=len(sample_days))
         self.last_sample_metrics = metrics
 
         with obs.span("snapshot.sample", collector=self.name) as span:
-            if metrics.effective_workers > 1:
-                raw = sample_day_records(
-                    self._internet,
-                    self._network_names,
-                    sample_days,
-                    at_offset=self._at_offset,
-                    workers=metrics.effective_workers,
-                    obs=obs,
-                )
-            else:
-                raw = (
-                    record
-                    for day in sample_days
-                    for network in self._networks()
-                    for record in network.records_on(day, at_offset=self._at_offset)
-                )
-            seen: Set[Tuple[object, str]] = set()
-            records: List[Tuple[object, str]] = []
-            for record in raw:
-                if record not in seen:
-                    seen.add(record)
-                    records.append(record)
-                metrics.raw_records += 1
+            addresses = np.concatenate([a for a, _ in columns] or [np.empty(0, np.uint32)])
+            ids = np.concatenate([i for _, i in columns] or [np.empty(0, np.uint32)])
+            keys = (addresses.astype(np.uint64) << np.uint64(32)) | ids
+            _, first = np.unique(keys, return_index=True)
+            first.sort()
+            records = [
+                (ipaddress.IPv4Address(address), names[code])
+                for address, code in zip(addresses[first].tolist(), ids[first].tolist())
+            ]
+            metrics.raw_records = len(keys)
             metrics.unique_records = len(records)
             span.set("days", metrics.days)
             span.set("raw_records", metrics.raw_records)
@@ -371,11 +430,6 @@ class SnapshotSeries:
             obs.metrics.counter("snapshot_sample_records_total").inc(metrics.raw_records)
             obs.metrics.counter("snapshot_sample_unique_total").inc(metrics.unique_records)
         metrics.total_seconds = time.perf_counter() - started
-        obs.record_execution(
-            "snapshot_sample",
-            workers=metrics.workers,
-            effective_workers=metrics.effective_workers,
-        )
         return records
 
     def stats(self) -> SnapshotStats:
@@ -385,7 +439,7 @@ class SnapshotSeries:
             end_date=self._days[-1],
             snapshots=len(self._days),
             total_responses=self._total_responses,
-            unique_ptrs=len(self._unique_ptrs),
+            unique_ptrs=len(self._pool),
         )
 
     def __len__(self) -> int:
@@ -408,20 +462,28 @@ class SnapshotSeries:
             list(matrix.totals),
         )
 
-    def sorted_unique_ptrs(self) -> List[str]:
-        """The unique PTR names in sorted order (for the PTRS record)."""
-        return sorted(self._unique_ptrs)
+    def encode_blockfile(self) -> bytes:
+        """The whole series as blockfile bytes: counts, PTR pool and records.
+
+        What :meth:`~repro.scan.cache.SnapshotCache.store_series` writes.
+        """
+        records = [
+            (day.toordinal(), *columns)
+            for day, columns in zip(self._days, self._records)
+            if columns is not None
+        ]
+        return encode_records(*self.blockfile_parts(), self._pool.names, records)
 
     def to_cache_payload(self, blockfile: str, sha256: str, nbytes: int) -> dict:
-        """The v4 cache JSON document referencing a sidecar blockfile.
+        """The cache JSON document referencing a sidecar blockfile.
 
-        The count data *and* the unique PTR names live in the ``.rbf``
-        sidecar (:mod:`repro.scan.blockfile`); this document carries
-        only the metadata plus the sidecar's name, size and SHA-256
-        (checked by ``repro cache verify``).  ``unique_ptr_count`` is
-        denormalised here so inspection tools can report it without
-        touching the sidecar; decoders take it from the PTRS record
-        headers instead.
+        The counts, the PTR pool and the per-day records live in the
+        ``.rbf`` sidecar (:mod:`repro.scan.blockfile`); this document
+        carries only the metadata plus the sidecar's name, size and
+        SHA-256 (checked by ``repro cache verify``).
+        ``unique_ptr_count`` is denormalised here so inspection tools
+        can report it without touching the sidecar; decoders take it
+        from the PTRS record headers instead.
         """
         return {
             "version": DATASET_FORMAT_VERSION,
@@ -434,7 +496,7 @@ class SnapshotSeries:
             "blockfile_sha256": sha256,
             "blockfile_bytes": nbytes,
             "total_responses": self._total_responses,
-            "unique_ptr_count": len(self._unique_ptrs),
+            "unique_ptr_count": len(self._pool),
         }
 
     @classmethod
@@ -443,10 +505,10 @@ class SnapshotSeries:
 
         ``payload`` is the document :meth:`to_cache_payload` wrote, with
         ``blockfile_path`` injected by
-        :meth:`~repro.scan.cache.SnapshotCache.load`; the matrix is
-        mmap-backed — count columns are views into the sidecar.
+        :meth:`~repro.scan.cache.SnapshotCache.load`; the count matrix
+        and the record columns are views into the mmap-ed sidecar.
         ``internet`` must be the world the payload was derived from —
-        ``records_on`` re-derives full record sets from it.  The cache
+        days without record columns are derived from it.  The cache
         layer guarantees this by keying entries on
         :meth:`~repro.netsim.internet.Internet.cache_token`.
         """
@@ -466,33 +528,35 @@ class SnapshotSeries:
                 f"{len(series._days)} declared days"
             )
         series._matrix = reader.count_matrix()
-        series._unique_ptrs = LazyPtrSet(reader)
+        series._pool = PtrPool(reader)
+        series._records = [reader.day_records(ordinal) for ordinal in reader.days]
         series._total_responses = int(payload["total_responses"])
         return series
 
 
 def block_merger(series: SnapshotSeries, block_count: int):
-    """``merge(block, ordinal, counts, ptrs)``: fold one block's day into ``series``.
+    """``merge(block, ordinal, counts, records)``: fold one block's day into ``series``.
 
     Blocks must arrive in block order, each block's days in date order.
     Per-/24 keys are disjoint across networks (prefixes never overlap),
-    so updating in block order reproduces the insertion order of a
-    whole-world derivation.  A day is ingested when the last block
+    so updating counts in block order reproduces the insertion order of
+    a whole-world derivation, and concatenating records in block order
+    reproduces its record walk.  A day is ingested when the last block
     delivers it, so a one-block collection streams day by day.
     """
-    pending: Dict[int, Tuple[Dict[str, int], Set[str]]] = {}
+    pending: Dict[int, Tuple[Dict[str, int], List[Record]]] = {}
     last = block_count - 1
 
-    def merge(block: int, ordinal: int, counts: Dict[str, int], ptrs: Set[str]) -> None:
+    def merge(block: int, ordinal: int, counts: Dict[str, int], records: List[Record]) -> None:
         if block:
-            merged_counts, merged_ptrs = pending.pop(ordinal)
+            merged_counts, merged_records = pending.pop(ordinal)
             merged_counts.update(counts)
-            merged_ptrs.update(ptrs)
-            counts, ptrs = merged_counts, merged_ptrs
+            merged_records.extend(records)
+            counts, records = merged_counts, merged_records
         if block == last:
-            series._ingest_day(dt.date.fromordinal(ordinal), counts, ptrs)
+            series._ingest_day(dt.date.fromordinal(ordinal), counts, records)
         else:
-            pending[ordinal] = (counts, ptrs)
+            pending[ordinal] = (counts, records)
 
     return merge
 

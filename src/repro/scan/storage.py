@@ -38,11 +38,12 @@ _ADDR = "I" if array("I").itemsize >= 4 else "L"
 #: other stored version as a miss.  Snapshot entries are a JSON
 #: document holding only the metadata (name, networks, cadence, totals)
 #: plus a pointer to a sidecar ``.rbf`` blockfile
-#: (:mod:`repro.scan.blockfile`) with the prefix table and raw
-#: little-endian ``u32`` count columns, mmap-ed and exposed as zero-copy
-#: views on load.  Campaign entries are the JSON document of
+#: (:mod:`repro.scan.blockfile`) with the prefix table, raw
+#: little-endian ``u32`` count columns, the PTR name pool and each
+#: day's (address, PTR id) record columns, mmap-ed and exposed as
+#: zero-copy views on load.  Campaign entries are the JSON document of
 #: :meth:`~repro.scan.campaign.SupplementalDataset.to_payload`.
-DATASET_FORMAT_VERSION = 4
+DATASET_FORMAT_VERSION = 5
 
 _STATUSES: Tuple[ResolutionStatus, ...] = tuple(ResolutionStatus)
 _STATUS_INDEX: Dict[ResolutionStatus, int] = {

@@ -31,7 +31,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -219,51 +219,60 @@ class _Reader:
 # -- day-count chunks (snapshot collection) ----------------------------------
 
 
-def pack_day_chunk(results: Sequence[Tuple[int, Dict[str, int], Set[str]]]) -> bytes:
-    """Pack ``(ordinal, {prefix: count}, {ptr, ...})`` day results.
+def pack_day_chunk(
+    results: Sequence[Tuple[int, Dict[str, int], Sequence[Tuple[int, str]]]]
+) -> bytes:
+    """Pack ``(ordinal, {prefix: count}, [(address, hostname), ...])`` day results.
 
     Prefixes are interned into one chunk-local pool in first-seen
     (dict-insertion) order and each day stores parallel ``u32``
     id/count columns, so unpacking rebuilds every dict with exactly
     the iteration order the worker produced — the property that keeps
     parent-side prefix interning bit-identical to a serial run.
+    Records travel the same way: a ``u32`` address column and a
+    ``u32`` column of ids into one chunk-local hostname pool, so a
+    name held on several days of the chunk crosses once.
     """
     writer = _Writer()
-    pool: Dict[str, int] = {}
-    per_day: List[Tuple[int, List[int], List[int], List[str]]] = []
-    for ordinal, counts, ptrs in results:
-        ids = []
-        for prefix in counts:
-            code = pool.get(prefix)
-            if code is None:
-                code = len(pool)
-                pool[prefix] = code
-            ids.append(code)
-        per_day.append((ordinal, ids, list(counts.values()), sorted(ptrs)))
+    prefix_pool: Dict[str, int] = {}
+    host_pool: Dict[str, int] = {}
+    per_day = []
+    for ordinal, counts, records in results:
+        prefix_ids = [prefix_pool.setdefault(prefix, len(prefix_pool)) for prefix in counts]
+        host_ids = [host_pool.setdefault(hostname, len(host_pool)) for _, hostname in records]
+        addresses = [address for address, _ in records]
+        per_day.append((ordinal, prefix_ids, list(counts.values()), addresses, host_ids))
     writer.u32(len(per_day))
-    writer.strings(list(pool))
-    for ordinal, ids, values, ptrs in per_day:
+    writer.strings(list(prefix_pool))
+    writer.strings(list(host_pool))
+    for ordinal, prefix_ids, values, addresses, host_ids in per_day:
         writer.u64(ordinal)
-        writer.u32_column(ids)
+        writer.u32_column(prefix_ids)
         writer.u32_column(values)
-        writer.strings(ptrs)
+        writer.u32_column(addresses)
+        writer.u32_column(host_ids)
     return writer.getvalue()
 
 
-def unpack_day_chunk(view: memoryview) -> List[Tuple[int, Dict[str, int], Set[str]]]:
+def unpack_day_chunk(
+    view: memoryview,
+) -> List[Tuple[int, Dict[str, int], List[Tuple[int, str]]]]:
     reader = _Reader(view)
     day_count = reader.u32()
-    pool = reader.strings()
+    prefix_pool = reader.strings()
+    host_pool = reader.strings()
     results = []
     for _ in range(day_count):
         ordinal = reader.u64()
         ids = reader.u32_list()
         values = reader.u32_list()
-        if len(ids) != len(values):
-            raise ValueError("day chunk id/count columns disagree")
-        counts = {pool[code]: value for code, value in zip(ids, values)}
-        ptrs = set(reader.strings())
-        results.append((ordinal, counts, ptrs))
+        addresses = reader.u32_list()
+        host_ids = reader.u32_list()
+        if len(ids) != len(values) or len(addresses) != len(host_ids):
+            raise ValueError("day chunk columns disagree")
+        counts = {prefix_pool[code]: value for code, value in zip(ids, values)}
+        records = list(zip(addresses, map(host_pool.__getitem__, host_ids)))
+        results.append((ordinal, counts, records))
     return results
 
 

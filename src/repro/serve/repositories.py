@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime as dt
 import ipaddress
 from pathlib import Path
-from typing import List, Mapping, Optional, Set, Union
+from typing import List, Mapping, Optional, Union
 
 from repro.netsim.network import slash24_of
 from repro.scan.blockfile import BlockFileReader, append_day_records, write_blockfile
@@ -128,7 +128,7 @@ class SnapshotRepository:
     # -- appends (the incremental-ingest contract) ----------------------------
 
     def append_derived_day(self, day: dt.date) -> Mapping[str, int]:
-        """Derive ``day`` from the simulated world and append it.
+        """Derive ``day`` (counts and records) from the simulated world and append it.
 
         Returns the appended day's counts (the no-copy columnar view),
         which the caller folds into the incremental analyzer.
@@ -137,11 +137,12 @@ class SnapshotRepository:
         self._append_blockfile(day)
         return self._series.counts_view(day)
 
-    def append_counts(
-        self, day: dt.date, counts: Mapping[str, int], ptrs: Optional[Set[str]] = None
-    ) -> Mapping[str, int]:
-        """Append an externally supplied count column for ``day``."""
-        self._series._ingest_day(day, dict(counts), set(ptrs or ()))
+    def append_counts(self, day: dt.date, counts: Mapping[str, int]) -> Mapping[str, int]:
+        """Append an externally supplied count column for ``day``.
+
+        The day carries no records: reads derive them from the world.
+        """
+        self._series._ingest_day(day, dict(counts), None)
         self._append_blockfile(day)
         return self._series.counts_view(day)
 

@@ -352,7 +352,9 @@ class LeakService:
         held = self.window.days
         for day in days:
             if day not in held:
-                self.window.add_day(day, series.records_on(day))
+                # Integer addresses straight from the record columns:
+                # hashing IPv4Address objects would dominate the fold.
+                self.window.add_day(day, series.record_pairs(day))
         for day in held:
             if day not in days:
                 self.window.retract_day(day)

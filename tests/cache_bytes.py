@@ -3,13 +3,12 @@
 Equivalence tests (serial vs parallel, sharded vs unsharded, cold vs
 warm cache) compare series by the exact bytes a
 :class:`~repro.scan.cache.SnapshotCache` entry holds for them: the
-``.rbf`` blockfile plus the document metadata that is not derived from
-the blockfile itself.
+``.rbf`` blockfile (counts, PTR pool and record columns, through the
+same call ``store_series`` makes) plus the document metadata that is
+not derived from the blockfile itself.
 """
 
 import json
-
-from repro.scan.blockfile import encode_records
 
 #: The cache document fields that describe the series (the rest name
 #: and checksum the sidecar).
@@ -20,5 +19,5 @@ def series_bytes(series) -> bytes:
     """Canonical metadata JSON, a newline, then the blockfile bytes."""
     document = series.to_cache_payload("", "", 0)
     metadata = {field: document[field] for field in METADATA_FIELDS}
-    blob = encode_records(*series.blockfile_parts(), series.sorted_unique_ptrs())
+    blob = series.encode_blockfile()
     return json.dumps(metadata, sort_keys=True).encode("utf-8") + b"\n" + blob

@@ -1,4 +1,4 @@
-"""Unit tests for the binary blockfile container (dataset format v4)."""
+"""Unit tests for the binary blockfile container (the snapshot cache sidecar)."""
 
 import mmap
 import struct
@@ -91,7 +91,7 @@ class TestPtrRecords:
             # The count is answered from record headers alone...
             assert reader._ptr_spans and reader.unique_ptr_count == 3
             # ...and decoding happens only on request.
-            assert reader.unique_ptrs() == set(self.PTRS)
+            assert reader.ptr_names() == self.PTRS
             assert reader.verify() == 4  # prefixes + ptrs + 2 days
 
     def test_ptr_count_mismatch_rejected_on_decode(self, tmp_path):
@@ -110,13 +110,13 @@ class TestPtrRecords:
         path.write_bytes(bytes(blob))
         with BlockFileReader.open(path) as reader:
             with pytest.raises(BlockFileError, match="declares 99 strings"):
-                reader.unique_ptrs()
+                reader.ptr_names()
 
     def test_no_ptr_record_reads_as_empty(self, tmp_path):
         path = write_sample(tmp_path / "sample.rbf")
         with BlockFileReader.open(path) as reader:
             assert reader.unique_ptr_count == 0
-            assert reader.unique_ptrs() == set()
+            assert reader.ptr_names() == []
 
 
 class TestAppend:
@@ -213,3 +213,77 @@ class TestCorruption:
     def test_missing_file_raises_blockfile_error(self, tmp_path):
         with pytest.raises(BlockFileError, match="cannot open"):
             BlockFileReader.open(tmp_path / "absent.rbf")
+
+
+class TestRecordColumns:
+    # Pool order is id order, not sorted order.
+    PTRS = ["c.isp.example", "a.campus.example", "b.campus.example"]
+    RECORDS = [
+        (DAYS[0], [0x0A000005, 0x0A000002, 0x0A000005], [2, 0, 2]),
+        (DAYS[1], [0x0A000101], [1]),
+    ]
+
+    def write(self, path, records=None):
+        records = self.RECORDS if records is None else records
+        path.write_bytes(
+            encode_records(PREFIXES, DAYS, COLUMNS, TOTALS, self.PTRS, records)
+        )
+        return path
+
+    def test_round_trip_is_lazy_and_ordered(self, tmp_path):
+        path = self.write(tmp_path / "records.rbf")
+        with BlockFileReader.open(path) as reader:
+            assert reader.unique_ptr_count == 3
+            assert reader.ptr_names() == self.PTRS
+            for ordinal, addresses, ids in self.RECORDS:
+                stored_addresses, stored_ids = reader.day_records(ordinal)
+                assert stored_addresses.tolist() == addresses
+                assert stored_ids.tolist() == ids
+            assert reader.verify() == 6  # prefixes + ptrs + 2 days + 2 records
+
+    def test_day_without_records_reads_as_none(self, tmp_path):
+        path = self.write(tmp_path / "records.rbf", records=self.RECORDS[:1])
+        with BlockFileReader.open(path) as reader:
+            assert reader.day_records(DAYS[1]) is None
+
+    def test_torn_body_rejected_at_open(self, tmp_path):
+        path = self.write(tmp_path / "records.rbf")
+        blob = path.read_bytes()
+        # The last record is DAYS[1]'s one-record RECORDS: 8 body bytes.
+        path.write_bytes(blob[: len(blob) - ALIGNMENT + 4])
+        with pytest.raises(BlockFileError, match="truncated"):
+            BlockFileReader.open(path)
+
+    def test_flipped_body_bit_caught_by_verify(self, tmp_path):
+        path = self.write(tmp_path / "records.rbf")
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) - ALIGNMENT] ^= 0x01  # the last record's address
+        path.write_bytes(bytes(blob))
+        with BlockFileReader.open(path) as reader:
+            with pytest.raises(BlockFileError, match="record columns body checksum"):
+                reader.verify()
+
+    def test_out_of_range_id_rejected_at_open(self, tmp_path):
+        path = self.write(
+            tmp_path / "records.rbf", records=[(DAYS[0], [0x0A000005], [3])]
+        )
+        with pytest.raises(BlockFileError, match="outside the 3-name pool"):
+            BlockFileReader.open(path)
+
+    def test_records_for_unknown_day_rejected_at_open(self, tmp_path):
+        path = self.write(tmp_path / "records.rbf", records=[(DAYS[1] + 5, [1], [0])])
+        with pytest.raises(BlockFileError, match="has no day record"):
+            BlockFileReader.open(path)
+
+    def test_body_length_must_match_record_count(self, tmp_path):
+        path = self.write(tmp_path / "records.rbf")
+        blob = bytearray(path.read_bytes())
+        # Re-seal the last record header with aux2 (record count) = 2.
+        offset = len(blob) - ALIGNMENT - 64
+        head = bytearray(blob[offset : offset + 64])
+        struct.pack_into("<Q", head, 32, 2)
+        struct.pack_into("<I", head, 56, zlib.crc32(bytes(head[:56])))
+        blob[offset : offset + 64] = head
+        path.write_bytes(bytes(blob))
+        with pytest.raises(BlockFileError, match="declares 2 records"):
+            BlockFileReader.open(path)

@@ -142,3 +142,58 @@ class TestClearSweepsOrphans:
     def test_clear_on_missing_root(self, tmp_path):
         cache = SnapshotCache(tmp_path / "never-created")
         assert cache.clear() == 0
+
+
+class TestCorruptRecordColumns:
+    """A sidecar whose record columns are structurally bad is caught
+    when the cache opens it: the entry is counted corrupt, deleted and
+    recollected, never decoded halfway through a study."""
+
+    @staticmethod
+    def tear(sidecar):
+        blob = sidecar.read_bytes()
+        # The last record is the last day's RECORDS: cut inside its body.
+        sidecar.write_bytes(blob[: len(blob) - 64 - 16])
+
+    @staticmethod
+    def point_past_pool(sidecar):
+        import numpy as np
+
+        from repro.scan.blockfile import BlockFileReader, encode_records
+
+        with BlockFileReader.open(sidecar) as reader:
+            pool = reader.ptr_names()
+            columns = [np.array(column) for column in reader.columns]
+            records = [
+                (ordinal, *(np.array(part) for part in reader.day_records(ordinal)))
+                for ordinal in reader.days
+            ]
+            parts = (list(reader.prefixes), list(reader.days), columns, list(reader.totals))
+        records[-1][2][0] = len(pool)  # CRCs stay valid; only the id is wrong
+        sidecar.write_bytes(encode_records(*parts, pool, records))
+
+    @pytest.mark.parametrize("damage", ["tear", "point_past_pool"])
+    def test_bad_records_repaired_as_a_miss(self, tmp_path, damage):
+        import datetime as dt
+
+        from repro.netsim.internet import WorldScale, build_world
+        from repro.scan.snapshot import SnapshotCollector
+        from tests.cache_bytes import series_bytes
+
+        start, end = dt.date(2021, 1, 1), dt.date(2021, 1, 4)
+        world = build_world(seed=3, scale=WorldScale.small())
+        cache = SnapshotCache(tmp_path)
+        collector = SnapshotCollector.openintel_style(world.internet)
+        original = series_bytes(collector.collect(start, end, cache=cache))
+        key = collector.last_metrics.cache_key
+        getattr(self, damage)(cache.blockfile_path_for(key))
+
+        series = collector.collect(start, end, cache=cache)
+        assert not collector.last_metrics.cache_hit
+        assert cache.corrupt_entries == 1
+        assert collector.last_metrics.cache_stored  # recollected and rewritten
+        assert series_bytes(series) == original
+
+        collector.collect(start, end, cache=cache)
+        assert collector.last_metrics.cache_hit
+        assert cache.corrupt_entries == 1

@@ -69,15 +69,28 @@ class TestPublishConsume:
 class TestDayChunks:
     def test_round_trip_preserves_order(self):
         results = [
-            (738156, {"10.0.1.0/24": 3, "10.0.0.0/24": 1}, {"a.ptr", "b.ptr"}),
-            (738157, {"10.0.0.0/24": 2, "10.0.2.0/24": 9}, set()),
+            (
+                738156,
+                {"10.0.1.0/24": 3, "10.0.0.0/24": 1},
+                [(0x0A000105, "b.ptr"), (0x0A000001, "a.ptr"), (0x0A000001, "a.ptr")],
+            ),
+            (738157, {"10.0.0.0/24": 2, "10.0.2.0/24": 9}, [(0x0A000002, "a.ptr")]),
+            (738158, {}, []),
         ]
         blob = transport.pack_day_chunk(results)
         unpacked = transport.unpack_day_chunk(memoryview(blob))
         assert unpacked == results
-        # Dict insertion order — the interning anchor — survives.
+        # Dict insertion order — the interning anchor — survives, and
+        # so does the record walk, duplicates included.
         assert list(unpacked[0][1]) == ["10.0.1.0/24", "10.0.0.0/24"]
         assert list(unpacked[1][1]) == ["10.0.0.0/24", "10.0.2.0/24"]
+
+    def test_hostnames_cross_once_per_chunk(self):
+        day = [(0x0A000001 + index, f"host-{index}.example.net") for index in range(50)]
+        one = len(transport.pack_day_chunk([(738156, {}, day)]))
+        two = len(transport.pack_day_chunk([(738156, {}, day), (738157, {}, day)]))
+        # The second day adds its ordinal and four u32 columns, not the names.
+        assert two - one < 8 * len(day) + 64
 
     def test_empty_chunk(self):
         assert transport.unpack_day_chunk(
