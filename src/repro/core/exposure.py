@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.names import GivenNameMatcher
-from repro.core.terms import extract_terms, is_router_level
-from repro.datasets.terms import DEVICE_TERMS
+from repro.core.terms import device_terms_in, is_router_level
 from repro.netsim.simtime import date_of
 from repro.scan.observations import RdnsObservation
 
@@ -97,8 +96,7 @@ class ExposureAuditor:
             if self.matcher.matches(hostname):
                 if hostname not in named:
                     named.append(hostname)
-            terms = set(extract_terms(hostname))
-            if any(term in terms or term in hostname for term in DEVICE_TERMS):
+            if device_terms_in(hostname):
                 if hostname not in device_termed:
                     device_termed.append(hostname)
 

@@ -4,7 +4,10 @@ Starting from /24s flagged by the dynamicity heuristic, the pipeline:
 
 1. keeps PTR records inside dynamic /24s;
 2. excludes router-level records (generic location/interface terms);
-3. matches the rest against the given-name list;
+3. matches the rest against the given-name list, and notes the
+   Figure-3 device terms each record carries (both are lower-cased
+   substring tests: :meth:`GivenNameMatcher.match` and
+   :func:`~repro.core.terms.device_terms_in`);
 4. aggregates per hostname suffix: record count, uniquely matched
    names, and their ratio;
 5. selects suffixes with at least ``min_unique_names`` unique matches
@@ -28,12 +31,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, KeysView, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, KeysView, List, Optional, Set, Tuple
 
-from repro.core.automaton import AhoCorasick
 from repro.core.names import GivenNameMatcher
-from repro.core.terms import extract_terms, hostname_suffix, is_router_level
-from repro.datasets.terms import DEVICE_TERMS
+from repro.core.terms import device_terms_in, hostname_suffix, is_router_level
 from repro.netsim.network import slash24_of
 
 
@@ -121,18 +122,9 @@ class LeakIdentifier:
         self,
         matcher: GivenNameMatcher = None,
         thresholds: LeakThresholds = LeakThresholds(),
-        *,
-        device_terms: Sequence[str] = tuple(DEVICE_TERMS),
     ):
         self.matcher = matcher or GivenNameMatcher()
         self.thresholds = thresholds
-        self.device_terms = list(device_terms)
-        self._term_set = frozenset(self.device_terms)
-        # Substring-eligible terms (>= 3 chars) compile into one
-        # automaton: a single pass per hostname instead of a loop over
-        # the whole device-term lexicon.
-        substring_terms = [term for term in self.device_terms if len(term) >= 3]
-        self._term_automaton = AhoCorasick(substring_terms) if substring_terms else None
 
     def identify(
         self,
@@ -157,16 +149,8 @@ class LeakIdentifier:
             return None
         suffix = None if is_router_level(hostname) else hostname_suffix(hostname)
         # Tuples, not sets: the window memoises one verdict per hostname.
-        terms = self._device_terms_in(hostname)
+        terms = device_terms_in(hostname)
         return tuple(sorted(names)), tuple(sorted(terms)), suffix
-
-    def _device_terms_in(self, hostname: str) -> Set[str]:
-        found = set(extract_terms(hostname)) & self._term_set
-        # 'galaxy-note9' tokenises to {'galaxy', 'note'}; multi-token
-        # device terms are matched as substrings of the whole hostname.
-        if self._term_automaton is not None:
-            found |= self._term_automaton.find_unique(hostname.lower())
-        return found
 
 
 class _Partial:

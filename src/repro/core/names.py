@@ -6,13 +6,11 @@ Hostnames "contain" a given name when the name appears as a substring
 names of at least three characters are considered, mirroring the
 paper's note that shorter terms "add a lot of noise".
 
-Matching runs on a compiled :class:`~repro.core.automaton.AhoCorasick`
-automaton: one pass per hostname regardless of how many thousand names
-are loaded, where the historic implementation looped ``name in
-hostname`` over the whole list.  Results are identical to the
-substring loop (the property tests in ``tests/core/test_automaton.py``
-pin this), and longest-first tie-breaking for :meth:`first_match` is
-preserved.
+The list is the 50 popular given names of
+:data:`~repro.datasets.names.TOP_GIVEN_NAMES`, so a plain ``name in
+hostname`` loop over it is all the matching there is: fifty substring
+tests run in C are cheaper per hostname than a multi-pattern
+matcher stepped one character at a time in Python.
 """
 
 from __future__ import annotations
@@ -20,18 +18,20 @@ from __future__ import annotations
 from collections import Counter
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
 
-from repro.core.automaton import AhoCorasick
 from repro.datasets.names import TOP_GIVEN_NAMES
+
+#: Names shorter than this are dropped as too noisy.
+MIN_NAME_LENGTH = 3
 
 
 class GivenNameMatcher:
     """Finds given names contained in hostnames."""
 
-    def __init__(self, names: Sequence[str] = tuple(TOP_GIVEN_NAMES), *, min_length: int = 3):
+    def __init__(self, names: Sequence[str] = tuple(TOP_GIVEN_NAMES)):
         cleaned = []
         for name in names:
             name = name.lower().strip()
-            if len(name) >= min_length:
+            if len(name) >= MIN_NAME_LENGTH:
                 cleaned.append(name)
         if not cleaned:
             raise ValueError("no usable names after the length filter")
@@ -41,21 +41,28 @@ class GivenNameMatcher:
         # on hash-randomised set order).
         self.names: List[str] = sorted(set(cleaned), key=lambda name: (-len(name), name))
         self._name_set: FrozenSet[str] = frozenset(self.names)
-        self._automaton = AhoCorasick(self.names)
 
     def match(self, hostname: str) -> Set[str]:
-        """All names contained in ``hostname`` (lower-cased substring)."""
-        return self._automaton.find_unique(hostname.lower())
+        """All names contained in ``hostname`` (lower-cased substring).
+
+        >>> sorted(GivenNameMatcher(["jack", "jackson", "ville"]).match("Jacksonville.example.net"))
+        ['jack', 'jackson', 'ville']
+        """
+        hostname = hostname.lower()
+        return {name for name in self.names if name in hostname}
 
     def matches(self, hostname: str) -> bool:
-        return self._automaton.contains_any(hostname.lower())
+        hostname = hostname.lower()
+        return any(name in hostname for name in self.names)
 
     def first_match(self, hostname: str) -> Optional[str]:
-        """The longest name contained in ``hostname``, or None."""
-        found = self._automaton.find_unique(hostname.lower())
-        if not found:
-            return None
-        return min(found, key=lambda name: (-len(name), name))
+        """The longest name contained in ``hostname``, or None.
+
+        >>> GivenNameMatcher(["jack", "jackson", "ville"]).first_match("jacksonville.example.net")
+        'jackson'
+        """
+        hostname = hostname.lower()
+        return next((name for name in self.names if name in hostname), None)
 
     def count_matches(self, hostnames: Iterable[str]) -> Counter:
         """Per-name count of hostnames containing each name (Figure 2)."""

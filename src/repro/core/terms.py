@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import FrozenSet, Iterable, List
+from typing import FrozenSet, Iterable, List, Set
 
-from repro.datasets.terms import GENERIC_ROUTER_TERMS
+from repro.datasets.terms import DEVICE_TERMS, GENERIC_ROUTER_TERMS
 
 _WORD_RE = re.compile(r"[a-z]+")
 
@@ -44,6 +44,19 @@ def extract_terms(hostname: str, *, min_length: int = 1) -> List[str]:
     if min_length > 1:
         terms = [term for term in terms if len(term) >= min_length]
     return terms
+
+
+def device_terms_in(hostname: str) -> Set[str]:
+    """The Figure-3 device terms contained in a hostname (lower-cased substring).
+
+    Substrings, not :func:`extract_terms` tokens: ``samsunggalaxytab``
+    is one token, yet it names a *galaxy*.
+
+    >>> sorted(device_terms_in("brians-galaxy-note9.campus.example.edu"))
+    ['galaxy']
+    """
+    hostname = hostname.lower()
+    return {term for term in DEVICE_TERMS if term in hostname}
 
 
 def hostname_suffix(hostname: str, *, extra_levels: int = 1) -> str:

@@ -3,8 +3,6 @@
 import datetime as dt
 import ipaddress
 
-import pytest
-
 from repro.core.exposure import ExposureAuditor, audit_by_network
 from repro.dns.resolver import ResolutionStatus
 from repro.netsim.simtime import HOUR, from_date
@@ -78,6 +76,13 @@ class TestExposureAuditor:
         report = ExposureAuditor().audit(rows)
         assert report.identity_score == 1.0
         assert report.device_term_hostnames
+
+    def test_upper_case_device_terms_count_as_identity(self):
+        # The leak identifier finds 'galaxy' here; the audit must agree.
+        hostname = "SAMSUNGGALAXYTAB.dyn.example.net"
+        report = ExposureAuditor().audit([obs(0, 9, "10.0.0.1", hostname)])
+        assert report.identity_score == 1.0
+        assert report.device_term_hostnames == (hostname,)
 
     def test_single_day_window_has_no_dynamics_signal(self):
         rows = [obs(0, 9, "10.0.0.1", "brians-iphone.x.example")]

@@ -20,14 +20,16 @@ time them as the baseline side:
 * :func:`reference_identify` — the record-at-a-time Section 5.1
   drill-down, against which the fold of
   :class:`~repro.core.leaks.LeakWindow` (and so
-  :meth:`~repro.core.leaks.LeakIdentifier.identify`) is checked.
+  :meth:`~repro.core.leaks.LeakIdentifier.identify`) is checked;
+* :func:`naive_find_unique` — the patterns occurring in a text, against
+  which :class:`~repro.core.names.GivenNameMatcher` is checked.
 """
 
 import heapq
 import ipaddress
 import random
 from collections import Counter
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.dynamicity import (
     DailyCounts,
@@ -38,7 +40,7 @@ from repro.core.dynamicity import (
     _effective_min_transitions,
 )
 from repro.core.leaks import LeakIdentifier, LeakReport, SuffixStats
-from repro.core.terms import hostname_suffix, is_router_level
+from repro.core.terms import device_terms_in, hostname_suffix, is_router_level
 from repro.datasets.names import name_popularity_weights
 from repro.netsim.engine import (
     _AT,
@@ -169,8 +171,8 @@ def reference_identify(
     records: Iterable[Tuple[object, str]],
     dynamic_24s: Iterable[str],
 ) -> LeakReport:
-    """Steps 1-6 one record at a time, with ``identifier``'s matcher,
-    device terms and thresholds.  Every record counts, so pass
+    """Steps 1-6 one record at a time, with ``identifier``'s matcher
+    and thresholds.  Every record counts, so pass
     deduplicated records to compare with the fold."""
     dynamic = set(dynamic_24s)
     suffix_stats: Dict[str, SuffixStats] = {}
@@ -181,7 +183,7 @@ def reference_identify(
         matched = identifier.matcher.match(hostname)
         if matched:
             all_names.update(matched)
-            all_terms.update(identifier._device_terms_in(hostname))
+            all_terms.update(device_terms_in(hostname))
         if slash24_of(address) not in dynamic:
             continue  # step 1: only dynamic space can identify
         if is_router_level(hostname):
@@ -195,7 +197,7 @@ def reference_identify(
         stats.records += 1
         stats.unique_names.update(matched)
         stats.name_counts.update(matched)
-        stats.device_term_counts.update(identifier._device_terms_in(hostname))
+        stats.device_term_counts.update(device_terms_in(hostname))
 
     identified = sorted(
         suffix
@@ -269,3 +271,8 @@ def enumerated_vanity_entries(prefix: str, suffix: str, rng: random.Random, *, c
         label = style.format(name=name, n=rng.randrange(1, 99))
         entries.append((addresses[index], f"{label}.{suffix}"))
     return entries
+
+
+def naive_find_unique(patterns: Iterable[str], text: str) -> FrozenSet[str]:
+    """The distinct patterns occurring anywhere in ``text`` (case-sensitive)."""
+    return frozenset(pattern for pattern in patterns if pattern in text)

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import repro.core.names
 import repro.core.terms
 import repro.dns.name
 import repro.dns.records
@@ -12,6 +13,7 @@ import repro.netsim.simtime
 import repro.reporting.tables
 
 MODULES = [
+    repro.core.names,
     repro.core.terms,
     repro.dns.name,
     repro.dns.records,
