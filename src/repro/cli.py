@@ -37,7 +37,7 @@ import argparse
 import datetime as dt
 import pathlib
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core import DeviceTracker, HeistPlanner, audit_by_network
 from repro.core.pipeline import ReproductionStudy, StudyConfig
@@ -719,20 +719,69 @@ def _read_cache_entry(cache, key: str):
         return None
 
 
-def cmd_cache(args, out) -> int:
+def _verify_cache_entry(cache, key: str, detail) -> Tuple[str, bool]:
+    """One entry's ``repro cache verify`` line, and whether it failed.
+
+    ``detail(reader, record_count)`` describes a healthy sidecar.
+    """
     import hashlib
 
     from repro.scan.blockfile import BlockFileError, BlockFileReader
     from repro.scan.cache import is_current
 
-    cache = _snapshot_cache(args) or SnapshotCache()
-    keys = cache.entries()
+    label = f"  {key[:12]}…"
+    payload = _read_cache_entry(cache, key)
+    if payload is None:
+        return f"{label} ERROR: unreadable JSON document", True
+    version = payload.get("version")
+    if not is_current(payload):
+        return f"{label} v{version} stale (the next run recomputes it)", False
+    path = cache.root / payload.get("blockfile", f"{key}.rbf")
+    try:
+        blob = path.read_bytes()
+    except OSError as error:
+        return f"{label} ERROR: missing sidecar ({error})", True
+    expected = payload.get("blockfile_sha256")
+    if expected is not None and hashlib.sha256(blob).hexdigest() != expected:
+        return f"{label} ERROR: sidecar SHA-256 mismatch", True
+    try:
+        with BlockFileReader.open(path) as reader:
+            summary = detail(reader, reader.verify())
+    except BlockFileError as error:
+        return f"{label} ERROR: {error}", True
+    return (
+        f"{label} v{version} OK ({summary}, {len(blob):,} bytes, CRCs + SHA-256 good)",
+        False,
+    )
+
+
+def cmd_cache(args, out) -> int:
+    # (label, cache, inspect column, its value, verify detail) per cache.
+    sections = [
+        (
+            "snapshot",
+            _snapshot_cache(args) or SnapshotCache(),
+            "Days",
+            lambda payload: len(payload.get("days", ())),
+            lambda reader, records: f"{len(reader.days)} day(s)",
+        ),
+        (
+            "campaign",
+            _campaign_cache(args) or CampaignCache(),
+            "Networks",
+            lambda payload: len(payload.get("targets_by_network", ())),
+            lambda reader, records: f"{records} record(s)",
+        ),
+    ]
 
     if args.action == "inspect":
-        print(f"snapshot cache {cache.root}: {len(keys)} entry(ies)", file=out)
-        if keys:
+        for label, cache, column, value, _ in sections:
+            keys = cache.entries()
+            print(f"{label} cache {cache.root}: {len(keys)} entry(ies)", file=out)
+            if not keys:
+                continue
             table = TextTable(
-                ["Key", "Version", "Days", "Blockfile", "Bytes"],
+                ["Key", "Version", column, "Blockfile", "Bytes"],
                 aligns=["<", ">", ">", "<", ">"],
             )
             for key in keys:
@@ -744,80 +793,28 @@ def cmd_cache(args, out) -> int:
                     [
                         key[:12] + "…",
                         payload.get("version", "-"),
-                        len(payload.get("days", ())),
+                        value(payload),
                         payload.get("blockfile", "-"),
                         payload.get("blockfile_bytes", "-"),
-                    ]
-                )
-            print(table.render(), file=out)
-        campaign = _campaign_cache(args) or CampaignCache()
-        campaign_keys = campaign.entries()
-        print(
-            f"campaign cache {campaign.root}: {len(campaign_keys)} entry(ies)",
-            file=out,
-        )
-        if campaign_keys:
-            table = TextTable(["Key", "Version", "Networks"], aligns=["<", ">", ">"])
-            for key in campaign_keys:
-                payload = _read_cache_entry(campaign, key)
-                if payload is None:
-                    table.add_row([key[:12] + "…", "corrupt", "-"])
-                    continue
-                table.add_row(
-                    [
-                        key[:12] + "…",
-                        payload.get("version", "-"),
-                        len(payload.get("targets_by_network", ())),
                     ]
                 )
             print(table.render(), file=out)
         return 0
 
     failures = 0
-    for key in keys:
-        payload = _read_cache_entry(cache, key)
-        if payload is None:
-            print(f"  {key[:12]}… ERROR: unreadable JSON document", file=out)
-            failures += 1
-            continue
-        version = payload.get("version")
-        if not is_current(payload):
-            print(
-                f"  {key[:12]}… v{version} stale (the next run recomputes it)",
-                file=out,
-            )
-            continue
-        path = cache.root / payload.get("blockfile", f"{key}.rbf")
-        try:
-            blob = path.read_bytes()
-        except OSError as error:
-            print(f"  {key[:12]}… ERROR: missing sidecar ({error})", file=out)
-            failures += 1
-            continue
-        digest = hashlib.sha256(blob).hexdigest()
-        expected = payload.get("blockfile_sha256")
-        if expected is not None and digest != expected:
-            print(f"  {key[:12]}… ERROR: sidecar SHA-256 mismatch", file=out)
-            failures += 1
-            continue
-        try:
-            with BlockFileReader.open(path) as reader:
-                reader.verify()
-                day_count = len(reader.days)
-        except BlockFileError as error:
-            print(f"  {key[:12]}… ERROR: {error}", file=out)
-            failures += 1
-            continue
+    for _, cache, _, _, detail in sections:
+        keys = cache.entries()
+        cache_failures = 0
+        for key in keys:
+            line, failed = _verify_cache_entry(cache, key, detail)
+            print(line, file=out)
+            cache_failures += failed
         print(
-            f"  {key[:12]}… v{version} OK "
-            f"({day_count} day(s), {len(blob):,} bytes, CRCs + SHA-256 good)",
+            f"verified {len(keys)} entry(ies) in {cache.root}: "
+            f"{cache_failures} failure(s)",
             file=out,
         )
-    print(
-        f"verified {len(keys)} entry(ies) in {cache.root}: "
-        f"{failures} failure(s)",
-        file=out,
-    )
+        failures += cache_failures
     return 1 if failures else 0
 
 

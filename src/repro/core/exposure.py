@@ -80,8 +80,9 @@ class ExposureAuditor:
         hostnames_by_address: Dict[object, Set[str]] = defaultdict(set)
         days_by_pair: Dict[Tuple[object, str], Set[dt.date]] = defaultdict(set)
         presence_by_address: Dict[object, Set[dt.date]] = defaultdict(set)
-        named: List[str] = []
-        device_termed: List[str] = []
+        # Insertion-ordered dicts: first-seen order, O(1) de-duplication.
+        named: Dict[str, None] = {}
+        device_termed: Dict[str, None] = {}
         client_hostnames: Set[str] = set()
 
         for obs in ok_observations:
@@ -94,11 +95,9 @@ class ExposureAuditor:
                 continue
             client_hostnames.add(hostname)
             if self.matcher.matches(hostname):
-                if hostname not in named:
-                    named.append(hostname)
+                named[hostname] = None
             if device_terms_in(hostname):
-                if hostname not in device_termed:
-                    device_termed.append(hostname)
+                device_termed[hostname] = None
 
         if not ok_observations:
             return ExposureReport(0, 0.0, 0.0, 0.0, (), ())
@@ -111,14 +110,14 @@ class ExposureAuditor:
             identity_score=identity,
             dynamics_score=dynamics,
             trackability_score=trackability,
-            named_hostnames=tuple(named[: self.sample_limit]),
-            device_term_hostnames=tuple(device_termed[: self.sample_limit]),
+            named_hostnames=tuple(named)[: self.sample_limit],
+            device_term_hostnames=tuple(device_termed)[: self.sample_limit],
         )
 
     def _identity_score(self, client_hostnames, named, device_termed) -> float:
         if not client_hostnames:
             return 0.0
-        carrying = {h for h in named} | {h for h in device_termed}
+        carrying = named.keys() | device_termed.keys()
         return len(carrying & client_hostnames) / len(client_hostnames)
 
     def _dynamics_score(self, presence_by_address) -> float:

@@ -40,7 +40,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.netsim.simtime import HOUR, MINUTE, DAY
 

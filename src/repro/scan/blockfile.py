@@ -1,12 +1,13 @@
-"""Binary, mmap-able columnar container for snapshot series.
+"""Binary, mmap-able columnar container: the one codec for column data.
 
-The snapshot cache's at-rest format (dataset format v5): counts and
-per-day PTR records live on disk exactly as the little-endian ``u32``
-words the :class:`~repro.scan.storage.CountMatrix` and the series'
-record columns hold in memory, padded to 64-byte boundaries, so a warm
-read is ``mmap`` plus ``numpy.frombuffer`` — memory bandwidth, not
-parse speed — and neither has to be resident at all for mmap-backed
-consumers.
+Every column-shaped data set crosses process and disk boundaries in
+this format (dataset format v6): snapshot cache sidecars, campaign
+cache sidecars, and the result blobs pool workers hand back through
+shared memory (:mod:`repro.scan.transport`).  Counts, per-day PTR
+records and campaign observations live on disk exactly as the
+little-endian words the in-memory columns hold, padded to 64-byte
+boundaries, so a warm read is ``mmap`` (or a shared-memory view) plus
+``numpy.frombuffer`` — memory bandwidth, not parse speed.
 
 On-disk layout (all integers little-endian)::
 
@@ -24,14 +25,18 @@ On-disk layout (all integers little-endian)::
 
     RECORD (header 64 bytes, 64-byte aligned, body immediately after)
       0   magic           4s   b"RBRC"
-      4   record_type     u16  1 = PREFIXES, 2 = DAY, 3 = PTRS, 4 = RECORDS
+      4   record_type     u16  1 = PREFIXES, 2 = DAY, 3 = PTRS, 4 = RECORDS,
+                               5 = ICMP, 6 = RDNS
       6   reserved        u16  0
       8   body_length     u64  exact body bytes (pre-padding)
       16  body_crc32      u32  crc32 of the body bytes
       20  reserved        u32  0
       24  aux1            u64  PREFIXES/PTRS: string count · DAY/RECORDS: day ordinal
-      32  aux2            u64  PREFIXES/PTRS: 0 · DAY: element count · RECORDS: record count
-      40  aux3            u64  PREFIXES/PTRS/RECORDS: 0 · DAY: column total
+                               · ICMP/RDNS: observation count
+      32  aux2            u64  PREFIXES/PTRS: 0 · DAY: element count · RECORDS: record
+                               count · ICMP/RDNS: network count
+      40  aux3            u64  PREFIXES/PTRS/RECORDS/ICMP: 0 · DAY: column total
+                               · RDNS: hostname count
       48  reserved        8x   zero
       56  header_crc32    u32  crc32 of record header bytes [0, 56)
       60  reserved        u32  0
@@ -55,6 +60,24 @@ id outside the pool fails at open), and nothing is decoded until
 pay for records or name parsing, while
 :attr:`BlockFileReader.unique_ptr_count` (from ``aux1``) stays O(1).
 
+``ICMP`` and ``RDNS`` records carry one campaign observation stream
+each (:class:`~repro.scan.storage.IcmpColumns`,
+:class:`~repro.scan.storage.RdnsColumns`) and always come in
+(ICMP, RDNS) pairs, one per network in a worker result and one for the
+merged dataset in a campaign sidecar.  An ICMP body is ``<i8``
+timestamps, ``<u4`` addresses and ``<u2`` network ids, then the
+network pool; an RDNS body is ``<i8`` timestamps, ``<u4`` addresses,
+``<u4`` hostname ids, ``<u2`` network ids and ``u1`` status ids, then
+the network pool, the hostname pool and the status table *by value*
+(so a reordered :class:`~repro.dns.resolver.ResolutionStatus` cannot
+corrupt a stored stream), all in one newline-joined UTF-8 block.  These
+bodies are always read whole, so :meth:`_scan` checks their CRC, their
+string counts and every id column's range at open.
+
+No string may contain a newline: :func:`encode_records` raises
+``ValueError`` naming the table rather than write a file that fails
+only when it is opened.
+
 Appending a day is "write new records at EOF": record headers carry
 their own CRC, so a reader that mapped the shorter file is untouched
 and a torn append is detected (and truncated away by
@@ -62,8 +85,8 @@ and a torn append is detected (and truncated away by
 ``repro cache verify``).
 
 Zero-copy views come from ``numpy.frombuffer`` over the mapping.  Both
-directions name the ``<u4`` dtype explicitly, so the bytes are
-little-endian on any host.
+directions name the little-endian dtypes explicitly, so the bytes are
+the same on any host.
 """
 from __future__ import annotations
 
@@ -77,6 +100,10 @@ from typing import BinaryIO, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.dns.resolver import ResolutionStatus
+
+from .storage import _STATUS_INDEX, _STATUSES, CountMatrix, IcmpColumns, RdnsColumns, _Interner
+
 MAGIC = b"RBF1"
 RECORD_MAGIC = b"RBRC"
 BLOCKFILE_VERSION = 1
@@ -88,6 +115,8 @@ RECORD_PREFIXES = 1
 RECORD_DAY = 2
 RECORD_PTRS = 3
 RECORD_RECORDS = 4
+RECORD_ICMP = 5
+RECORD_RDNS = 6
 
 #: How :meth:`BlockFileReader.verify` names each record type.
 _KIND = {
@@ -95,6 +124,25 @@ _KIND = {
     RECORD_DAY: "day column",
     RECORD_PTRS: "ptr table",
     RECORD_RECORDS: "record columns",
+    RECORD_ICMP: "ICMP columns",
+    RECORD_RDNS: "rDNS columns",
+}
+
+#: Each observation record's columns in body order: (dtype, store attribute).
+#: Widest first, so every column starts naturally aligned.
+_OBSERVATION_COLUMNS = {
+    RECORD_ICMP: (("<i8", "_ats"), ("<u4", "_addresses"), ("<u2", "_network_ids")),
+    RECORD_RDNS: (
+        ("<i8", "_ats"),
+        ("<u4", "_addresses"),
+        ("<u4", "_hostname_ids"),
+        ("<u2", "_network_ids"),
+        ("u1", "_status_ids"),
+    ),
+}
+_OBSERVATION_WIDTH = {
+    rtype: sum(np.dtype(dtype).itemsize for dtype, _ in layout)
+    for rtype, layout in _OBSERVATION_COLUMNS.items()
 }
 
 _HEADER = struct.Struct("<4sHHHHIQ32xI4x")
@@ -145,6 +193,14 @@ def _column_bytes(column: Sequence[int]) -> bytes:
     return np.asarray(column, dtype="<u4").tobytes()
 
 
+def _text(strings: Sequence[str], table: str) -> bytes:
+    """A string table as newline-joined UTF-8; no value may hold a newline."""
+    text = "\n".join(strings)
+    if text.count("\n") != max(len(strings) - 1, 0):
+        raise ValueError(f"{table}: a string contains a newline")
+    return text.encode("utf-8")
+
+
 def _write_record(
     out: io.BytesIO, record_type: int, body: bytes, aux1: int, aux2: int, aux3: int
 ) -> None:
@@ -153,30 +209,53 @@ def _write_record(
     out.write(b"\0" * _pad(len(body)))
 
 
+def _write_observations(out: io.BytesIO, record_type: int, store) -> None:
+    """One ICMP or RDNS record for an observation column store."""
+    parts = [
+        np.asarray(getattr(store, attribute), dtype=dtype).tobytes()
+        for dtype, attribute in _OBSERVATION_COLUMNS[record_type]
+    ]
+    strings = list(store._networks.values)
+    hostnames = 0
+    if record_type == RECORD_RDNS:
+        hostnames = len(store._hostnames.values)
+        strings += store._hostnames.values + [status.value for status in _STATUSES]
+    parts.append(_text(strings, f"{_KIND[record_type]} string pools"))
+    _write_record(
+        out, record_type, b"".join(parts), len(store), len(store._networks.values), hostnames
+    )
+
+
 def encode_records(
-    prefixes: Sequence[str],
-    days: Sequence[int],
-    columns: Sequence[Sequence[int]],
-    totals: Sequence[int],
+    prefixes: Sequence[str] = (),
+    days: Sequence[int] = (),
+    columns: Sequence[Sequence[int]] = (),
+    totals: Sequence[int] = (),
     ptrs: Optional[Sequence[str]] = None,
     records: Sequence[Tuple[int, Sequence[int], Sequence[int]]] = (),
+    observations: Sequence[Tuple[IcmpColumns, RdnsColumns]] = (),
 ) -> bytes:
-    """The full blockfile byte string for a matrix (header + records).
+    """The full blockfile byte string (header + records).
 
+    ``prefixes``/``days``/``columns``/``totals`` are a count matrix;
     ``ptrs`` is the PTR name pool in id order; ``records`` holds
-    ``(ordinal, addresses, ptr_ids)`` per day that has record columns.
+    ``(ordinal, addresses, ptr_ids)`` per day that has record columns;
+    ``observations`` holds ``(icmp, rdns)`` campaign streams, written
+    as ICMP/RDNS record pairs in order.  Raises ``ValueError`` naming
+    the table if any string contains a newline.
     """
     if len(days) != len(columns) or len(days) != len(totals):
         raise ValueError("days, columns and totals must be parallel sequences")
     out = io.BytesIO()
-    record_count = (1 if prefixes else 0) + (1 if ptrs else 0) + len(days) + len(records)
+    record_count = (
+        (1 if prefixes else 0) + (1 if ptrs else 0) + len(days) + len(records)
+        + 2 * len(observations)
+    )
     out.write(_pack_header(record_count))
     if prefixes:
-        body = "\n".join(prefixes).encode("utf-8")
-        _write_record(out, RECORD_PREFIXES, body, len(prefixes), 0, 0)
+        _write_record(out, RECORD_PREFIXES, _text(prefixes, "prefix table"), len(prefixes), 0, 0)
     if ptrs:
-        body = "\n".join(ptrs).encode("utf-8")
-        _write_record(out, RECORD_PTRS, body, len(ptrs), 0, 0)
+        _write_record(out, RECORD_PTRS, _text(ptrs, "ptr table"), len(ptrs), 0, 0)
     for ordinal, column, total in zip(days, columns, totals):
         body = _column_bytes(column)
         _write_record(out, RECORD_DAY, body, int(ordinal), len(column), int(total))
@@ -185,6 +264,9 @@ def encode_records(
             raise ValueError("record address and id columns must be parallel")
         body = _column_bytes(addresses) + _column_bytes(ptr_ids)
         _write_record(out, RECORD_RECORDS, body, int(ordinal), len(addresses), 0)
+    for icmp, rdns in observations:
+        _write_observations(out, RECORD_ICMP, icmp)
+        _write_observations(out, RECORD_RDNS, rdns)
     return out.getvalue()
 
 
@@ -200,7 +282,7 @@ def write_blockfile(
 
     The write goes to ``<path>.tmp`` and is published with
     ``os.replace`` — racing writers each publish a complete file and
-    the last rename wins, exactly like the JSON cache entries.
+    the last rename wins, exactly like the cache entries.
     """
     target = Path(path)
     blob = encode_records(prefixes, days, columns, totals, ptrs)
@@ -224,7 +306,7 @@ def append_day_records(
     """
     out = io.BytesIO()
     if new_prefixes:
-        body = "\n".join(new_prefixes).encode("utf-8")
+        body = _text(new_prefixes, "prefix table")
         _write_record(out, RECORD_PREFIXES, body, len(new_prefixes), 0, 0)
     body = _column_bytes(column)
     _write_record(out, RECORD_DAY, body, int(ordinal), len(column), int(total))
@@ -255,11 +337,13 @@ class BlockFileReader:
     out.  The reader object keeps the mapping alive; views taken
     from it remain valid for its lifetime (and, because
     ``numpy.frombuffer`` holds a reference to its buffer, beyond it).
+    :meth:`open` maps a file; :meth:`from_buffer` parses bytes already
+    in memory, such as a pool worker's result in shared memory.
     """
 
     def __init__(
         self,
-        path: Path,
+        path: Union[Path, str],
         buffer,
         mapping: Optional[mmap.mmap],
         handle: Optional[BinaryIO],
@@ -276,6 +360,9 @@ class BlockFileReader:
         self._ptr_spans: List[Tuple[int, int, int]] = []
         #: RECORDS spans by day ordinal: (body_offset, record count)
         self._record_spans: Dict[int, Tuple[int, int]] = {}
+        #: ICMP/RDNS records in file order: (record_type, body_offset,
+        #: body_len, observations, networks, hostnames)
+        self._observation_spans: List[Tuple[int, int, int, int, int, int]] = []
         #: (record_type, header_offset, body_offset, body_length, body_crc)
         self._records: List[Tuple[int, int, int, int, int]] = []
         self._scan()
@@ -319,7 +406,27 @@ class BlockFileReader:
             if mapping is None and handle is not None:
                 handle.close()
 
+    @classmethod
+    def from_buffer(cls, buffer) -> "BlockFileReader":
+        """Parse ``buffer`` (bytes or a memoryview) in place, validated as :meth:`open` does.
+
+        Views handed out point into ``buffer``; a caller that must
+        release it (a shared-memory segment) drops the reader and every
+        view first.
+        """
+        return cls("<buffer>", buffer, None, None)
+
     # -- validation ----------------------------------------------------
+
+    def _strings(self, body, count: int, kind: str) -> List[str]:
+        """Split a newline-joined UTF-8 table that declares ``count`` strings."""
+        strings = bytes(body).decode("utf-8").split("\n") if body or count else []
+        if len(strings) != count:
+            raise BlockFileError(
+                f"{self.path}: {kind} record declares {count} strings "
+                f"but carries {len(strings)}"
+            )
+        return strings
 
     def _scan(self) -> None:
         buf = self._buffer
@@ -370,20 +477,16 @@ class BlockFileReader:
                 raise BlockFileError(
                     f"{self.path}: record body truncated at offset {offset}"
                 )
-            if rtype == RECORD_PREFIXES:
-                body = bytes(buf[body_offset : body_offset + body_len])
-                if zlib.crc32(body) != body_crc:
+            if rtype in (RECORD_PREFIXES, RECORD_ICMP, RECORD_RDNS):
+                # Bodies that are always read whole are checked whole.
+                if zlib.crc32(buf[body_offset : body_offset + body_len]) != body_crc:
                     raise BlockFileError(
-                        f"{self.path}: prefix table checksum mismatch at "
+                        f"{self.path}: {_KIND[rtype]} checksum mismatch at "
                         f"offset {offset}"
                     )
-                strings = body.decode("utf-8").split("\n") if body else []
-                if len(strings) != aux1:
-                    raise BlockFileError(
-                        f"{self.path}: prefix record declares {aux1} strings "
-                        f"but carries {len(strings)}"
-                    )
-                self.prefixes.extend(strings)
+            if rtype == RECORD_PREFIXES:
+                body = buf[body_offset : body_offset + body_len]
+                self.prefixes.extend(self._strings(body, int(aux1), "prefix"))
             elif rtype == RECORD_DAY:
                 if body_len != 4 * aux2:
                     raise BlockFileError(
@@ -408,6 +511,8 @@ class BlockFileReader:
                         f"{self.path}: day ordinal {aux1} has two RECORDS records"
                     )
                 self._record_spans[int(aux1)] = (body_offset, int(aux2))
+            elif rtype in (RECORD_ICMP, RECORD_RDNS):
+                self._scan_observations(rtype, offset, body_offset, body_len, aux1, aux2, aux3)
             else:
                 raise BlockFileError(
                     f"{self.path}: unknown record type {rtype} at offset {offset}"
@@ -436,6 +541,48 @@ class BlockFileReader:
                     f"{self.path}: RECORDS for day ordinal {ordinal} name a PTR id "
                     f"outside the {pool}-name pool"
                 )
+        kinds = [span[0] for span in self._observation_spans]
+        if kinds != [RECORD_ICMP, RECORD_RDNS] * (len(kinds) // 2):
+            raise BlockFileError(
+                f"{self.path}: ICMP and RDNS records must alternate in pairs"
+            )
+
+    def _scan_observations(
+        self, rtype: int, offset: int, body_offset: int, body_len: int,
+        count: int, networks: int, hostnames: int,
+    ) -> None:
+        """Check one ICMP/RDNS record's shape, string counts and id ranges."""
+        where = f"{self.path}: {_KIND[rtype]} record at offset {offset}"
+        text_offset = body_offset + count * _OBSERVATION_WIDTH[rtype]
+        if text_offset > body_offset + body_len:
+            raise BlockFileError(
+                f"{where} declares {count} observations but {body_len} body bytes"
+            )
+        text = bytes(self._buffer[text_offset : body_offset + body_len])
+        statuses = (text.count(b"\n") + 1 if text else 0) - networks - hostnames
+        # ICMP pools only networks; RDNS appends a non-empty status table.
+        if statuses < 0 or bool(statuses) != (rtype == RECORD_RDNS):
+            raise BlockFileError(f"{where} carries the wrong number of pooled strings")
+        limits = {"_network_ids": networks, "_hostname_ids": hostnames, "_status_ids": statuses}
+        for (_, attribute), column in zip(
+            _OBSERVATION_COLUMNS[rtype], self._observation_views(rtype, body_offset, count)
+        ):
+            limit = limits.get(attribute)
+            if limit is not None and count and int(column.max()) >= limit:
+                raise BlockFileError(
+                    f"{where} has {attribute.strip('_')} outside its {limit}-string table"
+                )
+        self._observation_spans.append(
+            (rtype, body_offset, body_len, count, networks, hostnames)
+        )
+
+    def _observation_views(self, rtype: int, body_offset: int, count: int) -> List[np.ndarray]:
+        """Zero-copy views of one ICMP/RDNS record's columns, in body order."""
+        views = []
+        for dtype, _ in _OBSERVATION_COLUMNS[rtype]:
+            views.append(np.frombuffer(self._buffer, dtype=dtype, count=count, offset=body_offset))
+            body_offset += count * np.dtype(dtype).itemsize
+        return views
 
     def verify(self) -> int:
         """Check every body CRC; returns the record count on success."""
@@ -463,14 +610,8 @@ class BlockFileReader:
         """Decode the PTRS record bodies into the name pool, in id order."""
         names: List[str] = []
         for body_offset, body_len, count in self._ptr_spans:
-            body = bytes(self._buffer[body_offset : body_offset + body_len])
-            strings = body.decode("utf-8").split("\n") if body else []
-            if len(strings) != count:
-                raise BlockFileError(
-                    f"{self.path}: ptr record declares {count} strings "
-                    f"but carries {len(strings)}"
-                )
-            names.extend(strings)
+            body = self._buffer[body_offset : body_offset + body_len]
+            names.extend(self._strings(body, count, "ptr"))
         return names
 
     def day_records(self, ordinal: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -487,14 +628,41 @@ class BlockFileReader:
             _u32_view(self._buffer, body_offset + 4 * count, count),
         )
 
+    def observation_columns(self) -> List[Tuple[IcmpColumns, RdnsColumns]]:
+        """The ICMP/RDNS record pairs as ``(IcmpColumns, RdnsColumns)``, in file order.
+
+        Columns are copied out of the buffer into the stores' own
+        arrays, so nothing returned pins it.  Status ids are re-mapped
+        through the stored status table by value.
+        """
+        streams = []
+        for rtype, body_offset, body_len, count, networks, hostnames in self._observation_spans:
+            text_offset = body_offset + count * _OBSERVATION_WIDTH[rtype]
+            text = bytes(self._buffer[text_offset : body_offset + body_len]).decode("utf-8")
+            strings = text.split("\n") if text else []
+            store = IcmpColumns() if rtype == RECORD_ICMP else RdnsColumns()
+            store._networks = _Interner(strings[:networks])
+            views = self._observation_views(rtype, body_offset, count)
+            if rtype == RECORD_RDNS:
+                store._hostnames = _Interner(strings[networks : networks + hostnames])
+                try:
+                    table = [ResolutionStatus(value) for value in strings[networks + hostnames :]]
+                except ValueError as error:
+                    raise BlockFileError(f"{self.path}: {error}") from None
+                remap = np.array([_STATUS_INDEX[status] for status in table], dtype=np.uint8)
+                views[-1] = remap[views[-1]]
+            for (_, attribute), view in zip(_OBSERVATION_COLUMNS[rtype], views):
+                column = getattr(store, attribute)
+                column.frombytes(view.astype(column.typecode, copy=False).tobytes())
+            streams.append(store)
+        return list(zip(streams[0::2], streams[1::2]))
+
     def count_matrix(self):
         """The file's contents as a view-backed ``CountMatrix``.
 
         The matrix holds a reference to this reader, keeping the
         mapping alive for as long as any view column is reachable.
         """
-        from .storage import CountMatrix
-
         return CountMatrix.from_columns(
             self.prefixes, self.columns, self.totals, source=self
         )

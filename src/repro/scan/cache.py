@@ -4,9 +4,14 @@ Repeated studies and the benchmark harness re-simulate the same
 windows over and over; the caches make each simulation a one-time cost
 across processes and sessions.
 
-Layout: one JSON file per entry under the cache root, named by a
-SHA-256 **key** over everything that determines the entry's content.
-For snapshot series (:class:`SnapshotCache`):
+Layout: every entry is a *pair* of files under the cache root, named
+by a SHA-256 **key** over everything that determines the entry's
+content: a ``<key>.json`` metadata document and the ``<key>.rbf``
+sidecar blockfile (:mod:`repro.scan.blockfile`) it names, which holds
+the columns.  Both caches share the pair mechanics
+(:class:`_PairCache`): the sidecar is written before the document, a
+load validates the sidecar, and a bad half drops both.  For snapshot
+series (:class:`SnapshotCache`):
 
 * the world fingerprint (:meth:`repro.netsim.internet.Internet.cache_token`
   — covers the seed, scale and every network/subnet spec),
@@ -21,7 +26,7 @@ Key versioning is deliberately separate from payload versioning
 stored in, and :func:`is_current` — used only by this module's loaders
 and the ``repro cache`` tools — is the single place that judges it.  A
 stored payload of any other version is a miss: the entry is dropped
-(both halves of a snapshot pair) and the caller recomputes and rewrites
+(both halves of the pair) and the caller recomputes and rewrites
 it in the current format.  Entries are rebuildable local artefacts, so
 no older format is decoded or migrated.  Bumping :data:`FORMAT_VERSION`
 instead changes every key and orphans every existing entry.
@@ -51,8 +56,9 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.scan.blockfile import BlockFileError, BlockFileReader
 from repro.scan.storage import DATASET_FORMAT_VERSION
 
 #: Version of the cache *key* material.  Bump only when the keying
@@ -85,8 +91,15 @@ def is_current(payload) -> bool:
     return isinstance(payload, dict) and payload.get("version") == DATASET_FORMAT_VERSION
 
 
-class _JsonFileCache:
-    """Shared mechanics: one ``<key>.json`` per entry, atomic writes."""
+class _PairCache:
+    """Shared mechanics: a ``<key>.json`` document plus its ``<key>.rbf`` sidecar.
+
+    :meth:`store` writes the sidecar first and the document last — the
+    document's rename is the commit point, so a torn writer can only
+    leave an unreferenced sidecar behind, never a referenced-but-missing
+    one.  :meth:`load` validates the sidecar and repairs the whole
+    entry if either half is corrupt or missing.
+    """
 
     def __init__(self, root: pathlib.Path):
         self.root = root
@@ -108,58 +121,99 @@ class _JsonFileCache:
     def path_for(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.json"
 
+    def blockfile_path_for(self, key: str) -> pathlib.Path:
+        return self.root / f"{key}.rbf"
+
     # -- access --------------------------------------------------------------
 
     def load(self, key: str) -> Optional[dict]:
-        """The stored payload, or ``None`` on a miss, stale or corrupt entry.
+        """The stored document with its sidecar open, or ``None`` on a miss.
 
-        A corrupt entry (torn write, disk error, truncated JSON) is
-        *repaired*, not just skipped: the file is deleted and counted
-        in :attr:`corrupt_entries`, so the next :meth:`store` rewrites
-        it cleanly.  Leaving it in place meant every later run paid the
-        decode failure and re-fetched forever.  A stale entry (a payload
-        that is not :func:`is_current`) is dropped the same way and
-        counts as a plain miss.
+        The sidecar is opened once, here: its header, every record
+        header and the record columns' structure are checked, and so
+        are the CRCs of the bodies that are always decoded whole
+        (prefix tables and campaign observations).  Count and record
+        bodies are not hashed — that is
+        :meth:`~repro.scan.blockfile.BlockFileReader.verify`'s job,
+        exposed via ``repro cache verify``.  The document comes back
+        with ``payload["blockfile_path"]`` (the sidecar's absolute
+        path) and ``payload["blockfile_reader"]`` (the validated
+        reader, which the decoders use instead of opening it again).
+
+        A corrupt entry (torn write, disk error, truncated JSON, a
+        missing or structurally bad sidecar) is *repaired*, not just
+        skipped: both files are deleted and counted in
+        :attr:`corrupt_entries`, so the next :meth:`store` rewrites the
+        pair cleanly.  A stale entry (a document that is not
+        :func:`is_current`) is dropped the same way and counts as a
+        plain miss.
         """
-        path = self.path_for(key)
         try:
-            with path.open("r", encoding="utf-8") as handle:
+            with self.path_for(key).open("r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except FileNotFoundError:
             self.misses += 1
             return None
         except (json.JSONDecodeError, OSError):
-            self.corrupt_entries += 1
-            self.misses += 1
-            self.invalidate(key)
-            return None
+            return self._repair(key)
         if not is_current(payload):
             self.misses += 1
             self.invalidate(key)
             return None
+        path = self.root / payload.get("blockfile", f"{key}.rbf")
+        try:
+            reader = BlockFileReader.open(path)
+        except (BlockFileError, OSError):
+            return self._repair(key)
         self.hits += 1
+        payload["blockfile_path"] = str(path)
+        payload["blockfile_reader"] = reader
         return payload
 
-    def store(self, key: str, payload: dict) -> pathlib.Path:
-        """Atomically persist a payload (write-temp-then-rename).
+    def _repair(self, key: str) -> None:
+        self.corrupt_entries += 1
+        self.misses += 1
+        self.invalidate(key)
+        return None
 
-        Any failure between creating the temp file and the atomic
-        ``os.replace`` — unserialisable payload, full disk, the rename
-        itself — unlinks the partial ``*.tmp`` file (counted in
-        :attr:`tmp_cleanups`) before the exception propagates, so a
-        failed store can never leak temp files into the cache root.
+    def store(self, key: str, document: dict, blob: bytes) -> pathlib.Path:
+        """Persist ``blob`` as the sidecar and ``document`` as the entry.
+
+        The document is stored with the sidecar's name, size and
+        SHA-256 (checked by ``repro cache verify``).  Both halves are
+        write-temp-then-rename, so racing writers — who by construction
+        serialise identical bytes for a given key — each publish a
+        complete pair and the last rename wins.  Any failure on either
+        half — an unserialisable document, a full disk, the rename
+        itself — unlinks that half's ``*.tmp`` file (counted in
+        :attr:`tmp_cleanups`) before the exception propagates.
         :attr:`stores` counts *successful* stores only.
         """
         self.root.mkdir(parents=True, exist_ok=True)
+        sidecar = self.blockfile_path_for(key)
+        self._publish(sidecar, "wb", lambda handle: handle.write(blob))
+        document = {
+            **document,
+            "blockfile": sidecar.name,
+            "blockfile_sha256": hashlib.sha256(blob).hexdigest(),
+            "blockfile_bytes": len(blob),
+        }
         path = self.path_for(key)
+        self._publish(path, "w", lambda handle: json.dump(document, handle))
+        self.stores += 1
+        return path
+
+    def _publish(self, target: pathlib.Path, mode: str, write: Callable) -> None:
+        """Write ``target`` through a unique temp file and an atomic rename."""
+        encoding = None if "b" in mode else "utf-8"
         handle = tempfile.NamedTemporaryFile(
-            "w", dir=self.root, suffix=".tmp", delete=False, encoding="utf-8"
+            mode, dir=self.root, suffix=".tmp", delete=False, encoding=encoding
         )
         committed = False
         try:
             with handle:
-                json.dump(payload, handle)
-            os.replace(handle.name, path)
+                write(handle)
+            os.replace(handle.name, target)
             committed = True
         finally:
             if not committed:
@@ -168,27 +222,28 @@ class _JsonFileCache:
                     os.unlink(handle.name)
                 except OSError:
                     pass
-        self.stores += 1
-        return path
 
     # -- invalidation --------------------------------------------------------
 
     def invalidate(self, key: str) -> bool:
-        """Drop one entry; returns whether it existed."""
+        """Drop one entry — both halves; returns whether its document existed."""
         try:
             self.path_for(key).unlink()
-            return True
-        except FileNotFoundError:
-            return False
+            removed = True
         except OSError:
-            return False
+            removed = False
+        try:
+            self.blockfile_path_for(key).unlink()
+        except OSError:
+            pass
+        return removed
 
     def clear(self) -> int:
         """Drop everything; returns entries plus orphans removed.
 
         Each entry counts once regardless of how many files represent
-        it on disk (a snapshot pair's ``*.rbf`` sidecar is swept silently
-        with its ``*.json`` document).  Orphaned ``*.tmp`` files left
+        it on disk (an entry's ``*.rbf`` sidecar is swept silently with
+        its ``*.json`` document).  Orphaned ``*.tmp`` files left
         behind by writers that crashed between creating the temp file
         and the atomic rename count individually — they are leaks, not
         entries, and the old ``*.json``-only glob kept them forever.
@@ -246,99 +301,21 @@ class _JsonFileCache:
         )
 
 
-class SnapshotCache(_JsonFileCache):
+class SnapshotCache(_PairCache):
     """A content-keyed store of collected snapshot series.
 
-    An entry is a *pair* of files: the ``<key>.json`` document holds
-    the metadata (name, networks, days, totals) plus a pointer to a
-    ``<key>.rbf`` sidecar blockfile (:mod:`repro.scan.blockfile`)
-    carrying the prefix table, the raw count columns, the PTR name pool
-    and each day's record columns.  :meth:`store_series` writes the
-    pair (blockfile first, JSON last — the JSON rename is the commit
-    point, so a torn writer can only ever leave an unreferenced sidecar
-    behind, never a referenced-but-missing one).  :meth:`load` validates the sidecar's
-    header and record checksums and repairs the whole entry if either
-    half is corrupt or missing.
+    The ``<key>.json`` document holds the metadata (name, networks,
+    days, totals); the ``<key>.rbf`` sidecar carries the prefix table,
+    the raw count columns, the PTR name pool and each day's record
+    columns.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None):
         super().__init__(pathlib.Path(root) if root is not None else default_cache_root())
 
-    def blockfile_path_for(self, key: str) -> pathlib.Path:
-        return self.root / f"{key}.rbf"
-
-    def load(self, key: str) -> Optional[dict]:
-        """The stored payload, with the sidecar validated and resolved.
-
-        The sidecar blockfile is opened once to check its header and
-        per-record header checksums plus the record columns' structure
-        (record lengths, day ordinals, PTR ids inside the pool; bodies
-        are not hashed —
-        that is :meth:`~repro.scan.blockfile.BlockFileReader.verify`'s
-        job, exposed via ``repro cache verify``), and its absolute path
-        is injected as ``payload["blockfile_path"]`` for the decoder.
-        A missing or structurally corrupt sidecar repairs the entry
-        exactly like torn JSON: both files are deleted, the read counts
-        as a miss, and the next store rewrites the pair.
-        """
-        payload = super().load(key)
-        if payload is None:
-            return None
-        from .blockfile import BlockFileError, BlockFileReader
-
-        path = self.root / payload.get("blockfile", f"{key}.rbf")
-        try:
-            reader = BlockFileReader.open(path)
-            reader.close()
-        except (BlockFileError, OSError):
-            self.hits -= 1
-            self.misses += 1
-            self.corrupt_entries += 1
-            self.invalidate(key)
-            return None
-        payload["blockfile_path"] = str(path)
-        return payload
-
     def store_series(self, key: str, series) -> pathlib.Path:
-        """Persist a series as a blockfile + JSON metadata pair.
-
-        The sidecar is written through a unique temp file and renamed
-        into place before the JSON document (itself atomic), so racing
-        writers — who by construction serialise identical bytes for a
-        given key — each publish a complete pair and the last rename
-        wins.  A failure on either half cleans up its temp file
-        (counted in :attr:`tmp_cleanups`) before propagating.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        blob = series.encode_blockfile()
-        digest = hashlib.sha256(blob).hexdigest()
-        target = self.blockfile_path_for(key)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        committed = False
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp_name, target)
-            committed = True
-        finally:
-            if not committed:
-                self.tmp_cleanups += 1
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-        return self.store(
-            key, series.to_cache_payload(target.name, digest, len(blob))
-        )
-
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry — both the JSON document and its sidecar."""
-        removed = super().invalidate(key)
-        try:
-            self.blockfile_path_for(key).unlink()
-        except OSError:
-            pass
-        return removed
+        """Persist a series as a metadata document + blockfile pair."""
+        return self.store(key, series.to_cache_payload(), series.encode_blockfile())
 
     @staticmethod
     def key_for(
@@ -375,8 +352,14 @@ class SnapshotCache(_JsonFileCache):
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-class CampaignCache(_JsonFileCache):
-    """A content-keyed store of :meth:`SupplementalDataset.to_payload` blobs."""
+class CampaignCache(_PairCache):
+    """A content-keyed store of supplemental campaign datasets.
+
+    The ``<key>.json`` document is
+    :meth:`~repro.scan.campaign.SupplementalDataset.to_payload` plus the
+    campaign's merged metrics; the ``<key>.rbf`` sidecar holds the
+    dataset's ICMP and RDNS observation columns.
+    """
 
     def __init__(self, root: Optional[os.PathLike] = None):
         super().__init__(

@@ -44,6 +44,7 @@ from repro.netsim.network import NetworkType
 from repro.netsim.simtime import DAY, HOUR, date_of, from_date
 from repro.netsim.worldplan import PlanError, contiguous_blocks, world_source
 from repro.obs.metrics import MetricsRegistry, merge_snapshots
+from repro.scan.blockfile import encode_records
 from repro.scan.icmp import IcmpScanner
 from repro.scan.observations import IcmpObservation, RdnsObservation
 from repro.scan.ratelimit import TokenBucket
@@ -90,7 +91,7 @@ class CampaignMetrics:
     cache_key: Optional[str] = None
     cache_stored: bool = False
     #: Bytes of worker results that crossed the process boundary as
-    #: packed columnar blobs instead of pickled column objects; zero on
+    #: ``.rbf`` blobs instead of pickled column objects; zero on
     #: serial (and cache-hit) runs.  Reported under
     #: ``timings.execution`` only — run-shape, not science.
     transport_bytes: int = 0
@@ -231,16 +232,18 @@ class SupplementalDataset:
 
     # -- cache serialisation -------------------------------------------------
 
-    def to_payload(self) -> dict:
-        """A JSON-serialisable snapshot of the whole dataset."""
+    def encode_blockfile(self) -> bytes:
+        """The observation streams as ``.rbf`` bytes: one ICMP/RDNS record pair."""
         icmp = self.icmp if isinstance(self.icmp, IcmpColumns) else _as_icmp_columns(self.icmp)
         rdns = self.rdns if isinstance(self.rdns, RdnsColumns) else _as_rdns_columns(self.rdns)
+        return encode_records(observations=[(icmp, rdns)])
+
+    def to_payload(self) -> dict:
+        """The cache JSON document's metadata; the streams are :meth:`encode_blockfile`."""
         return {
             "version": DATASET_FORMAT_VERSION,
             "start": self.start.isoformat(),
             "end": self.end.isoformat(),
-            "icmp": icmp.to_payload(),
-            "rdns": rdns.to_payload(),
             "targets_by_network": self.targets_by_network,
             "network_types": {
                 name: net_type.value for name, net_type in self.network_types.items()
@@ -250,12 +253,25 @@ class SupplementalDataset:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SupplementalDataset":
-        """Rebuild a dataset from :meth:`to_payload` output."""
+        """Rebuild a dataset from a :class:`~repro.scan.cache.CampaignCache` hit.
+
+        ``payload`` is the :meth:`to_payload` document as the cache's
+        ``load`` returns it, with the sidecar already open in
+        ``blockfile_reader``.
+        """
+        reader = payload["blockfile_reader"]
+        pairs = reader.observation_columns()
+        if len(pairs) != 1:
+            raise ValueError(
+                f"{reader.path}: a campaign sidecar holds one ICMP/RDNS pair, "
+                f"not {len(pairs)}"
+            )
+        [(icmp, rdns)] = pairs
         return cls(
             start=dt.date.fromisoformat(payload["start"]),
             end=dt.date.fromisoformat(payload["end"]),
-            icmp=IcmpColumns.from_payload(payload["icmp"]),
-            rdns=RdnsColumns.from_payload(payload["rdns"]),
+            icmp=icmp,
+            rdns=rdns,
             targets_by_network={
                 name: list(prefixes)
                 for name, prefixes in payload["targets_by_network"].items()
@@ -620,9 +636,8 @@ class SupplementalCampaign:
                 )
 
         if cache is not None and key is not None:
-            payload = dataset.to_payload()
-            payload["metrics"] = merged_metrics
-            cache.store(key, payload)
+            document = {**dataset.to_payload(), "metrics": merged_metrics}
+            cache.store(key, document, dataset.encode_blockfile())
             metrics.cache_stored = True
         metrics.total_seconds = time.perf_counter() - started
         return dataset

@@ -14,7 +14,8 @@ is bit-identical to serial (pinned by
 ``tests/scan/test_campaign_parallel_cache.py``).
 
 The pool itself — fork or spawn, shared-memory result transport,
-segment cleanup — is :func:`repro.scan.parallel.run_pool`.
+segment cleanup — is :func:`repro.scan.parallel.run_pool`; results
+cross it as ``.rbf`` records (:mod:`repro.scan.blockfile`).
 
 :func:`effective_campaign_workers` implements the never-slower rule:
 the pool is capped at the machine's core count and the number of
@@ -28,11 +29,12 @@ import datetime as dt
 from dataclasses import replace
 from typing import TYPE_CHECKING, List, Tuple
 
-from repro.scan import transport
+from repro.scan.blockfile import BlockFileReader, encode_records
 from repro.scan.parallel import run_pool, worker_cap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scan.campaign import NetworkCampaignResult, SupplementalCampaign
+    from repro.scan.storage import IcmpColumns, RdnsColumns
 
 
 def effective_campaign_workers(requested: int, work_units: int) -> int:
@@ -60,8 +62,8 @@ def _run_one(state, task: Tuple[Tuple[str, ...], int, int]):
     blocklist, fault_plan)``: a built world is inherited as is, while a
     plan's block is built here.  ``task`` is ``(names, start ordinal,
     end ordinal)``.  Returns the result shells without their
-    observation columns plus the columns packed into one blob
-    (:func:`~repro.scan.transport.pack_campaign_batch`).
+    observation columns plus the columns as one ``.rbf`` blob: an
+    ICMP/RDNS record pair per network, in network order.
     """
     from repro.netsim.worldplan import shard_world
     from repro.scan.campaign import run_network_campaign
@@ -86,8 +88,13 @@ def _run_one(state, task: Tuple[Tuple[str, ...], int, int]):
     ]
     return (
         [replace(result, icmp=None, rdns=None) for result in results],
-        transport.pack_campaign_batch((result.icmp, result.rdns) for result in results),
+        encode_records(observations=[(result.icmp, result.rdns) for result in results]),
     )
+
+
+def _decode_columns(view: memoryview) -> List[Tuple["IcmpColumns", "RdnsColumns"]]:
+    """One :func:`_run_one` blob's (ICMP, rDNS) stores, copied out of ``view``."""
+    return BlockFileReader.from_buffer(view).observation_columns()
 
 
 def run_networks(
@@ -120,7 +127,7 @@ def run_networks(
     batches = run_pool(
         _run_one, tasks, state, workers,
         section="campaign_pool",
-        unpack=transport.unpack_campaign_batch,
+        unpack=_decode_columns,
         obs=campaign.obs,
         metrics=metrics,
     )

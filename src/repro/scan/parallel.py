@@ -18,10 +18,11 @@ available (Linux), workers inherit the shared state (the
 :class:`~repro.netsim.internet.Internet`, a plan, ...) through
 copy-on-write memory — no pickling at all.
 Elsewhere the state is pickled once and shipped via the pool
-initializer.  Results travel the other way as packed columnar blobs in
-shared memory (:mod:`repro.scan.transport`): a worker returns a small
-header plus a :class:`~repro.scan.transport.BlobHandle`, and the
-parent unpacks straight out of the shared buffer.
+initializer.  Results travel the other way as ``.rbf`` blobs
+(:mod:`repro.scan.blockfile`) in shared memory
+(:mod:`repro.scan.transport`): a worker returns a small header plus a
+:class:`~repro.scan.transport.BlobHandle`, and the parent parses the
+blob in place with a :class:`~repro.scan.blockfile.BlockFileReader`.
 
 :func:`effective_workers` implements the never-slower rule: short
 windows don't amortise pool start-up, so the pool size is capped by
@@ -42,10 +43,17 @@ import secrets
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from itertools import repeat
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.scan.blockfile import BlockFileReader, encode_records
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.scan.snapshot import SnapshotCollector, SnapshotSeries
+    from repro.scan.snapshot import Record, SnapshotCollector, SnapshotSeries
+
+#: One derived day as a worker returns it: (ordinal, /24 counts, records).
+DayResult = Tuple[int, Dict[str, int], List["Record"]]
 
 #: Below this many days per worker, pool start-up and per-task
 #: overhead outweigh the concurrency win; shrink the pool instead.
@@ -216,6 +224,52 @@ def _run_task(task, name: str, item):
     return header, transport.publish(blob, name)
 
 
+def _encode_chunk(results: Sequence[DayResult]) -> bytes:
+    """Derived days as one ``.rbf`` blob.
+
+    Prefixes and PTR names intern into chunk-local PREFIXES and PTRS
+    tables in first-seen order, so a name held on several days of the
+    chunk crosses once.  Each day is a DAY count column over the prefix
+    table as it stood that day plus a RECORDS pair of (address, name
+    id) columns in walk order.
+    """
+    prefixes: Dict[str, int] = {}
+    names: Dict[str, int] = {}
+    columns, totals, records = [], [], []
+    for ordinal, counts, day_records in results:
+        ids = [prefixes.setdefault(prefix, len(prefixes)) for prefix in counts]
+        column = np.zeros(len(prefixes), dtype="<u4")
+        column[ids] = list(counts.values())
+        columns.append(column)
+        totals.append(sum(counts.values()))
+        addresses = [address for address, _ in day_records]
+        name_ids = [names.setdefault(name, len(names)) for _, name in day_records]
+        records.append((ordinal, addresses, name_ids))
+    ordinals = [ordinal for ordinal, _, _ in results]
+    return encode_records(list(prefixes), ordinals, columns, totals, list(names), records)
+
+
+def _decode_chunk(view: memoryview) -> List[DayResult]:
+    """The days of one :func:`_encode_chunk` blob, parsed in place.
+
+    Each day's counts come back in chunk-local prefix id order.  The
+    prefixes a day adds to a series are new to its chunk too, and got
+    their ids in that day's order, so interning them reproduces a
+    serial run exactly.  Nothing returned holds a view into ``view``.
+    """
+    reader = BlockFileReader.from_buffer(view)
+    prefixes = reader.prefixes
+    names = reader.ptr_names()
+    days = []
+    for ordinal, column in zip(reader.days, reader.columns):
+        present = np.flatnonzero(column)
+        counts = dict(zip(map(prefixes.__getitem__, present.tolist()), column[present].tolist()))
+        addresses, name_ids = reader.day_records(ordinal)
+        records = list(zip(addresses.tolist(), map(names.__getitem__, name_ids.tolist())))
+        days.append((ordinal, counts, records))
+    return days
+
+
 def _collect_chunk(state, task):
     """Derive one block's chunk of days inside a worker process.
 
@@ -223,11 +277,9 @@ def _collect_chunk(state, task):
     internet is inherited as is, while a plan's block is built here
     (memoised, since a worker receives several chunks of one block).
     ``task`` is ``(names, ordinals)``.  Returns ``(None, blob)`` — the
-    packed day counts and records
-    (:func:`~repro.scan.transport.pack_day_chunk`).
+    day counts and records as :func:`_encode_chunk` bytes.
     """
     from repro.netsim.worldplan import shard_world
-    from repro.scan import transport
     from repro.scan.snapshot import derive_day
 
     plan, internet, at_offset = state
@@ -239,24 +291,23 @@ def _collect_chunk(state, task):
         day = dt.date.fromordinal(ordinal)
         counts, records = derive_day(internet, names, day, at_offset)
         results.append((ordinal, counts, records))
-    return None, transport.pack_day_chunk(results)
+    return None, _encode_chunk(results)
 
 
 def _records_chunk(state, ordinals: List[int]):
     """Derive one chunk of full per-day record lists inside a worker.
 
-    Addresses travel as raw 32-bit ints in a packed column; the parent
-    rebuilds ``IPv4Address`` objects on ingestion.
+    The days travel as :func:`_encode_chunk` bytes with empty counts;
+    the parent rebuilds ``IPv4Address`` objects on ingestion.
     """
-    from repro.scan import transport
     from repro.scan.snapshot import derive_records
 
     internet, names, at_offset = state
     results = [
-        (ordinal, derive_records(internet, names, dt.date.fromordinal(ordinal), at_offset))
+        (ordinal, {}, derive_records(internet, names, dt.date.fromordinal(ordinal), at_offset))
         for ordinal in ordinals
     ]
-    return None, transport.pack_record_chunk(results)
+    return None, _encode_chunk(results)
 
 
 def chunk_days(days: Sequence[dt.date], workers: int) -> List[List[dt.date]]:
@@ -295,7 +346,6 @@ def collect_days(
     :class:`~repro.scan.snapshot.CollectionMetrics`) additionally
     receives the ``transport_bytes`` total.
     """
-    from repro.scan import transport
     from repro.scan.snapshot import block_merger
 
     series = collector.new_series()
@@ -310,7 +360,7 @@ def collect_days(
 
     def ingest(view: memoryview) -> None:
         block = next(task_blocks)
-        for ordinal, counts, records in transport.unpack_day_chunk(view):
+        for ordinal, counts, records in _decode_chunk(view):
             merge(block, ordinal, counts, records)
 
     plan = collector.plan
@@ -343,12 +393,10 @@ def sample_day_records(
     """
     import ipaddress
 
-    from repro.scan import transport
-
     records: List[Tuple[object, str]] = []
 
     def extend(view: memoryview) -> None:
-        for _, day_records in transport.unpack_record_chunk(view):
+        for _, _, day_records in _decode_chunk(view):
             records.extend(
                 (ipaddress.IPv4Address(value), hostname)
                 for value, hostname in day_records

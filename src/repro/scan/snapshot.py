@@ -80,11 +80,11 @@ class CollectionMetrics:
     cache_key: Optional[str] = None
     cache_stored: bool = False
     #: True when a cache store failed mid-write (its partial ``*.tmp``
-    #: file was cleaned up — see ``_JsonFileCache.tmp_cleanups``); the
+    #: file was cleaned up — see ``_PairCache.tmp_cleanups``); the
     #: collection itself still succeeded, only persistence was lost.
     cache_store_failed: bool = False
     #: Bytes of worker results that crossed the process boundary as
-    #: packed columnar blobs in shared memory instead of pickled dicts.
+    #: ``.rbf`` blobs in shared memory instead of pickled dicts.
     #: Zero for serial runs.  Run-shape detail, so it is reported under
     #: ``timings.execution``, never in the deterministic manifest
     #: sections.
@@ -474,13 +474,12 @@ class SnapshotSeries:
         ]
         return encode_records(*self.blockfile_parts(), self._pool.names, records)
 
-    def to_cache_payload(self, blockfile: str, sha256: str, nbytes: int) -> dict:
-        """The cache JSON document referencing a sidecar blockfile.
+    def to_cache_payload(self) -> dict:
+        """The cache JSON document's metadata.
 
         The counts, the PTR pool and the per-day records live in the
-        ``.rbf`` sidecar (:mod:`repro.scan.blockfile`); this document
-        carries only the metadata plus the sidecar's name, size and
-        SHA-256 (checked by ``repro cache verify``).
+        ``.rbf`` sidecar (:meth:`encode_blockfile`); the cache adds the
+        sidecar's name, size and SHA-256 when it stores the pair.
         ``unique_ptr_count`` is denormalised here so inspection tools
         can report it without touching the sidecar; decoders take it
         from the PTRS record headers instead.
@@ -492,9 +491,6 @@ class SnapshotSeries:
             "at_offset": self._at_offset,
             "cadence_days": self._cadence_days,
             "days": [day.isoformat() for day in self._days],
-            "blockfile": blockfile,
-            "blockfile_sha256": sha256,
-            "blockfile_bytes": nbytes,
             "total_responses": self._total_responses,
             "unique_ptr_count": len(self._pool),
         }
@@ -503,10 +499,11 @@ class SnapshotSeries:
     def from_payload(cls, payload: dict, internet: Internet) -> "SnapshotSeries":
         """Rebuild a series from a :class:`~repro.scan.cache.SnapshotCache` hit.
 
-        ``payload`` is the document :meth:`to_cache_payload` wrote, with
-        ``blockfile_path`` injected by
-        :meth:`~repro.scan.cache.SnapshotCache.load`; the count matrix
-        and the record columns are views into the mmap-ed sidecar.
+        ``payload`` is the document :meth:`to_cache_payload` wrote, as
+        :meth:`~repro.scan.cache.SnapshotCache.load` returns it, with
+        the sidecar already open in ``blockfile_reader``.  The count
+        matrix and the record columns are views into the mmap-ed
+        sidecar.
         ``internet`` must be the world the payload was derived from —
         days without record columns are derived from it.  The cache
         layer guarantees this by keying entries on
@@ -521,7 +518,7 @@ class SnapshotSeries:
         )
         series._days = [dt.date.fromisoformat(text) for text in payload["days"]]
         series._day_index = {day: index for index, day in enumerate(series._days)}
-        reader = BlockFileReader.open(payload["blockfile_path"])
+        reader = payload["blockfile_reader"]
         if reader.days != [day.toordinal() for day in series._days]:
             raise ValueError(
                 f"blockfile day ordinals disagree with the payload's "

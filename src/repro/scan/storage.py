@@ -11,9 +11,9 @@ iteration.  Observation objects are materialised lazily on access, so
 every existing consumer (grouping, tracking, occupancy, persistence)
 keeps working unchanged.
 
-The stores are picklable (process-pool transport) and JSON-serialisable
-(:meth:`to_payload`/:meth:`from_payload`, the campaign-cache format).
-Equality compares *contents*, and also accepts a plain list of
+The stores travel and rest as ``.rbf`` ICMP/RDNS records
+(:mod:`repro.scan.blockfile`): pool workers return them that way, and
+a campaign cache sidecar holds the merged pair.  Equality compares *contents*, and also accepts a plain list of
 observations on either side, which is what the bit-identical
 equivalence tests assert against.
 """
@@ -35,15 +35,14 @@ _ADDR = "I" if array("I").itemsize >= 4 else "L"
 
 #: Cache-payload format version shared by the snapshot and campaign
 #: payload families; :func:`repro.scan.cache.is_current` treats any
-#: other stored version as a miss.  Snapshot entries are a JSON
-#: document holding only the metadata (name, networks, cadence, totals)
-#: plus a pointer to a sidecar ``.rbf`` blockfile
-#: (:mod:`repro.scan.blockfile`) with the prefix table, raw
-#: little-endian ``u32`` count columns, the PTR name pool and each
-#: day's (address, PTR id) record columns, mmap-ed and exposed as
-#: zero-copy views on load.  Campaign entries are the JSON document of
-#: :meth:`~repro.scan.campaign.SupplementalDataset.to_payload`.
-DATASET_FORMAT_VERSION = 5
+#: other stored version as a miss.  Every entry is a JSON document
+#: holding only metadata plus a pointer to a sidecar ``.rbf`` blockfile
+#: (:mod:`repro.scan.blockfile`).  A snapshot sidecar holds the prefix
+#: table, raw little-endian ``u32`` count columns, the PTR name pool and
+#: each day's (address, PTR id) record columns, mmap-ed and exposed as
+#: zero-copy views on load; a campaign sidecar holds the dataset's
+#: ICMP and RDNS observation columns.
+DATASET_FORMAT_VERSION = 6
 
 _STATUSES: Tuple[ResolutionStatus, ...] = tuple(ResolutionStatus)
 _STATUS_INDEX: Dict[ResolutionStatus, int] = {
@@ -348,25 +347,6 @@ class IcmpColumns(Sequence):
     def __repr__(self) -> str:
         return f"IcmpColumns({len(self)} observations)"
 
-    # -- serialisation ---------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        return {
-            "addresses": list(self._addresses),
-            "ats": list(self._ats),
-            "network_ids": list(self._network_ids),
-            "networks": list(self._networks.values),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "IcmpColumns":
-        columns = cls()
-        columns._addresses = array(_ADDR, payload["addresses"])
-        columns._ats = array("q", payload["ats"])
-        columns._network_ids = array("H", payload["network_ids"])
-        columns._networks = _Interner(payload["networks"])
-        return columns
-
     # -- merging ---------------------------------------------------------------
 
     @classmethod
@@ -463,37 +443,6 @@ class RdnsColumns(Sequence):
 
     def __repr__(self) -> str:
         return f"RdnsColumns({len(self)} observations)"
-
-    # -- serialisation ---------------------------------------------------------
-
-    def to_payload(self) -> dict:
-        return {
-            "addresses": list(self._addresses),
-            "ats": list(self._ats),
-            "status_ids": list(self._status_ids),
-            "statuses": [status.value for status in _STATUSES],
-            "hostname_ids": list(self._hostname_ids),
-            "hostnames": list(self._hostnames.values),
-            "network_ids": list(self._network_ids),
-            "networks": list(self._networks.values),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "RdnsColumns":
-        columns = cls()
-        columns._addresses = array(_ADDR, payload["addresses"])
-        columns._ats = array("q", payload["ats"])
-        # Re-map status codes through their values so a reordered enum
-        # cannot silently corrupt replayed observations.
-        stored = [ResolutionStatus(value) for value in payload["statuses"]]
-        columns._status_ids = array(
-            "B", (_STATUS_INDEX[stored[code]] for code in payload["status_ids"])
-        )
-        columns._hostname_ids = array("L", payload["hostname_ids"])
-        columns._hostnames = _Interner(payload["hostnames"])
-        columns._network_ids = array("H", payload["network_ids"])
-        columns._networks = _Interner(payload["networks"])
-        return columns
 
     # -- merging ---------------------------------------------------------------
 

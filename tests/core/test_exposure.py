@@ -101,6 +101,24 @@ class TestExposureAuditor:
         report = ExposureAuditor(sample_limit=5).audit(rows)
         assert len(report.named_hostnames) == 5
 
+    def test_samples_keep_first_seen_order_across_duplicates(self):
+        named, both, galaxy, iphone = (
+            "brians-box.x.example",
+            "emmas-galaxy.x.example",  # a given name and a device term
+            "galaxy-s10.x.example",
+            "iphone-7.x.example",
+        )
+        # Each hostname recurs, interleaved with the others, over three days.
+        order = [named, galaxy, both, named, iphone, "jacobs-box.x.example", galaxy]
+        rows = [
+            obs(day, 9 + index, f"10.0.0.{10 + index}", hostname)
+            for day in range(3)
+            for index, hostname in enumerate(order)
+        ]
+        report = ExposureAuditor().audit(rows)
+        assert report.named_hostnames == (named, both, "jacobs-box.x.example")
+        assert report.device_term_hostnames == (galaxy, both, iphone)
+
 
 class TestAuditByNetwork:
     def test_networks_audited_separately(self):

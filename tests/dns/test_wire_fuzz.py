@@ -1,6 +1,5 @@
 """Robustness of the wire codec and a full on-the-wire exchange."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Tests for Host Name to DNS label sanitisation."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

@@ -1,7 +1,6 @@
 """Tests for the Internet container, world building and personas."""
 
 import datetime as dt
-import ipaddress
 
 import pytest
 

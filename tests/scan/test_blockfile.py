@@ -1,5 +1,6 @@
-"""Unit tests for the binary blockfile container (the snapshot cache sidecar)."""
+"""Unit tests for the binary blockfile container: cache sidecars and pool results."""
 
+import ipaddress
 import mmap
 import struct
 import zlib
@@ -15,6 +16,9 @@ from repro.scan.blockfile import (
     encode_records,
     write_blockfile,
 )
+from repro.dns.resolver import ResolutionStatus
+from repro.scan.observations import IcmpObservation, RdnsObservation
+from repro.scan.storage import IcmpColumns, RdnsColumns
 
 PREFIXES = ["10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24"]
 DAYS = [738156, 738157]
@@ -287,3 +291,139 @@ class TestRecordColumns:
         path.write_bytes(bytes(blob))
         with pytest.raises(BlockFileError, match="declares 2 records"):
             BlockFileReader.open(path)
+
+
+def sample_streams():
+    """A small (ICMP, RDNS) pair: two networks, every status, empty names."""
+    icmp, rdns = IcmpColumns(), RdnsColumns()
+    statuses = list(ResolutionStatus)
+    for index in range(7):
+        address = ipaddress.IPv4Address(0x0A000001 + index)
+        network = "Academic-A" if index % 3 else "ISP-B"
+        icmp.append(IcmpObservation(address=address, at=1_000 + index, network=network))
+        status = statuses[index % len(statuses)]
+        hostname = f"host-{index % 3}.example.net" if status is ResolutionStatus.NOERROR else ""
+        rdns.append(
+            RdnsObservation(
+                address=address, at=2**40 + index, status=status,
+                hostname=hostname, network=network,
+            )
+        )
+    return icmp, rdns
+
+
+class TestObservationRecords:
+    def write(self, path, pairs=None):
+        path.write_bytes(encode_records(observations=pairs or [sample_streams()]))
+        return path
+
+    @staticmethod
+    def spans(path):
+        """``(record header offset, body offset)`` of the ICMP and RDNS records."""
+        with BlockFileReader.open(path) as reader:
+            return [(span[1] - 64, span[1]) for span in reader._observation_spans]
+
+    def test_round_trip(self, tmp_path):
+        icmp, rdns = sample_streams()
+        path = self.write(tmp_path / "campaign.rbf", [(icmp, rdns), (IcmpColumns(), RdnsColumns())])
+        with BlockFileReader.open(path) as reader:
+            [(icmp2, rdns2), (empty_icmp, empty_rdns)] = reader.observation_columns()
+            assert reader.verify() == 4
+        assert icmp2 == icmp and rdns2 == rdns
+        assert icmp2._networks.values == icmp._networks.values
+        assert rdns2._hostnames.values == rdns._hostnames.values
+        assert list(rdns2) == list(rdns)
+        assert len(empty_icmp) == len(empty_rdns) == 0
+
+    def test_buffer_and_file_agree(self, tmp_path):
+        path = self.write(tmp_path / "campaign.rbf")
+        with BlockFileReader.open(path) as mapped:
+            from_file = mapped.observation_columns()
+        assert BlockFileReader.from_buffer(path.read_bytes()).observation_columns() == from_file
+
+    def test_torn_file_rejected_at_open(self, tmp_path):
+        path = self.write(tmp_path / "campaign.rbf")
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) - ALIGNMENT])
+        with pytest.raises(BlockFileError, match="truncated"):
+            BlockFileReader.open(path)
+
+    @pytest.mark.parametrize("record, kind", [(0, "ICMP"), (1, "rDNS")])
+    def test_bit_flip_rejected_at_open(self, tmp_path, record, kind):
+        path = self.write(tmp_path / "campaign.rbf")
+        _, body_offset = self.spans(path)[record]
+        blob = bytearray(path.read_bytes())
+        blob[body_offset + 3] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(BlockFileError, match=f"{kind} columns checksum mismatch"):
+            BlockFileReader.open(path)
+
+    @pytest.mark.parametrize(
+        "stream, attribute, value, message",
+        [
+            (0, "_network_ids", 2, "network_ids outside its 2-string table"),
+            (1, "_network_ids", 5, "network_ids outside its 2-string table"),
+            (1, "_hostname_ids", 2, "hostname_ids outside its 2-string table"),
+            (
+                1, "_status_ids", len(ResolutionStatus),
+                f"status_ids outside its {len(ResolutionStatus)}-string table",
+            ),
+        ],
+    )
+    def test_out_of_range_id_rejected_at_open(self, tmp_path, stream, attribute, value, message):
+        streams = sample_streams()
+        getattr(streams[stream], attribute)[-1] = value  # CRCs stay valid
+        path = self.write(tmp_path / "campaign.rbf", [streams])
+        with pytest.raises(BlockFileError, match=message):
+            BlockFileReader.open(path)
+
+    def test_unpaired_record_rejected_at_open(self, tmp_path):
+        path = self.write(tmp_path / "campaign.rbf")
+        rdns_header, _ = self.spans(path)[1]
+        path.write_bytes(path.read_bytes()[:rdns_header])
+        with pytest.raises(BlockFileError, match="alternate in pairs"):
+            BlockFileReader.open(path)
+
+    def test_unknown_status_value_rejected_on_decode(self, tmp_path):
+        path = self.write(tmp_path / "campaign.rbf")
+        rdns_header, body_offset = self.spans(path)[1]
+        blob = bytearray(path.read_bytes())
+        head = bytearray(blob[rdns_header:body_offset])
+        body_length = struct.unpack_from("<Q", head, 8)[0]
+        body = bytes(blob[body_offset : body_offset + body_length]).replace(b"timeout", b"timeOUT")
+        blob[body_offset : body_offset + body_length] = body
+        # Re-seal the body and header CRCs so only the status check fires.
+        struct.pack_into("<I", head, 16, zlib.crc32(body))
+        struct.pack_into("<I", head, 56, zlib.crc32(bytes(head[:56])))
+        blob[rdns_header:body_offset] = head
+        path.write_bytes(bytes(blob))
+        with BlockFileReader.open(path) as reader:
+            with pytest.raises(BlockFileError, match="'timeOUT' is not a valid ResolutionStatus"):
+                reader.observation_columns()
+
+
+class TestNewlinesRejected:
+    @pytest.mark.parametrize(
+        "table, arguments",
+        [
+            ("prefix table", {"prefixes": ["10.0.0.0/24", "10.0.1.0/24\n"]}),
+            ("ptr table", {"ptrs": ["a.example", "b\nc.example"]}),
+        ],
+    )
+    def test_string_tables(self, table, arguments):
+        with pytest.raises(ValueError, match=table):
+            encode_records(**arguments)
+
+    def test_observation_pools(self):
+        icmp, rdns = sample_streams()
+        rdns._hostnames.values[1] = "two\nlines.example.net"
+        with pytest.raises(ValueError, match="rDNS columns string pools"):
+            encode_records(observations=[(icmp, rdns)])
+        icmp._networks.values[0] = "ISP\nB"
+        with pytest.raises(ValueError, match="ICMP columns string pools"):
+            encode_records(observations=[(icmp, RdnsColumns())])
+
+    def test_append_rejects_newlines(self, tmp_path):
+        path = write_sample(tmp_path / "sample.rbf")
+        with pytest.raises(ValueError, match="prefix table"):
+            append_day_records(path, ["10.0.9.0/24\n"], DAYS[-1] + 1, [1, 0, 0, 1], 2)

@@ -18,13 +18,14 @@ from repro.scan.cache import CampaignCache, SnapshotCache
 from repro.scan.campaign import SupplementalCampaign
 from repro.scan.snapshot import SnapshotCollector
 from repro.scan.storage import DATASET_FORMAT_VERSION
-from tests.cache_bytes import series_bytes
+from tests.cache_bytes import dataset_bytes, series_bytes
 
 SNAPSHOT_START, SNAPSHOT_END = dt.date(2021, 1, 1), dt.date(2021, 1, 5)
 CAMPAIGN_START, CAMPAIGN_END = dt.date(2021, 11, 1), dt.date(2021, 11, 2)
-#: An older schema, and the unversioned-era value that once counted a
-#: recomputed campaign as a cache hit.
-STALE_VERSIONS = pytest.mark.parametrize("stale_version", [3, 1])
+#: Older schemas — 5 is the last with JSON campaign entries — and the
+#: unversioned-era value that once counted a recomputed campaign as a
+#: cache hit.
+STALE_VERSIONS = pytest.mark.parametrize("stale_version", [3, 1, 5])
 
 
 def world():
@@ -57,10 +58,6 @@ def run_campaign(cache):
     campaign = SupplementalCampaign(campaign_world, networks=[name])
     dataset = campaign.run(CAMPAIGN_START, CAMPAIGN_END, cache=cache)
     return campaign, dataset
-
-
-def canonical(payload):
-    return json.dumps(payload, sort_keys=True)
 
 
 class TestStaleSnapshotEntry:
@@ -99,15 +96,21 @@ class TestStaleCampaignEntry:
         key = campaign.last_metrics.cache_key
         cold_document = json.loads(cold_cache.path_for(key).read_text())
 
+        # Entries up to v5 were one JSON document with no sidecar.
         stale = CampaignCache(tmp_path / "stale")
-        stale.store(key, {**cold_document, "version": stale_version})
+        stale.root.mkdir()
+        stale.path_for(key).write_text(json.dumps({**cold_document, "version": stale_version}))
         campaign, recomputed = run_campaign(stale)
         assert campaign.last_metrics.cache_key == key
         assert not campaign.last_metrics.cache_hit
         counters = stale.execution_snapshot()
         assert (counters["hits"], counters["misses"]) == (0, 1)
-        assert canonical(recomputed.to_payload()) == canonical(cold.to_payload())
+        assert dataset_bytes(recomputed) == dataset_bytes(cold)
 
         document = json.loads(stale.path_for(key).read_text())
         assert document["version"] == DATASET_FORMAT_VERSION
         assert document == cold_document
+        assert (
+            stale.blockfile_path_for(key).read_bytes()
+            == cold_cache.blockfile_path_for(key).read_bytes()
+        )

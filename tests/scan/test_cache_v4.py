@@ -60,6 +60,48 @@ class TestStoreSeries:
         assert series.days[0] == START
 
 
+class TestOneOpenPerWarmHit:
+    """A warm hit opens (and validates) its sidecar once: the cache's
+    load hands the open reader to the decoder."""
+
+    @staticmethod
+    def count_opens(monkeypatch):
+        opens = []
+        real_open = BlockFileReader.open.__func__
+
+        def counting_open(cls, path):
+            opens.append(path)
+            return real_open(cls, path)
+
+        monkeypatch.setattr(BlockFileReader, "open", classmethod(counting_open))
+        return opens
+
+    def test_snapshot_hit(self, tmp_path, monkeypatch):
+        cache = SnapshotCache(tmp_path)
+        collect(cache)
+        opens = self.count_opens(monkeypatch)
+        collector, _ = collect(cache)
+        assert collector.last_metrics.cache_hit
+        assert len(opens) == 1
+
+    def test_campaign_hit(self, tmp_path, monkeypatch):
+        from repro.scan.cache import CampaignCache
+        from repro.scan.campaign import SupplementalCampaign
+
+        def run():
+            world = build_world(seed=5, scale=WorldScale.small())
+            name = SupplementalCampaign(world).network_names[0]
+            campaign = SupplementalCampaign(world, networks=[name])
+            campaign.run(dt.date(2021, 11, 1), dt.date(2021, 11, 2), cache=cache)
+            return campaign
+
+        cache = CampaignCache(tmp_path)
+        run()
+        opens = self.count_opens(monkeypatch)
+        assert run().last_metrics.cache_hit
+        assert len(opens) == 1
+
+
 class TestConcurrentStore:
     def test_racing_stores_publish_one_complete_pair(self, tmp_path):
         # Writers racing on one key serialise identical bytes; both

@@ -12,6 +12,7 @@ from repro.scan.campaign import SupplementalCampaign, SupplementalDataset
 from repro.scan.campaign_parallel import effective_campaign_workers, run_networks
 from repro.scan.reactive import TABLE2_SCHEDULE, BackoffSchedule
 from repro.scan.storage import IcmpColumns, RdnsColumns
+from tests.cache_bytes import dataset_bytes
 
 START = dt.date(2021, 11, 1)
 END = dt.date(2021, 11, 3)
@@ -57,6 +58,7 @@ class TestParallelEquivalence:
         world = build_world(seed=11, scale=WorldScale.small())
         parallel = SupplementalCampaign(world).run(START, END, workers=2)
         assert_datasets_identical(serial_dataset, parallel)
+        assert dataset_bytes(parallel) == dataset_bytes(serial_dataset)
 
     def test_pool_path_bit_identical_to_serial(self, serial_dataset):
         # Drive the process pool directly so the pool code runs even on
@@ -114,10 +116,14 @@ class TestCampaignCache:
         warm = campaign.run(START, END, cache=cache)
         assert campaign.last_metrics.cache_hit
         assert_datasets_identical(serial_dataset, warm)
+        assert dataset_bytes(warm) == dataset_bytes(cold) == dataset_bytes(serial_dataset)
 
-    def test_payload_round_trip(self, serial_dataset):
-        rebuilt = SupplementalDataset.from_payload(serial_dataset.to_payload())
+    def test_payload_round_trip(self, serial_dataset, tmp_path):
+        cache = CampaignCache(tmp_path)
+        cache.store("k", serial_dataset.to_payload(), serial_dataset.encode_blockfile())
+        rebuilt = SupplementalDataset.from_payload(cache.load("k"))
         assert_datasets_identical(serial_dataset, rebuilt)
+        assert dataset_bytes(rebuilt) == dataset_bytes(serial_dataset)
 
     def test_different_seed_misses(self, tmp_path):
         cache = CampaignCache(tmp_path)

@@ -9,7 +9,7 @@ import datetime as dt
 
 import pytest
 
-from repro.dns.resolver import ResolutionStatus, StubResolver
+from repro.dns.resolver import StubResolver
 from repro.netsim.faults import FAULT_PROFILE_ENV, FaultPlan, NetworkFaultProfile
 from repro.netsim.internet import WorldScale, build_world
 from repro.scan.cache import CampaignCache

@@ -11,7 +11,7 @@ from repro.netsim.behavior import ScriptedProfile, Session
 from repro.netsim.device import Device, DeviceNaming, model_by_key
 from repro.netsim.engine import SimulationEngine
 from repro.netsim.finegrained import NetworkRuntime
-from repro.netsim.network import IcmpPolicy, Network, NetworkType, Subnet, SubnetRole
+from repro.netsim.network import Network, NetworkType, Subnet, SubnetRole
 from repro.netsim.rng import RngStreams
 from repro.netsim.simtime import DAY, HOUR, from_date
 from repro.scan import IcmpScanner, RdnsLookupEngine, TokenBucket

@@ -3,7 +3,7 @@
 import ipaddress
 
 from repro.dns.resolver import ResolutionStatus
-from repro.netsim.simtime import MINUTE, ts
+from repro.netsim.simtime import ts
 from repro.scan import (
     IcmpObservation,
     RdnsObservation,

@@ -19,8 +19,9 @@ import pytest
 
 from repro.cli import main
 from repro.obs import Observability
-from repro.scan import parallel
+from repro.scan import parallel, transport
 from repro.scan.parallel import PoolError, run_pool
+from repro.scan.storage import IcmpColumns, RdnsColumns
 
 SHM_DIR = Path("/dev/shm")
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -186,3 +187,22 @@ class TestSinglePrimitive:
     )
     def test_removed_transport_options_stay_gone(self, name):
         assert [path for path, text in self.sources().items() if name in text] == []
+
+    def test_transport_only_moves_blobs(self):
+        """Pool results are ``.rbf`` records: the transport frames nothing."""
+        tree = ast.parse((SRC / "scan" / "transport.py").read_text(encoding="utf-8"))
+        defined = sorted(
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        )
+        assert defined == ["BlobHandle", "consume", "discard", "publish"]
+        framers = [
+            name for name in dir(transport) if name.startswith(("pack_", "unpack_"))
+        ]
+        assert framers == []
+
+    def test_column_stores_have_no_json_codec(self):
+        for store in (IcmpColumns, RdnsColumns):
+            assert not hasattr(store, "to_payload")
+            assert not hasattr(store, "from_payload")

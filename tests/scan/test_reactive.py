@@ -2,8 +2,6 @@
 
 import datetime as dt
 
-import pytest
-
 from repro.dns.resolver import ResolutionStatus, StubResolver
 from repro.ipam import CarryOverPolicy
 from repro.netsim.behavior import ScriptedProfile, Session

@@ -9,7 +9,6 @@ summaries.
 """
 
 import datetime as dt
-import json
 
 import pytest
 
@@ -21,7 +20,7 @@ from repro.scan.campaign import SupplementalCampaign
 from repro.scan.campaign_parallel import effective_campaign_workers
 from repro.scan.parallel import worker_cap
 from repro.scan.snapshot import SnapshotCollector
-from tests.cache_bytes import series_bytes
+from tests.cache_bytes import dataset_bytes, series_bytes
 
 START = dt.date(2021, 1, 1)
 END = dt.date(2021, 1, 13)
@@ -48,10 +47,6 @@ def baseline_dataset(plan):
     return SupplementalCampaign(world, fault_plan=None).run(
         CAMPAIGN_START, CAMPAIGN_END
     )
-
-
-def canonical(payload):
-    return json.dumps(payload, sort_keys=True)
 
 
 class TestShardedSnapshots:
@@ -113,14 +108,14 @@ class TestShardedCampaign:
         dataset = SupplementalCampaign(plan, shards=shards, fault_plan=None).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
-        assert canonical(dataset.to_payload()) == canonical(baseline_dataset.to_payload())
+        assert dataset_bytes(dataset) == dataset_bytes(baseline_dataset)
 
     def test_parallel_matches_serial(self, plan, baseline_dataset, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
         campaign = SupplementalCampaign(plan, shards=2, fault_plan=None)
         dataset = campaign.run(CAMPAIGN_START, CAMPAIGN_END, workers=2)
         assert campaign.last_metrics.effective_workers >= 2
-        assert canonical(dataset.to_payload()) == canonical(baseline_dataset.to_payload())
+        assert dataset_bytes(dataset) == dataset_bytes(baseline_dataset)
 
     def test_faulted_run_matches_unsharded_faulted_run(self, plan, monkeypatch):
         faults = plan_from_profile("mild", seed=11)
@@ -131,12 +126,12 @@ class TestShardedCampaign:
         serial = SupplementalCampaign(plan, shards=3, fault_plan=faults).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
-        assert canonical(serial.to_payload()) == canonical(reference.to_payload())
+        assert dataset_bytes(serial) == dataset_bytes(reference)
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
         campaign = SupplementalCampaign(plan, shards=3, fault_plan=faults)
         parallel = campaign.run(CAMPAIGN_START, CAMPAIGN_END, workers=2)
         assert campaign.last_metrics.effective_workers >= 2
-        assert canonical(parallel.to_payload()) == canonical(reference.to_payload())
+        assert dataset_bytes(parallel) == dataset_bytes(reference)
 
     def test_cache_hits_across_shard_counts(self, plan, baseline_dataset, tmp_path):
         cache = CampaignCache(tmp_path / "camp")
@@ -147,8 +142,8 @@ class TestShardedCampaign:
         reader = SupplementalCampaign(plan, shards=1, fault_plan=None)
         replayed = reader.run(CAMPAIGN_START, CAMPAIGN_END, cache=cache)
         assert reader.last_metrics.cache_hit
-        assert canonical(replayed.to_payload()) == canonical(written.to_payload())
-        assert canonical(replayed.to_payload()) == canonical(baseline_dataset.to_payload())
+        assert dataset_bytes(replayed) == dataset_bytes(written)
+        assert dataset_bytes(replayed) == dataset_bytes(baseline_dataset)
 
     def test_network_subset_respected(self, plan):
         names = plan.supplemental_names[:2]
@@ -159,7 +154,7 @@ class TestShardedCampaign:
         dataset = SupplementalCampaign(plan, shards=2, networks=names, fault_plan=None).run(
             CAMPAIGN_START, CAMPAIGN_END
         )
-        assert canonical(dataset.to_payload()) == canonical(reference.to_payload())
+        assert dataset_bytes(dataset) == dataset_bytes(reference)
 
     def test_plan_without_supplementals_rejected(self):
         bare = synthetic_plan(seed=0, slash16s=2, people=2, supplemental_every=0)

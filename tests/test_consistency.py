@@ -9,7 +9,6 @@ ground truth.
 
 import datetime as dt
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
