@@ -50,8 +50,7 @@ from repro.eval import (
 )
 from repro.ipam.policy import POLICY_NAMES
 from repro.netsim.faults import FAULT_PROFILES, resolve_fault_plan
-from repro.netsim.internet import WorldScale, build_world
-from repro.netsim.spec import build_world_from_file
+from repro.netsim.internet import build_world
 from repro.netsim.worldplan import WorldPlan, synthetic_plan
 from repro.netsim.network import NetworkType
 from repro.netsim.personas import BRIAN_HOSTNAME_LABELS
@@ -95,6 +94,12 @@ def _is_cadence_error(error: ValueError) -> bool:
     return "mixed snapshot spacing" in text or "contradicts the declared cadence" in text
 
 
+def _add_window(parser: argparse.ArgumentParser, *, end: dt.date) -> None:
+    """A campaign command's half-open ``--start/--end`` window (``--end`` is not measured)."""
+    parser.add_argument("--start", type=_parse_date, default=dt.date(2021, 11, 1))
+    parser.add_argument("--end", type=_parse_date, default=end, help="exclusive end date")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rdns-privacy",
@@ -105,16 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true", help="use the small test-scale world and short windows"
     )
     parser.add_argument(
-        "--spec", help="build the world from a JSON spec file instead of the built-in one"
-    )
-    parser.add_argument(
         "--plan",
+        "--spec",
+        dest="plan",
         metavar="PATH",
         default=None,
         help=(
             "build the world from a WorldPlan JSON file (see the 'plan' "
-            "command); collection and the campaign measure it in --shards "
-            "blocks without building it whole"
+            "command; --spec is the same option); collection and the "
+            "campaign measure it in --shards blocks without building it whole"
         ),
     )
     parser.add_argument(
@@ -214,27 +218,32 @@ def build_parser() -> argparse.ArgumentParser:
     # rejects a missing command otherwise.
     commands = parser.add_subparsers(dest="command", required=False)
 
-    # All --start/--end windows are half-open: --end itself is not measured.
-    study = commands.add_parser(
-        "study", help="dynamicity + leak identification (Sections 4-5)"
-    )
-    study.add_argument(
+    # Flag groups several commands share, declared once.
+    leak_days = argparse.ArgumentParser(add_help=False)
+    leak_days.add_argument(
         "--leak-sample-days",
         type=_positive_int,
         default=None,
         metavar="N",
-        help=(
-            "how many trailing collected days feed the leak matcher "
-            "(default: the StudyConfig value, 7); the sample is derived "
-            "in one shared pass, fanned over --workers"
-        ),
+        help="how many trailing collected days feed the given-name matcher (default 7)",
+    )
+    multi16 = argparse.ArgumentParser(add_help=False)
+    multi16.add_argument(
+        "--slash16s",
+        type=_positive_int,
+        default=4,
+        help="how many /16 networks the synthetic world spans (each is 256 /24s; default 4)",
+    )
+    multi16.add_argument(
+        "--people", type=_positive_int, default=12, help="population per network (default 12)"
+    )
+
+    commands.add_parser(
+        "study", parents=[leak_days], help="dynamicity + leak identification (Sections 4-5)"
     )
 
     def _add_campaign_args(campaign) -> None:
-        campaign.add_argument("--start", type=_parse_date, default=dt.date(2021, 11, 1))
-        campaign.add_argument(
-            "--end", type=_parse_date, default=dt.date(2021, 11, 8), help="exclusive end date"
-        )
+        _add_window(campaign, end=dt.date(2021, 11, 8))
         campaign.add_argument(
             "--networks", nargs="*", default=None, help="subset of Table-4 networks"
         )
@@ -260,26 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
     track = commands.add_parser("track", help="follow a given name's devices (Section 7.1)")
     track.add_argument("name", help="given name to follow, e.g. brian")
     track.add_argument("--network", default="Academic-A")
-    track.add_argument("--start", type=_parse_date, default=dt.date(2021, 11, 1))
-    track.add_argument(
-        "--end", type=_parse_date, default=dt.date(2021, 11, 15), help="exclusive end date"
-    )
+    _add_window(track, end=dt.date(2021, 11, 15))
 
     heist = commands.add_parser("heist", help="find the quietest hour (Section 7.3)")
     heist.add_argument("--network", default="Academic-A")
-    heist.add_argument("--start", type=_parse_date, default=dt.date(2021, 11, 1))
-    heist.add_argument(
-        "--end", type=_parse_date, default=dt.date(2021, 11, 8), help="exclusive end date"
-    )
+    _add_window(heist, end=dt.date(2021, 11, 8))
     heist.add_argument("--source", choices=("rdns", "icmp"), default="rdns")
 
     audit = commands.add_parser(
         "audit", help="score each network's rDNS exposure (Section 8 mitigation aid)"
     )
-    audit.add_argument("--start", type=_parse_date, default=dt.date(2021, 11, 1))
-    audit.add_argument(
-        "--end", type=_parse_date, default=dt.date(2021, 11, 4), help="exclusive end date"
-    )
+    _add_window(audit, end=dt.date(2021, 11, 4))
     audit.add_argument("--networks", nargs="*", default=None)
 
     snapshot = commands.add_parser("snapshot", help="dump one day's PTR records")
@@ -288,17 +288,12 @@ def build_parser() -> argparse.ArgumentParser:
     snapshot.add_argument("--limit", type=_positive_int, default=50)
 
     serve = commands.add_parser(
-        "serve", help="run the leak-analysis query service (HTTP, Ctrl-C to stop)"
+        "serve",
+        parents=[leak_days],
+        help="run the leak-analysis query service (HTTP, Ctrl-C to stop)",
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8400, help="bind port (default 8400)")
-    serve.add_argument(
-        "--leak-sample-days",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="trailing collected days feeding /leaks and /names (default 7)",
-    )
     serve.add_argument(
         "--blockfile",
         metavar="PATH",
@@ -312,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = commands.add_parser(
         "evaluate",
+        parents=[leak_days, multi16],
         help=(
             "countermeasure evaluation matrix: sweep IPAM policies × worlds × "
             "fault profiles, rank privacy exposure vs operational utility "
@@ -345,25 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-profile axis (default: none only)",
     )
     evaluate.add_argument(
-        "--slash16s",
-        type=_positive_int,
-        default=4,
-        help="width of the stock multi16 world (default 4 /16s)",
-    )
-    evaluate.add_argument(
-        "--people",
-        type=_positive_int,
-        default=12,
-        help="population per multi16 network (default 12)",
-    )
-    evaluate.add_argument(
-        "--leak-sample-days",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="trailing collected days feeding the given-name matcher (default 7)",
-    )
-    evaluate.add_argument(
         "--out",
         metavar="PATH",
         default=None,
@@ -391,18 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     plan = commands.add_parser(
-        "plan", help="generate a synthetic multi-/16 WorldPlan JSON for sharded runs"
+        "plan",
+        parents=[multi16],
+        help="generate a synthetic multi-/16 WorldPlan JSON for sharded runs",
     )
     plan.add_argument("--out", required=True, metavar="PATH", help="write the plan JSON here")
-    plan.add_argument(
-        "--slash16s",
-        type=_positive_int,
-        default=4,
-        help="how many /16 networks the plan spans (each is 256 /24s; default 4)",
-    )
-    plan.add_argument(
-        "--people", type=_positive_int, default=12, help="population per network (default 12)"
-    )
     plan.add_argument(
         "--zone-layout",
         choices=("flat", "delegated"),
@@ -419,47 +389,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _plan(args) -> Optional[WorldPlan]:
-    if getattr(args, "plan", None):
-        return WorldPlan.load(args.plan)
-    return None
+def _study_config(args) -> StudyConfig:
+    """The one StudyConfig of this invocation, built from the global flags."""
+    config = StudyConfig.quick(args.seed) if args.quick else StudyConfig(seed=args.seed)
+    if args.plan is not None:
+        config.plan = WorldPlan.load(args.plan).validate()
+    config.shards = args.shards
+    config.max_workers = args.max_workers
+    config.snapshot_workers = args.workers
+    config.campaign_workers = args.workers
+    if args.snapshot_cache is not None:
+        config.snapshot_cache = SnapshotCache(args.snapshot_cache or None)
+    if args.campaign_cache is not None:
+        config.campaign_cache = CampaignCache(args.campaign_cache or None)
+    # Flag, then the REPRO_FAULT_PROFILE environment variable.
+    config.fault_plan = resolve_fault_plan(args.fault_profile, seed=args.seed)
+    if getattr(args, "leak_sample_days", None) is not None:
+        config.leak_sample_days = args.leak_sample_days
+    if getattr(args, "blockfile", None) is not None:
+        config.serve_blockfile = args.blockfile
+    return config
 
 
-def _world(args):
-    plan = _plan(args)
-    if plan is not None:
-        return plan.build()
-    if getattr(args, "spec", None):
-        return build_world_from_file(args.spec)
-    scale = WorldScale.small() if args.quick else None
-    return build_world(seed=args.seed, scale=scale)
+def _world(config: StudyConfig):
+    """The config's world, built whole."""
+    if config.plan is not None:
+        return config.plan.build()
+    return build_world(seed=config.seed, scale=config.scale)
 
 
-def _world_source(args):
-    """What an engine measures: the ``--plan`` (never built whole here), else the world."""
-    return _plan(args) or _world(args)
+def _run_campaign(args, config: StudyConfig, obs: Observability, networks):
+    """``(campaign, dataset)`` for ``networks`` over ``--start..--end``.
 
-
-def _snapshot_cache(args) -> Optional[SnapshotCache]:
-    if args.snapshot_cache is None:
-        return None
-    return SnapshotCache(args.snapshot_cache or None)
-
-
-def _campaign_cache(args) -> Optional[CampaignCache]:
-    if args.campaign_cache is None:
-        return None
-    return CampaignCache(args.campaign_cache or None)
-
-
-def _fault_plan(args):
-    """The fault plan for this invocation (flag, then environment)."""
-    return resolve_fault_plan(args.fault_profile, seed=args.seed)
-
-
-def _obs(args) -> Observability:
-    """The observability handle ``main`` attached (no-op otherwise)."""
-    return getattr(args, "obs", None) or NULL_OBS
+    The one place the CLI measures the supplemental campaign: a plan is
+    measured in ``config.shards`` blocks, never built whole here.
+    """
+    campaign = SupplementalCampaign(
+        config.plan if config.plan is not None else _world(config),
+        networks=networks,
+        shards=config.shards,
+        fault_plan=config.fault_plan,
+        obs=obs,
+    )
+    obs.set_run_info(
+        world_fingerprint=campaign.internet.cache_token(),
+        fault_profile=config.fault_plan.name if config.fault_plan is not None else None,
+    )
+    dataset = campaign.run(
+        args.start,
+        args.end,
+        workers=config.capped_workers(config.campaign_workers),
+        cache=config.campaign_cache,
+    )
+    return campaign, dataset
 
 
 def _print_error_report(dataset, out) -> None:
@@ -491,27 +473,8 @@ def _print_campaign_timings(campaign, out) -> None:
     _print_cache_outcome("campaign", metrics, out)
 
 
-def _study_config(args) -> StudyConfig:
-    """One StudyConfig from the shared flags (study and serve)."""
-    config = StudyConfig.quick(args.seed) if args.quick else StudyConfig(seed=args.seed)
-    config.plan = _plan(args)
-    config.shards = args.shards
-    config.max_workers = args.max_workers
-    config.snapshot_workers = args.workers
-    config.snapshot_cache = _snapshot_cache(args)
-    config.campaign_workers = args.workers
-    config.campaign_cache = _campaign_cache(args)
-    config.fault_plan = _fault_plan(args)
-    if getattr(args, "leak_sample_days", None) is not None:
-        config.leak_sample_days = args.leak_sample_days
-    if getattr(args, "blockfile", None) is not None:
-        config.serve_blockfile = args.blockfile
-    return config
-
-
-def cmd_study(args, out) -> int:
-    config = _study_config(args)
-    study = ReproductionStudy(config, obs=_obs(args))
+def cmd_study(args, config, obs, out) -> int:
+    study = ReproductionStudy(config, obs=obs)
     report = study.dynamicity()
     print(
         f"Dynamicity ({config.dynamicity_start} .. {config.dynamicity_end}): "
@@ -539,23 +502,9 @@ def cmd_study(args, out) -> int:
     return 0
 
 
-def cmd_campaign(args, out) -> int:
-    obs = _obs(args)
-    plan = _fault_plan(args)
-    campaign = SupplementalCampaign(
-        _world_source(args),
-        networks=args.networks,
-        shards=args.shards,
-        fault_plan=plan,
-        obs=obs,
-    )
-    obs.set_run_info(
-        world_fingerprint=campaign.internet.cache_token(),
-        fault_profile=plan.name if plan is not None else None,
-    )
-    dataset = campaign.run(
-        args.start, args.end, workers=args.workers, cache=_campaign_cache(args)
-    )
+def cmd_campaign(args, config, obs, out) -> int:
+    campaign, dataset = _run_campaign(args, config, obs, args.networks)
+    fault_plan = config.fault_plan
     icmp_total, icmp_unique = dataset.icmp_stats()
     rdns_total, rdns_unique, rdns_ptrs = dataset.rdns_stats()
     print(
@@ -568,13 +517,13 @@ def cmd_campaign(args, out) -> int:
     for name, net_type, _, observed, percent in dataset.table4_rows():
         table.add_row([name, net_type, observed, round(percent, 1)])
     print(table.render(), file=out)
-    if plan is not None or args.error_report:
+    if fault_plan is not None or args.error_report:
         _print_error_report(dataset, out)
-    if plan is not None:
+    if fault_plan is not None:
         metrics = campaign.last_metrics
         counters = metrics.fault_counters if metrics is not None else {}
         print(
-            f"\nFault profile '{plan.name}' active: "
+            f"\nFault profile '{fault_plan.name}' active: "
             f"{counters.get('echoes_lost', 0):,} echoes lost "
             f"({counters.get('icmp_retries', 0):,} ICMP retries), "
             f"{counters.get('rdns_timeouts', 0):,} rDNS timeouts over "
@@ -597,13 +546,8 @@ def cmd_campaign(args, out) -> int:
     return 0
 
 
-def cmd_track(args, out) -> int:
-    world = _world(args)
-    plan = _fault_plan(args)
-    campaign = SupplementalCampaign(
-        world, networks=[args.network], fault_plan=plan, obs=_obs(args)
-    )
-    dataset = campaign.run(args.start, args.end)
+def cmd_track(args, config, obs, out) -> int:
+    _, dataset = _run_campaign(args, config, obs, [args.network])
     tracker = DeviceTracker(dataset.rdns)
     days = (args.end - args.start).days
     labels = BRIAN_HOSTNAME_LABELS if args.name.lower() == "brian" and args.network == "Academic-A" else None
@@ -613,7 +557,7 @@ def cmd_track(args, out) -> int:
         days,
         network=args.network,
         labels=labels,
-        mark_unknown=plan is not None,
+        mark_unknown=config.fault_plan is not None,
     )
     if not any(any(row) for row in matrix.values()):
         print(f"no devices matching {args.name!r} observed on {args.network}", file=out)
@@ -624,18 +568,13 @@ def cmd_track(args, out) -> int:
             "#" if seen else ("?" if seen is None else ".") for seen in matrix[label]
         )
         print(f"  {label:24s} {cells}", file=out)
-    if plan is not None and any(None in row for row in matrix.values()):
+    if config.fault_plan is not None and any(None in row for row in matrix.values()):
         print("  ('?' = not seen on a day with failed lookups: coverage gap, not absence)", file=out)
     return 0
 
 
-def cmd_heist(args, out) -> int:
-    world = _world(args)
-    fault_plan = _fault_plan(args)
-    campaign = SupplementalCampaign(
-        world, networks=[args.network], fault_plan=fault_plan, obs=_obs(args)
-    )
-    dataset = campaign.run(args.start, args.end)
+def cmd_heist(args, config, obs, out) -> int:
+    _, dataset = _run_campaign(args, config, obs, [args.network])
     planner = HeistPlanner(dataset, args.network)
     plan = planner.plan(source=args.source, weekdays_only=True)
     print(f"Quietest weekday hour on {args.network}: {plan.hour_of_day:02d}:00 "
@@ -645,17 +584,17 @@ def cmd_heist(args, out) -> int:
         value = plan.activity_by_hour.get(hour, 0.0)
         bar = "#" * int(round(24 * value / peak))
         print(f"  {hour:02d}:00 {value:7.1f} {bar}", file=out)
-    if fault_plan is not None:
+    if config.fault_plan is not None:
         print(
-            f"  (fault profile '{fault_plan.name}' active: each hourly average "
+            f"  (fault profile '{config.fault_plan.name}' active: each hourly average "
             f"rests on >= {plan.min_samples()} measured hours)",
             file=out,
         )
     return 0
 
 
-def cmd_snapshot(args, out) -> int:
-    world = _world(args)
+def cmd_snapshot(args, config, obs, out) -> int:
+    world = _world(config)
     if args.network is not None:
         records = world.internet.network(args.network).records_on(args.date, at_offset=12 * 3600)
     else:
@@ -672,12 +611,8 @@ def cmd_snapshot(args, out) -> int:
     return 0
 
 
-def cmd_audit(args, out) -> int:
-    world = _world(args)
-    campaign = SupplementalCampaign(
-        world, networks=args.networks, fault_plan=_fault_plan(args), obs=_obs(args)
-    )
-    dataset = campaign.run(args.start, args.end)
+def cmd_audit(args, config, obs, out) -> int:
+    _, dataset = _run_campaign(args, config, obs, args.networks)
     reports = audit_by_network(dataset.rdns)
     table = TextTable(
         ["Network", "Grade", "Identity", "Dynamics", "Trackability", "Records"],
@@ -755,19 +690,19 @@ def _verify_cache_entry(cache, key: str, detail) -> Tuple[str, bool]:
     )
 
 
-def cmd_cache(args, out) -> int:
+def cmd_cache(args, config, obs, out) -> int:
     # (label, cache, inspect column, its value, verify detail) per cache.
     sections = [
         (
             "snapshot",
-            _snapshot_cache(args) or SnapshotCache(),
+            config.snapshot_cache or SnapshotCache(),
             "Days",
             lambda payload: len(payload.get("days", ())),
             lambda reader, records: f"{len(reader.days)} day(s)",
         ),
         (
             "campaign",
-            _campaign_cache(args) or CampaignCache(),
+            config.campaign_cache or CampaignCache(),
             "Networks",
             lambda payload: len(payload.get("targets_by_network", ())),
             lambda reader, records: f"{records} record(s)",
@@ -818,9 +753,9 @@ def cmd_cache(args, out) -> int:
     return 1 if failures else 0
 
 
-def cmd_plan(args, out) -> int:
+def cmd_plan(args, config, obs, out) -> int:
     plan = synthetic_plan(
-        args.seed,
+        config.seed,
         slash16s=args.slash16s,
         people=args.people,
         zone_layout=args.zone_layout,
@@ -836,21 +771,16 @@ def cmd_plan(args, out) -> int:
     return 0
 
 
-def cmd_serve(args, out) -> int:
+def cmd_serve(args, config, obs, out) -> int:
     from repro.serve import build_app, run_app
 
-    config = _study_config(args)
-    # build_app derives the world from config (seed + scale) itself;
-    # only a --spec world needs to be built here and handed over.
-    world = build_world_from_file(args.spec) if args.spec else None
-    obs = _obs(args)
     print(
         f"collecting {config.dynamicity_start}..{config.dynamicity_end} "
-        f"(seed {args.seed}) ...",
+        f"(seed {config.seed}) ...",
         file=out,
         flush=True,
     )
-    app = build_app(config, world=world, obs=obs)
+    app = build_app(config, obs=obs)
     series = app.snapshots.series
     print(
         f"serving {len(series)} day(s), {len(series.prefix_table())} /24 "
@@ -862,13 +792,11 @@ def cmd_serve(args, out) -> int:
     return 0
 
 
-def cmd_evaluate(args, out) -> int:
-    config = _study_config(args)
-    plan = _plan(args)
-    if plan is not None:
-        worlds = {"plan": plan}
+def cmd_evaluate(args, config, obs, out) -> int:
+    if config.plan is not None:
+        worlds = {"plan": config.plan}
     else:
-        worlds = default_worlds(args.seed, slash16s=args.slash16s, people=args.people)
+        worlds = default_worlds(config.seed, slash16s=args.slash16s, people=args.people)
     if args.worlds is not None:
         unknown = [label for label in args.worlds if label not in worlds]
         if unknown:
@@ -891,10 +819,10 @@ def cmd_evaluate(args, out) -> int:
 
     result = run_matrix(
         spec,
-        workers=config.capped_workers(args.workers),
+        workers=config.capped_workers(config.campaign_workers),
         snapshot_cache=config.snapshot_cache,
         campaign_cache=config.campaign_cache,
-        obs=_obs(args),
+        obs=obs,
     )
 
     cells = spec.cells()
@@ -945,6 +873,11 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = out or sys.stdout
+    clearing = args.clear_snapshot_cache or args.clear_campaign_cache
+    if args.command is None and not clearing:
+        parser.error(
+            "a command is required (or --clear-snapshot-cache/--clear-campaign-cache)"
+        )
     if args.max_workers is not None:
         # One shared ceiling for every pool this process (and its
         # workers) creates — see repro.scan.parallel.worker_cap.
@@ -952,34 +885,28 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
 
         os.environ["REPRO_MAX_WORKERS"] = str(args.max_workers)
     manifest_path = args.metrics_out or metrics_out_path()
-    if manifest_path or args.trace:
-        args.obs = Observability()
-        args.obs.set_run_info(
-            seed=args.seed,
-            # The alias maps to the same command (and the same manifest).
-            command="campaign" if args.command == "supplemental" else args.command,
-        )
-    else:
-        args.obs = None
-    if args.clear_snapshot_cache:
-        cache = _snapshot_cache(args) or SnapshotCache()
-        removed = cache.clear()
-        print(f"cleared {removed} cached snapshot series from {cache.root}", file=out)
-    if args.clear_campaign_cache:
-        cache = _campaign_cache(args) or CampaignCache()
-        removed = cache.clear()
-        print(f"cleared {removed} cached campaign datasets from {cache.root}", file=out)
-    if args.command is None:
-        if args.clear_snapshot_cache or args.clear_campaign_cache:
-            return 0
-        parser.error(
-            "a command is required (or --clear-snapshot-cache/--clear-campaign-cache)"
-        )
+    obs = Observability() if manifest_path or args.trace else NULL_OBS
+    obs.set_run_info(
+        seed=args.seed,
+        # The alias maps to the same command (and the same manifest).
+        command="campaign" if args.command == "supplemental" else args.command,
+    )
     try:
-        status = _COMMANDS[args.command](args, out)
+        config = _study_config(args)
+        if args.clear_snapshot_cache:
+            cache = config.snapshot_cache or SnapshotCache()
+            removed = cache.clear()
+            print(f"cleared {removed} cached snapshot series from {cache.root}", file=out)
+        if args.clear_campaign_cache:
+            cache = config.campaign_cache or CampaignCache()
+            removed = cache.clear()
+            print(f"cleared {removed} cached campaign datasets from {cache.root}", file=out)
+        if args.command is None:
+            return 0
+        status = _COMMANDS[args.command](args, config, obs, out)
     except ValueError as error:
-        # Bad user input (e.g. an empty half-open window) — report it
-        # like an argument error instead of a traceback.
+        # Bad user input (e.g. an empty half-open window or a malformed
+        # --plan) — report it like an argument error instead of a traceback.
         if _is_cadence_error(error):
             print(f"error: irregular snapshot series — {error}", file=sys.stderr)
         else:
@@ -988,15 +915,14 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except PoolError as error:
         print(f"{parser.prog}: error: {error}", file=sys.stderr)
         return 1
-    if args.obs is not None:
-        if args.trace:
-            rendered = args.obs.tracer.render()
-            if rendered:
-                print("\n[trace]", file=out)
-                print(rendered, file=out)
-        if manifest_path:
-            args.obs.write_manifest(manifest_path)
-            print(f"wrote run manifest to {manifest_path}", file=out)
+    if args.trace:
+        rendered = obs.tracer.render()
+        if rendered:
+            print("\n[trace]", file=out)
+            print(rendered, file=out)
+    if manifest_path:
+        obs.write_manifest(manifest_path)
+        print(f"wrote run manifest to {manifest_path}", file=out)
     return status
 
 

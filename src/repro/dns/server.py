@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.dns.errors import NoSuchZoneError, ZoneError
 from repro.dns.message import DnsMessage
@@ -88,6 +88,18 @@ class AuthoritativeServer:
 
     def zones(self) -> List[ReverseZone]:
         return list(self._zones.values())
+
+    def checkpoint(self) -> Tuple:
+        """Every zone's content plus the failure model's draw state, for :meth:`restore`."""
+        zones = [(zone, zone.checkpoint()) for zone in self._zones.values()]
+        return zones, self.failure_model._rng.getstate()
+
+    def restore(self, state: Tuple) -> None:
+        """Roll zones and failure draws back to a :meth:`checkpoint` (counters keep counting)."""
+        zones, draws = state
+        for zone, zone_state in zones:
+            zone.restore(zone_state)
+        self.failure_model._rng.setstate(draws)
 
     def zone_for(self, name: DomainName) -> ReverseZone:
         """The longest-match zone authoritative for ``name``."""

@@ -323,6 +323,20 @@ class ReverseZone:
         for name in sorted(self._cnames):
             yield self._cnames[name]
 
+    # -- checkpoints ----------------------------------------------------------
+
+    def checkpoint(self) -> Tuple:
+        """The zone's content (PTRs, glue, journal length, SOA) for :meth:`restore`."""
+        return dict(self._ptr), dict(self._cnames), len(self._journal), self._soa
+
+    def restore(self, state: Tuple) -> None:
+        """Roll the zone back to a :meth:`checkpoint`, dropping later changes."""
+        ptr, cnames, journal_length, soa = state
+        self._ptr = dict(ptr)
+        self._cnames = dict(cnames)
+        del self._journal[journal_length:]
+        self._soa = soa
+
     # -- introspection ------------------------------------------------------
 
     @property

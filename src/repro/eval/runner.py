@@ -31,8 +31,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.eval.matrix import MatrixCell, MatrixSpec
 from repro.eval.scoring import CellScore, score_cell, score_from_payload
-from repro.netsim.faults import plan_from_profile
-from repro.netsim.worldplan import WorldPlan
 from repro.obs import resolve_obs
 from repro.scan.cache import CampaignCache, SnapshotCache
 from repro.scan.campaign import SupplementalCampaign
@@ -62,78 +60,16 @@ class MatrixResult:
     total_seconds: float = 0.0
 
 
-def _spec_state(spec: MatrixSpec, snapshot_root: Optional[str], campaign_root: Optional[str]) -> Tuple:
-    """The picklable per-run state shared by every cell task."""
-    return (
-        spec.dynamicity_start.toordinal(),
-        spec.dynamicity_end.toordinal(),
-        spec.supplemental_start.toordinal(),
-        spec.supplemental_end.toordinal(),
-        spec.leak_sample_days,
-        spec.dynamicity_thresholds,
-        spec.track_min_days,
-        spec.identity_norm,
-        spec.dynamics_norm,
-        snapshot_root,
-        campaign_root,
-    )
-
-
-def _cell_task(spec: MatrixSpec, cell: MatrixCell) -> Tuple:
-    """One cell's picklable work item."""
-    return (
-        cell.index,
-        cell.world,
-        cell.policy,
-        cell.faults,
-        spec.plan_for(cell).to_payload(),
-    )
-
-
-def _evaluate_cell(state: Tuple, task: Tuple) -> Dict[str, Any]:
+def _evaluate_cell(state: Tuple, cell: MatrixCell) -> Dict[str, Any]:
     """Run + score one cell (shared by the serial and pooled paths).
 
-    Everything the cell needs arrives through ``state``/``task`` plain
-    values; everything it returns is a JSON-able dict — the same bytes
-    whether this executes inline or inside a worker process.
+    ``state`` is ``(spec, snapshot_root, campaign_root)``; everything
+    the cell returns is a JSON-able dict — the same bytes whether this
+    executes inline or inside a worker process.
     """
-    import datetime as dt
-
-    (
-        dyn_start_ord,
-        dyn_end_ord,
-        sup_start_ord,
-        sup_end_ord,
-        leak_sample_days,
-        dynamicity_thresholds,
-        track_min_days,
-        identity_norm,
-        dynamics_norm,
-        snapshot_root,
-        campaign_root,
-    ) = state
-    index, world_label, policy, faults, plan_payload = task
-
-    plan = WorldPlan.from_payload(plan_payload)
-    cell = MatrixCell(index, world_label, policy, faults)
-    # A throwaway single-world spec carrying just the scoring knobs the
-    # worker needs; axes stay with the coordinator.
-    spec = MatrixSpec(
-        worlds={world_label: plan},
-        policies=(policy,),
-        faults=(faults,),
-        dynamicity_start=dt.date.fromordinal(dyn_start_ord),
-        dynamicity_end=dt.date.fromordinal(dyn_end_ord),
-        supplemental_start=dt.date.fromordinal(sup_start_ord),
-        supplemental_end=dt.date.fromordinal(sup_end_ord),
-        leak_sample_days=leak_sample_days,
-        dynamicity_thresholds=dynamicity_thresholds,
-        track_min_days=track_min_days,
-        identity_norm=identity_norm,
-        dynamics_norm=dynamics_norm,
-    )
-
-    fault_plan = plan_from_profile(faults, seed=plan.seed) if faults != "none" else None
+    spec, snapshot_root, campaign_root = state
+    plan = spec.plan_for(cell)
+    fault_plan = spec.fault_plan_for(cell)
     fault_token = fault_plan.cache_token() if fault_plan is not None else None
 
     snapshot_cache = SnapshotCache(snapshot_root) if snapshot_root else None
@@ -160,7 +96,7 @@ def _evaluate_cell(state: Tuple, task: Tuple) -> Dict[str, Any]:
     collect_metrics = collector.last_metrics
     campaign_metrics = campaign.last_metrics
     return {
-        "index": index,
+        "index": cell.index,
         "score": score.to_payload(),
         "snapshot_cache_key": collect_metrics.cache_key if collect_metrics else None,
         "campaign_cache_key": campaign_metrics.cache_key if campaign_metrics else None,
@@ -169,9 +105,9 @@ def _evaluate_cell(state: Tuple, task: Tuple) -> Dict[str, Any]:
     }
 
 
-def _pooled_cell_task(state: Tuple, task: Tuple) -> Tuple[Dict[str, Any], bytes]:
+def _pooled_cell_task(state: Tuple, cell: MatrixCell) -> Tuple[Dict[str, Any], bytes]:
     """Pool entry point: the whole cell entry rides as the header."""
-    return _evaluate_cell(state, task), b""
+    return _evaluate_cell(state, cell), b""
 
 
 def run_matrix(
@@ -197,18 +133,17 @@ def run_matrix(
 
     snapshot_root = str(snapshot_cache.root) if snapshot_cache is not None else None
     campaign_root = str(campaign_cache.root) if campaign_cache is not None else None
-    state = _spec_state(spec, snapshot_root, campaign_root)
-    tasks = [_cell_task(spec, cell) for cell in cells]
+    state = (spec, snapshot_root, campaign_root)
 
     with obs.span("eval_matrix") as span:
         if pool_workers >= 2:
             pooled = run_pool(
-                _pooled_cell_task, tasks, state, pool_workers,
+                _pooled_cell_task, cells, state, pool_workers,
                 section="eval_pool", unpack=bytes, obs=obs,
             )
             entries = [entry for entry, _ in pooled]
         else:
-            entries = [_evaluate_cell(state, task) for task in tasks]
+            entries = [_evaluate_cell(state, cell) for cell in cells]
         results: List[CellResult] = []
         for cell, entry in zip(cells, entries):
             results.append(

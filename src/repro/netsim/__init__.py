@@ -46,7 +46,6 @@ from repro.netsim.faults import (
     plan_from_profile,
     resolve_fault_plan,
 )
-from repro.netsim.spec import build_world_from_file, build_world_from_spec, validate_spec
 from repro.netsim.worldplan import (
     LazyPlanInternet,
     PlanError,
@@ -88,8 +87,6 @@ __all__ = [
     "WEEK",
     "WorldPlan",
     "black_friday",
-    "build_world_from_file",
-    "build_world_from_spec",
     "cyber_monday",
     "from_datetime",
     "plan_from_profile",
@@ -98,5 +95,4 @@ __all__ = [
     "thanksgiving",
     "to_datetime",
     "ts",
-    "validate_spec",
 ]

@@ -1,10 +1,9 @@
 """World plans: declarative, shardable descriptions of a simulated Internet.
 
 :func:`~repro.netsim.internet.build_world` assembles the paper's fixed
-world in code; :mod:`repro.netsim.spec` builds a world from a JSON
-mapping.  Both produce the *whole* world in one process, which caps the
-address space a study can cover.  A :class:`WorldPlan` closes that gap:
-it is a fully *materialised* list of spec-style network entries — every
+world in code, whole, in one process.  A :class:`WorldPlan` is the one
+JSON world format (the CLI's ``--plan``, also spelled ``--spec``): a
+fully *materialised* list of network entries — every
 keyword argument already computed, nothing drawn from a sequential
 world-level RNG — so any contiguous subset of entries builds into
 exactly the networks the full plan would build.  That property is what
@@ -95,9 +94,9 @@ def _aligned_for_reverse_dns(prefix: ipaddress.IPv4Network) -> bool:
 class WorldPlan:
     """An ordered, fully-materialised list of network entries plus a seed.
 
-    Entries use the same shape as :mod:`repro.netsim.spec` network
-    entries (``kind``/``name``/``prefix``/``suffix`` plus factory
-    keyword arguments and an optional ``supplemental`` flag).  Entry
+    Each entry names a :class:`~repro.netsim.population.NetworkBuilder`
+    factory by ``kind`` and gives its ``name``/``prefix``/``suffix``,
+    its keyword arguments and an optional ``supplemental`` flag.  Entry
     order is load-bearing: shards are contiguous runs of this list, and
     merged shard output reproduces a full build *because* both iterate
     in plan order.

@@ -353,40 +353,48 @@ def run_network_campaign(
     # absolute counters mix networks; the delta is this run's share and
     # matches what a fresh forked worker would count.
     server_baseline = network.server.metrics_snapshot()
-    runtimes = build_runtimes([network], engine, fault_plan=fault_plan)
-    runtimes[name].start(start, last_day)
+    # The runtime writes PTRs into the network's own zones and the
+    # lookups advance its server's failure draws; roll both back
+    # afterwards so a re-run on this world measures what a fresh world
+    # would (snapshot derivation reads neither).
+    checkpoint = network.server.checkpoint()
+    try:
+        runtimes = build_runtimes([network], engine, fault_plan=fault_plan)
+        runtimes[name].start(start, last_day)
 
-    if fault_plan is not None:
-        scanner = IcmpScanner(
-            runtimes, blocklist=blocklist, retries=fault_plan.icmp_retry_budget
+        if fault_plan is not None:
+            scanner = IcmpScanner(
+                runtimes, blocklist=blocklist, retries=fault_plan.icmp_retry_budget
+            )
+            resolver = world.internet.resolver(
+                retries=fault_plan.rdns_retry_budget,
+                backoff_base=fault_plan.rdns_backoff_base,
+                fault_plan=fault_plan,
+            )
+        else:
+            scanner = IcmpScanner(runtimes, blocklist=blocklist)
+            resolver = world.internet.resolver()
+        rdns = RdnsLookupEngine(
+            resolver,
+            rate_limit=TokenBucket(rdns_rate, rdns_rate * 10),
         )
-        resolver = world.internet.resolver(
-            retries=fault_plan.rdns_retry_budget,
-            backoff_base=fault_plan.rdns_backoff_base,
-            fault_plan=fault_plan,
+        end_ts = from_date(last_day) + DAY - 1
+        monitor = ReactiveMonitor(
+            engine,
+            scanner,
+            rdns,
+            schedule=schedule,
+            sweep_interval=sweep_interval,
         )
-    else:
-        scanner = IcmpScanner(runtimes, blocklist=blocklist)
-        resolver = world.internet.resolver()
-    rdns = RdnsLookupEngine(
-        resolver,
-        rate_limit=TokenBucket(rdns_rate, rdns_rate * 10),
-    )
-    end_ts = from_date(last_day) + DAY - 1
-    monitor = ReactiveMonitor(
-        engine,
-        scanner,
-        rdns,
-        schedule=schedule,
-        sweep_interval=sweep_interval,
-    )
-    # Columnar stores are drop-in append targets for the monitor.
-    monitor.icmp_observations = IcmpColumns()
-    monitor.rdns_observations = RdnsColumns()
-    subnets = world.supplemental_targets(name)
-    targets = [str(subnet.prefix) for subnet in subnets]
-    monitor.start({name: targets}, end=end_ts)
-    engine.run_until(end_ts)
+        # Columnar stores are drop-in append targets for the monitor.
+        monitor.icmp_observations = IcmpColumns()
+        monitor.rdns_observations = RdnsColumns()
+        subnets = world.supplemental_targets(name)
+        targets = [str(subnet.prefix) for subnet in subnets]
+        monitor.start({name: targets}, end=end_ts)
+        engine.run_until(end_ts)
+    finally:
+        network.server.restore(checkpoint)
     counters: Dict[str, int] = {}
     if fault_plan is not None:
         counters = {

@@ -238,18 +238,13 @@ class ServeApp:
         return 200, self.obs.manifest().to_payload()
 
 
-def build_app(
-    config=None,
-    *,
-    world: Optional[World] = None,
-    obs: Optional[Observability] = None,
-) -> ServeApp:
+def build_app(config=None, *, obs: Optional[Observability] = None) -> ServeApp:
     """Boot a service instance: pick the source, collect the window, wire it.
 
     ``config`` is a :class:`~repro.core.pipeline.StudyConfig` (defaults
     to the full-scale one).  The source is ``config.plan`` when set,
-    else ``world``, else the world built from ``config``.  The snapshot
-    series over its dynamicity window is collected up front (honouring
+    else the world built from ``config``.  The snapshot series over its
+    dynamicity window is collected up front (honouring
     ``snapshot_workers`` and ``snapshot_cache``), after which every
     query is served from the columnar store and ingest extends it one
     day at a time.
@@ -259,7 +254,7 @@ def build_app(
     config = config or StudyConfig()
     obs = resolve_obs(obs)
     # A plan is measured block by block and never built whole here.
-    source = config.plan if config.plan is not None else world
+    source = config.plan
     if source is None:
         source = build_world(seed=config.seed, scale=config.scale)
     collector = SnapshotCollector.openintel_style(source, shards=config.shards, obs=obs)

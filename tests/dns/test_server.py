@@ -121,3 +121,33 @@ class TestFailureModel:
         server.add_zone(ReverseZone("10.0.0.0/24"))
         response = server.handle(DnsMessage.query(reverse_pointer("10.0.0.1")))
         assert response.rcode is Rcode.SERVFAIL
+
+
+class TestCheckpoint:
+    def test_restore_rolls_back_zones_and_failure_draws(self):
+        server = AuthoritativeServer(failure_model=FailureModel(0.3, 0.3, seed=5))
+        covering = ReverseZone("192.0.2.0/24")
+        child = ReverseZone("192.0.2.0/28")
+        covering.set_ptr("192.0.2.200", "static.example.net")
+        server.add_zone(covering)
+        server.add_zone(child)
+
+        def state():
+            return [
+                (list(zone.entries()), list(zone.glue_records()), zone.serial, zone.journal)
+                for zone in server.zones()
+            ]
+
+        before = state()
+        checkpoint = server.checkpoint()
+        expected_draws = [server.failure_model.draw() for _ in range(20)]
+        server.restore(checkpoint)
+        covering.set_ptr("192.0.2.10", "brians-mbp.example.net")
+        covering.remove_ptr("192.0.2.200")
+        covering.add_rfc2317_glue(child)
+        child.set_ptr("192.0.2.3", "laptop.example.net")
+        server.handle(DnsMessage.query(reverse_pointer("192.0.2.10")))
+        server.restore(checkpoint)
+        assert state() == before
+        assert [server.failure_model.draw() for _ in range(20)] == expected_draws
+        assert server.queries_handled == 1

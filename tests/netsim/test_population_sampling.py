@@ -20,7 +20,7 @@ from repro.netsim.population import (
     sample_slash24s,
 )
 from repro.netsim.rng import RngStreams
-from repro.netsim.spec import build_world_from_spec
+from repro.netsim.worldplan import WorldPlan
 from tests.oracles import (
     enumerated_infrastructure_entries,
     enumerated_server_entries,
@@ -88,7 +88,7 @@ class TestSlash24Selection:
             ],
         }
         with pytest.raises(ValueError, match=r"10\.32\.0\.0/25 is narrower than a /24"):
-            build_world_from_spec(spec)
+            WorldPlan.from_payload(spec).build()
 
 
 class TestEntryFactories:

@@ -122,3 +122,29 @@ class TestCampaignManifestMetrics:
             counters["rdns_attempts_total"]["value"]
             >= counters["rdns_lookups_total"]["value"]
         )
+
+
+class TestRerunsArePure:
+    """A campaign leaves the world's zones and failure draws as it found them."""
+
+    WINDOW = (dt.date(2021, 11, 1), dt.date(2021, 11, 2))
+
+    def _run(self, world):
+        campaign = SupplementalCampaign(world, networks=["Academic-A"], fault_plan=None)
+        return campaign.run(*self.WINDOW)
+
+    def test_second_run_matches_a_fresh_world(self):
+        from tests.cache_bytes import dataset_bytes
+
+        world = build_world(seed=3, scale=WorldScale.small())
+        first = dataset_bytes(self._run(world))
+        second = dataset_bytes(self._run(world))
+        fresh = dataset_bytes(self._run(build_world(seed=3, scale=WorldScale.small())))
+        assert first == second == fresh
+
+    def test_zones_are_restored(self):
+        world = build_world(seed=3, scale=WorldScale.small())
+        zones = world.supplemental["Academic-A"].zones()
+        before = [(len(zone), zone.serial, len(zone.journal)) for zone in zones]
+        self._run(world)
+        assert [(len(zone), zone.serial, len(zone.journal)) for zone in zones] == before

@@ -346,3 +346,95 @@ class TestCadenceErrorSurfacing:
         captured = capsys.readouterr()
         assert captured.err.strip() == "rdns-privacy: error: something else entirely"
         assert "irregular snapshot series" not in captured.err
+
+
+WORLD_FILE = {
+    "seed": 3,
+    "networks": [
+        {
+            "kind": "academic",
+            "name": "Spec-Campus",
+            "prefix": "10.10.0.0/16",
+            "suffix": "campus.spec.edu",
+            "education_prefix": "10.10.1.0/24",
+            "housing_prefix": "10.10.2.0/24",
+            "staff": 10,
+            "students": 10,
+            "residents": 12,
+            "supplemental": True,
+        },
+    ],
+}
+
+
+def write_world_file(tmp_path, payload=WORLD_FILE):
+    import json
+
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+class TestOneWorldFile:
+    """``--spec`` is a second spelling of ``--plan``."""
+
+    def test_spec_study_matches_plan_study(self, tmp_path):
+        path = write_world_file(tmp_path)
+        spec_code, spec_output = run_cli("--quick", "--seed", "1", "--spec", path, "study")
+        plan_code, plan_output = run_cli("--quick", "--seed", "1", "--plan", path, "study")
+        _, default_output = run_cli("--quick", "--seed", "1", "study")
+        assert spec_code == plan_code == 0
+        assert spec_output == plan_output
+        assert spec_output != default_output
+        assert "spec.edu" in spec_output
+
+    def test_both_spellings_set_one_option(self):
+        parser = build_parser()
+        assert parser.parse_args(["--spec", "w.json", "study"]).plan == "w.json"
+        assert parser.parse_args(["--plan", "w.json", "study"]).plan == "w.json"
+
+    def test_misaligned_prefix_is_a_one_line_error(self, tmp_path, capsys):
+        entry = dict(WORLD_FILE["networks"][0], prefix="10.10.0.0/20")
+        path = write_world_file(tmp_path, {"seed": 3, "networks": [entry]})
+        code, _ = run_cli("--quick", "--spec", path, "campaign")
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("rdns-privacy: error:")
+        assert "octet boundary" in err[0]
+
+
+class TestCampaignCommandsShareOnePath:
+    """track, heist and audit run the campaign the way ``campaign`` does."""
+
+    WINDOW = ("--start", "2021-11-01", "--end", "2021-11-02")
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("audit", "--networks", "Academic-C"),
+            ("track", "brian", "--network", "Academic-A"),
+            ("heist", "--network", "Academic-C"),
+        ],
+        ids=["audit", "track", "heist"],
+    )
+    def test_campaign_cache_is_stored_then_hit(self, tmp_path, command):
+        import json
+
+        from repro.scan import CampaignCache
+
+        cache_dir = tmp_path / "campaigns"
+
+        def cache_hit(name):
+            manifest = tmp_path / f"{name}.json"
+            run_cli(
+                "--quick", "--seed", "1", "--campaign-cache", str(cache_dir),
+                "--metrics-out", str(manifest), *command, *self.WINDOW,
+            )
+            execution = json.loads(manifest.read_text())["timings"]["execution"]
+            return execution["campaign"]["cache_hit"]
+
+        assert cache_hit("cold") is False
+        assert len(CampaignCache(cache_dir).entries()) == 1
+        assert cache_hit("warm") is True
+        assert len(CampaignCache(cache_dir).entries()) == 1

@@ -101,3 +101,21 @@ def test_plan_manifest_matches_built_world_manifest():
     ] * len(plan.supplemental_names)
     assert planned.metrics.snapshot()["counters"]["snapshot_days_total"]
     assert _deterministic(planned) == _deterministic(built)
+
+
+def test_spec_module_is_gone():
+    import repro.netsim
+
+    assert not (SRC / "netsim" / "spec.py").exists()
+    for name in ("build_world_from_spec", "build_world_from_file", "validate_spec"):
+        assert not hasattr(repro.netsim, name), name
+
+
+def test_cli_constructs_the_campaign_once():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "SupplementalCampaign" in set(_names(node.func))
+    ]
+    assert len(calls) == 1, calls
