@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import ipaddress
 import pathlib
 import sys
 from typing import List, Optional, Tuple
@@ -596,12 +597,15 @@ def cmd_heist(args, config, obs, out) -> int:
 def cmd_snapshot(args, config, obs, out) -> int:
     world = _world(config)
     if args.network is not None:
-        records = world.internet.network(args.network).records_on(args.date, at_offset=12 * 3600)
+        networks = [world.internet.network(args.network)]
     else:
-        records = world.internet.records_on(args.date, at_offset=12 * 3600)
+        networks = world.internet.networks
+    records = (
+        record for network in networks for record in network.records_on(args.date, at_offset=12 * 3600)
+    )
     shown = 0
     for address, hostname in records:
-        print(f"{address}\t{hostname}", file=out)
+        print(f"{ipaddress.IPv4Address(address)}\t{hostname}", file=out)
         shown += 1
         if shown >= args.limit:
             print(f"... (truncated at {args.limit} records; raise --limit)", file=out)
@@ -820,6 +824,7 @@ def cmd_evaluate(args, config, obs, out) -> int:
     result = run_matrix(
         spec,
         workers=config.capped_workers(config.campaign_workers),
+        shards=config.shards,
         snapshot_cache=config.snapshot_cache,
         campaign_cache=config.campaign_cache,
         obs=obs,

@@ -63,11 +63,11 @@ class MatrixResult:
 def _evaluate_cell(state: Tuple, cell: MatrixCell) -> Dict[str, Any]:
     """Run + score one cell (shared by the serial and pooled paths).
 
-    ``state`` is ``(spec, snapshot_root, campaign_root)``; everything
-    the cell returns is a JSON-able dict — the same bytes whether this
-    executes inline or inside a worker process.
+    ``state`` is ``(spec, snapshot_root, campaign_root, shards)``;
+    everything the cell returns is a JSON-able dict — the same bytes
+    whether this executes inline or inside a worker process.
     """
-    spec, snapshot_root, campaign_root = state
+    spec, snapshot_root, campaign_root, shards = state
     plan = spec.plan_for(cell)
     fault_plan = spec.fault_plan_for(cell)
     fault_token = fault_plan.cache_token() if fault_plan is not None else None
@@ -75,7 +75,7 @@ def _evaluate_cell(state: Tuple, cell: MatrixCell) -> Dict[str, Any]:
     snapshot_cache = SnapshotCache(snapshot_root) if snapshot_root else None
     campaign_cache = CampaignCache(campaign_root) if campaign_root else None
 
-    collector = SnapshotCollector.openintel_style(plan, fault_token=fault_token)
+    collector = SnapshotCollector.openintel_style(plan, shards=shards, fault_token=fault_token)
     series = collector.collect(
         spec.dynamicity_start,
         spec.dynamicity_end,
@@ -84,7 +84,7 @@ def _evaluate_cell(state: Tuple, cell: MatrixCell) -> Dict[str, Any]:
     )
     # Fault plan always explicit (None = clean), never the environment:
     # the matrix axis owns the decision.
-    campaign = SupplementalCampaign(plan, fault_plan=fault_plan)
+    campaign = SupplementalCampaign(plan, shards=shards, fault_plan=fault_plan)
     dataset = campaign.run(
         spec.supplemental_start,
         spec.supplemental_end,
@@ -114,6 +114,7 @@ def run_matrix(
     spec: MatrixSpec,
     *,
     workers: Optional[int] = None,
+    shards: int = 1,
     snapshot_cache: Optional[SnapshotCache] = None,
     campaign_cache: Optional[CampaignCache] = None,
     obs=None,
@@ -121,9 +122,11 @@ def run_matrix(
     """Execute every cell of ``spec`` and return ordered results.
 
     ``workers`` bounds the cell-level process pool (``None`` defers to
-    :func:`~repro.scan.parallel.worker_cap`); caches are passed by
-    *root path* into workers so every process shares the on-disk
-    namespace.  Output is byte-identical for any worker count.
+    :func:`~repro.scan.parallel.worker_cap`); each cell builds its plan
+    in ``shards`` contiguous blocks of networks, one at a time; caches
+    are passed by *root path* into workers so every process shares the
+    on-disk namespace.  Output is byte-identical for any worker or
+    shard count.
     """
     spec.validate()
     obs = resolve_obs(obs)
@@ -133,7 +136,7 @@ def run_matrix(
 
     snapshot_root = str(snapshot_cache.root) if snapshot_cache is not None else None
     campaign_root = str(campaign_cache.root) if campaign_cache is not None else None
-    state = (spec, snapshot_root, campaign_root)
+    state = (spec, snapshot_root, campaign_root, shards)
 
     with obs.span("eval_matrix") as span:
         if pool_workers >= 2:

@@ -13,7 +13,7 @@ import datetime as dt
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.netsim.behavior import PresenceProfile, ProfileKind, Session
 
@@ -108,11 +108,6 @@ class Device:
     #: laptops lower: they stay in the bag some days).
     session_participation: float = 1.0
     generic_suffix: str = "0000"
-    #: Memo of the last (day, factor) session computation; collection
-    #: passes over the same day hit this instead of re-drawing.
-    _session_cache: Optional[Tuple[int, float, List[Session]]] = field(
-        default=None, repr=False, compare=False
-    )
 
     def host_name(self) -> Optional[str]:
         """The DHCP Host Name this device sends, or None."""
@@ -134,38 +129,10 @@ class Device:
         participates in each with ``session_participation`` drawn from
         a device-keyed stream.
         """
-        ordinal = day.toordinal()
-        cached = self._session_cache
-        if cached is not None and cached[0] == ordinal and cached[1] == factor:
-            return cached[2]
-        owner_key = self.owner_id or self.device_id
-        # Owner-level sessions are a pure function of (owner, day,
-        # factor, profile): every device of one owner re-draws the same
-        # stream, so the day's draw is shared across their devices via a
-        # cache on the rng_streams object (which lives exactly as long
-        # as the world the draws belong to).
-        shared = getattr(rng_streams, "_owner_session_cache", None)
-        if shared is None:
-            shared = {}
-            rng_streams._owner_session_cache = shared
-        share_key = (owner_key, ordinal, factor, id(self.profile))
-        sessions = shared.get(share_key)
-        if sessions is None:
-            owner_rng = rng_streams.fresh("sessions", owner_key, ordinal)
-            sessions = self.profile.sessions_for_day(day, owner_rng, factor)
-            if len(shared) >= 262144:
-                shared.clear()
-            shared[share_key] = sessions
-        if sessions and self.session_participation < 1.0:
-            device_rng = rng_streams.fresh("participation", self.device_id, ordinal)
-            sessions = [
-                s for s in sessions if device_rng.random() < self.session_participation
-            ]
-        self._session_cache = (ordinal, factor, sessions)
-        return sessions
+        return DaySessions(day, rng_streams).sessions(self, factor)
 
     def is_present_on(self, day: dt.date, rng_streams, factor: float = 1.0) -> bool:
-        return bool(self.sessions_for_day(day, rng_streams, factor))
+        return DaySessions(day, rng_streams).present(self, factor, None)
 
     def is_present_at(self, day: dt.date, offset: int, rng_streams, factor: float = 1.0) -> bool:
         """Presence at a specific second-of-day.
@@ -173,7 +140,71 @@ class Device:
         This is what a point-in-time snapshot sweep (OpenINTEL queries
         each address once per day) actually observes.
         """
-        return any(
-            session.contains(offset)
-            for session in self.sessions_for_day(day, rng_streams, factor)
-        )
+        return DaySessions(day, rng_streams).present(self, factor, offset)
+
+
+class DaySessions:
+    """One day's session draws, each owner's drawn once.
+
+    Owner sessions are a pure function of (owner, day, factor,
+    profile), so every device of one owner shares one draw.  The memo
+    lives as long as this object: one network-day walk of the snapshot
+    path, or one simulated day of the event-driven path.
+    """
+
+    def __init__(self, day: dt.date, rng_streams):
+        self.day = day
+        self.ordinal = day.toordinal()
+        self.rng_streams = rng_streams
+        self._owners: Dict[Tuple[str, float, int], List[Session]] = {}
+        self._devices: Dict[Tuple[str, float], List[Session]] = {}
+
+    def owner_sessions(self, device: Device, factor: float) -> List[Session]:
+        """The sessions of ``device``'s owner, before participation."""
+        owner_key = device.owner_id or device.device_id
+        key = (owner_key, factor, id(device.profile))
+        sessions = self._owners.get(key)
+        if sessions is None:
+            owner_rng = self.rng_streams.fresh("sessions", owner_key, self.ordinal)
+            sessions = device.profile.sessions_for_day(self.day, owner_rng, factor)
+            self._owners[key] = sessions
+        return sessions
+
+    def sessions(self, device: Device, factor: float) -> List[Session]:
+        """The owner sessions ``device`` joins (memoised per device)."""
+        key = (device.device_id, factor)
+        sessions = self._devices.get(key)
+        if sessions is None:
+            sessions = self.owner_sessions(device, factor)
+            if sessions and device.session_participation < 1.0:
+                device_rng = self.rng_streams.fresh("participation", device.device_id, self.ordinal)
+                sessions = [
+                    s for s in sessions if device_rng.random() < device.session_participation
+                ]
+            self._devices[key] = sessions
+        return sessions
+
+    def present(self, device: Device, factor: float, offset: Optional[int]) -> bool:
+        """Whether ``device`` joins a session covering ``offset``.
+
+        ``offset=None`` asks for any session that day.  Equal to testing
+        :meth:`sessions`, but the participation stream is seeded only
+        when an owner session covers ``offset``, and its draws stop at
+        the first joined session that does.
+        """
+        sessions = self.owner_sessions(device, factor)
+        if offset is None:
+            if not sessions:
+                return False
+        elif not any(s.start <= offset < s.end for s in sessions):
+            return False
+        participation = device.session_participation
+        if participation >= 1.0:
+            return True
+        device_rng = self.rng_streams.fresh("participation", device.device_id, self.ordinal)
+        for session in sessions:
+            if device_rng.random() < participation and (
+                offset is None or session.start <= offset < session.end
+            ):
+                return True
+        return False

@@ -20,7 +20,7 @@ from repro.dhcp.client import DhcpClient
 from repro.dhcp.pool import AddressPool
 from repro.dhcp.server import DhcpServer
 from repro.ipam.system import IpamSystem
-from repro.netsim.device import Device
+from repro.netsim.device import DaySessions, Device
 from repro.netsim.engine import SimulationEngine
 from repro.netsim.network import (
     RESERVED_LOW_ADDRESSES,
@@ -87,6 +87,8 @@ class NetworkRuntime:
         self._online: Dict[ipaddress.IPv4Address, Device] = {}
         self._renew_generation: Dict[str, int] = {}
         self._last_day: Optional[dt.date] = None
+        #: Session draws of today and tomorrow (see :meth:`_day_sessions`).
+        self._drawn: Dict[dt.date, DaySessions] = {}
         self.joins = 0
         self.leaves = 0
 
@@ -122,10 +124,12 @@ class NetworkRuntime:
     def _day_generator(self, day: dt.date):
         def generate() -> None:
             midnight = from_date(day)
+            drawn = self._day_sessions(day)
+            self._drawn.pop(day - dt.timedelta(days=1), None)
             for runtime in self._subnets:
                 factor = self.network.day_factor(day, runtime.subnet)
                 for device in runtime.subnet.devices:
-                    for session in device.sessions_for_day(day, self.network.rngs, factor):
+                    for session in drawn.sessions(device, factor):
                         join_at = midnight + session.start
                         leave_at = midnight + session.end
                         if join_at < self.engine.now:
@@ -146,8 +150,16 @@ class NetworkRuntime:
         if self._last_day is None or next_day > self._last_day:
             return False
         factor = self.network.day_factor(next_day, runtime.subnet)
-        sessions = device.sessions_for_day(next_day, self.network.rngs, factor)
+        sessions = self._day_sessions(next_day).sessions(device, factor)
         return bool(sessions) and sessions[0].start == 0
+
+    def _day_sessions(self, day: dt.date) -> DaySessions:
+        """The draws of ``day``, shared by its midnight generator and the
+        previous day's midnight-crossing checks."""
+        drawn = self._drawn.get(day)
+        if drawn is None:
+            drawn = self._drawn[day] = DaySessions(day, self.network.rngs)
+        return drawn
 
     # -- join / renew / leave ----------------------------------------------------
 

@@ -73,20 +73,8 @@ class Internet:
     ) -> Iterator[Tuple[ipaddress.IPv4Address, str]]:
         """Every (address, hostname) PTR pair present on ``day``."""
         for network in self._networks.values():
-            yield from network.records_on(day, at_offset=at_offset)
-
-    def counts_by_slash24(self, day: dt.date, *, at_offset: Optional[int] = None) -> Dict[str, int]:
-        """PTR-record count per /24 on ``day`` (dynamicity-heuristic input)."""
-        merged: Dict[str, int] = {}
-        for network in self._networks.values():
-            for key, count in network.counts_by_slash24(day, at_offset=at_offset).items():
-                merged[key] = merged.get(key, 0) + count
-        return merged
-
-    def clear_day_caches(self) -> None:
-        """Drop every network's memoised per-day records/counts."""
-        for network in self._networks.values():
-            network.clear_day_caches()
+            for address, hostname in network.records_on(day, at_offset=at_offset):
+                yield ipaddress.IPv4Address(address), hostname
 
     def cache_token(self) -> str:
         """A deterministic fingerprint of the simulated world.

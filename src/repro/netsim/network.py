@@ -24,20 +24,24 @@ import datetime as dt
 import enum
 import ipaddress
 import random
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.dhcp.lease import Lease
 from repro.dns.server import AuthoritativeServer, FailureModel
 from repro.dns.zone import RdnsMode, ReverseZone
 from repro.ipam.policy import CarryOverPolicy, DnsUpdatePolicy
 from repro.netsim.calendar import CovidTimeline, HolidayCalendar
-from repro.netsim.device import Device
+from repro.netsim.device import DaySessions, Device
 from repro.netsim.rng import RngStreams
 
 #: Addresses reserved at the bottom of every subnet (gateway, etc.).
 RESERVED_LOW_ADDRESSES = 10
+
+#: One PTR record: ``(IPv4 address as int, hostname)``.
+Record = Tuple[int, str]
 
 
 class IcmpPolicy(enum.Enum):
@@ -119,8 +123,8 @@ class Subnet:
                 f"rdns_mode=rfc2317 needs a sub-/24 prefix, got {self.prefix}"
             )
         self._validate()
-        self._device_fqdn_cache: Dict[str, str] = {}
-        self._provisioned_cache: Optional[List[Tuple[ipaddress.IPv4Address, str]]] = None
+        self._device_record_cache: Optional[List[Optional[Record]]] = None
+        self._provisioned_cache: Optional[List[Record]] = None
         usable = self.prefix.num_addresses - RESERVED_LOW_ADDRESSES - 1
         if self.devices and len(self.devices) > usable:
             raise ValueError(
@@ -154,40 +158,42 @@ class Subnet:
         """
         return self.prefix.network_address + (RESERVED_LOW_ADDRESSES + index)
 
-    def device_fqdn(self, index: int) -> Optional[str]:
-        """The PTR hostname published for the index-th device, if any."""
-        device = self.devices[index]
-        cached = self._device_fqdn_cache.get(device.device_id)
-        if cached is not None:
-            return cached or None
-        assert self.policy is not None
-        lease = Lease(
-            address=self.device_address(index),
-            client_id=device.device_id,
-            duration=3600,
-            bound_at=0,
-            host_name=device.host_name(),
-        )
-        fqdn = self.policy.hostname_for(lease)
-        self._device_fqdn_cache[device.device_id] = fqdn or ""
-        return fqdn
+    def _device_records(self) -> List[Optional[Record]]:
+        """Each device's ``(address, hostname)`` record; None when unnamed.
 
-    def _count_address(self, index: int) -> ipaddress.IPv4Address:
-        return self.prefix.network_address + (RESERVED_LOW_ADDRESSES + index)
+        Memoised: devices are in memory already, and a device's address
+        and published name never change.
+        """
+        if self._device_record_cache is None:
+            assert self.policy is not None
+            records: List[Optional[Record]] = []
+            for index, device in enumerate(self.devices):
+                address = self.device_address(index)
+                lease = Lease(
+                    address=address,
+                    client_id=device.device_id,
+                    duration=3600,
+                    bound_at=0,
+                    host_name=device.host_name(),
+                )
+                fqdn = self.policy.hostname_for(lease)
+                records.append((int(address), fqdn) if fqdn is not None else None)
+            self._device_record_cache = records
+        return self._device_record_cache
 
-    def _count_fqdn(self, address: ipaddress.IPv4Address) -> str:
-        text = str(address)
-        label = self.count_template.format(
-            dashed=text.replace(".", "-"), last_octet=text.rsplit(".", 1)[-1]
-        )
-        return f"{label}.{self.count_suffix}"
+    def _count_records(self, count: int) -> List[Record]:
+        """The first ``count`` count-backed records, named from integers."""
+        base = int(self.prefix.network_address) + RESERVED_LOW_ADDRESSES
+        template, suffix = self.count_template, self.count_suffix
+        records: List[Record] = []
+        for address in range(base, base + count):
+            last = address & 0xFF
+            dashed = f"{address >> 24}-{(address >> 16) & 0xFF}-{(address >> 8) & 0xFF}-{last}"
+            label = template.format(dashed=dashed, last_octet=str(last))
+            records.append((address, f"{label}.{suffix}"))
+        return records
 
     # -- day-level snapshot ---------------------------------------------------
-
-    def _device_present(self, device, day: dt.date, rngs: RngStreams, factor: float, at_offset: Optional[int]) -> bool:
-        if at_offset is None:
-            return device.is_present_on(day, rngs, factor)
-        return device.is_present_at(day, at_offset, rngs, factor)
 
     def records_on(
         self,
@@ -196,80 +202,53 @@ class Subnet:
         factor: float = 1.0,
         *,
         at_offset: Optional[int] = None,
-    ) -> Iterator[Tuple[ipaddress.IPv4Address, str]]:
-        """(address, hostname) pairs present on ``day``.
+        sessions: Optional[DaySessions] = None,
+    ) -> List[Record]:
+        """``(address as int, hostname)`` records present on ``day``.
 
         ``at_offset`` restricts presence to a specific second-of-day
         (point-in-time snapshot semantics); ``None`` means present at
-        any time that day.
+        any time that day.  ``sessions`` is the walk's owner-session
+        memo (one per network-day); a fresh one is used when omitted.
         """
         if self.rdns_mode is RdnsMode.DISABLED:
-            return
+            return []
         if not self.role.is_dynamic:
-            yield from self.static_entries
-            return
+            return [(int(address), hostname) for address, hostname in self.static_entries]
         if self.count_model is not None:
             rng = rngs.fresh("count", self.prefix, day.toordinal())
             count = min(
                 self.count_model.count_on(day, rng),
                 self.prefix.num_addresses - RESERVED_LOW_ADDRESSES - 1,
             )
-            for index in range(count):
-                address = self._count_address(index)
-                yield address, self._count_fqdn(address)
-            return
+            return self._count_records(count)
         if self.policy is not None and not self.policy.exposes_dynamics:
             # Static rDNS over dynamic DHCP: fixed-form records are
             # pre-provisioned for the whole pool and never change (the
             # 83 confirmed prefixes in the paper's validation), or —
             # with a no-update policy — nothing is published at all.
-            yield from self._provisioned_entries()
-            return
-        for index, device in enumerate(self.devices):
-            if self._device_present(device, day, rngs, factor, at_offset):
-                fqdn = self.device_fqdn(index)
-                if fqdn is not None:
-                    yield self.device_address(index), fqdn
+            return list(self._provisioned_entries())
+        if sessions is None:
+            sessions = DaySessions(day, rngs)
+        present = sessions.present
+        return [
+            record
+            for device, record in zip(self.devices, self._device_records())
+            if record is not None and present(device, factor, at_offset)
+        ]
 
-    def _provisioned_entries(self) -> List[Tuple[ipaddress.IPv4Address, str]]:
+    def _provisioned_entries(self) -> List[Record]:
         if self._provisioned_cache is None:
-            entries: List[Tuple[ipaddress.IPv4Address, str]] = []
+            entries: List[Record] = []
             assert self.policy is not None
             base = self.prefix.network_address
             for offset in range(RESERVED_LOW_ADDRESSES, self.prefix.num_addresses - 1):
                 address = base + offset
                 hostname = self.policy.static_hostname_for(address)
                 if hostname is not None:
-                    entries.append((address, hostname))
+                    entries.append((int(address), hostname))
             self._provisioned_cache = entries
         return self._provisioned_cache
-
-    def count_on(
-        self,
-        day: dt.date,
-        rngs: RngStreams,
-        factor: float = 1.0,
-        *,
-        at_offset: Optional[int] = None,
-    ) -> int:
-        """Number of PTR records present on ``day`` (cheap path)."""
-        if self.rdns_mode is RdnsMode.DISABLED:
-            return 0
-        if not self.role.is_dynamic:
-            return len(self.static_entries)
-        if self.count_model is not None:
-            rng = rngs.fresh("count", self.prefix, day.toordinal())
-            return min(
-                self.count_model.count_on(day, rng),
-                self.prefix.num_addresses - RESERVED_LOW_ADDRESSES - 1,
-            )
-        if self.policy is not None and not self.policy.exposes_dynamics:
-            return len(self._provisioned_entries())
-        count = 0
-        for index, device in enumerate(self.devices):
-            if self._device_present(device, day, rngs, factor, at_offset) and self.device_fqdn(index) is not None:
-                count += 1
-        return count
 
     def __repr__(self) -> str:
         backing = (
@@ -282,13 +261,6 @@ class Subnet:
 
 class Network:
     """One organisation's network."""
-
-    #: How many (day, at_offset) /24 count derivations each network
-    #: memoises.  Small on purpose: a multi-year sweep visits each day
-    #: once.  Records are not memoised: a snapshot series stores each
-    #: day's records when it collects them, so re-reads (leak sampling,
-    #: the serve leak window) never reach the world.
-    DAY_CACHE_SIZE = 32
 
     def __init__(
         self,
@@ -330,8 +302,6 @@ class Network:
         self.holidays = holidays or HolidayCalendar()
         self.covid = covid or CovidTimeline.none()
         self.rngs = rngs or RngStreams(0)
-        self._slash24_cache: Dict[ipaddress.IPv4Network, str] = {}
-        self._counts_cache: "OrderedDict[Tuple[dt.date, Optional[int]], Dict[str, int]]" = OrderedDict()
         if zone_layout not in ("flat", "delegated"):
             raise ValueError("zone_layout must be 'flat' or 'delegated'")
         #: "flat" serves the whole network prefix from one apex zone (the
@@ -361,7 +331,6 @@ class Network:
                 raise ValueError(f"{subnet.prefix} overlaps {existing.prefix}")
         self._wire_subnet_zone(subnet)
         self.subnets.append(subnet)
-        self.clear_day_caches()
 
     # -- zone layout -------------------------------------------------------
 
@@ -430,10 +399,6 @@ class Network:
         """Every zone this network serves, apex first."""
         return list(self.server.zones())
 
-    def clear_day_caches(self) -> None:
-        """Drop memoised per-day counts (after topology changes)."""
-        self._counts_cache.clear()
-
     def default_policy(self) -> DnsUpdatePolicy:
         return CarryOverPolicy(self.suffix)
 
@@ -450,67 +415,29 @@ class Network:
 
     # -- day-level snapshot -----------------------------------------------------
 
-    def records_on(
-        self, day: dt.date, *, at_offset: Optional[int] = None
-    ) -> Iterator[Tuple[ipaddress.IPv4Address, str]]:
-        """(address, hostname) pairs present on ``day``, subnet by subnet.
+    def records_on(self, day: dt.date, *, at_offset: Optional[int] = None) -> List[Record]:
+        """``(address as int, hostname)`` records present on ``day``.
 
-        Every call re-runs the day's presence draws; a snapshot series
-        stores what collection derived, so analyses read that instead.
+        The one derivation walk: subnet by subnet, each device's
+        presence decided once, each owner's sessions drawn once.  Every
+        call re-runs the day's draws; a snapshot series stores what
+        collection derived, so analyses read that instead.
         """
+        sessions = DaySessions(day, self.rngs)
+        records: List[Record] = []
         for subnet in self.subnets:
-            yield from subnet.records_on(
-                day, self.rngs, self.day_factor(day, subnet), at_offset=at_offset
+            records += subnet.records_on(
+                day, self.rngs, self.day_factor(day, subnet),
+                at_offset=at_offset, sessions=sessions,
             )
-
-    def counts_by_subnet(self, day: dt.date, *, at_offset: Optional[int] = None) -> Dict[SubnetRole, int]:
-        counts: Dict[SubnetRole, int] = {}
-        for subnet in self.subnets:
-            count = subnet.count_on(
-                day, self.rngs, self.day_factor(day, subnet), at_offset=at_offset
-            )
-            counts[subnet.role] = counts.get(subnet.role, 0) + count
-        return counts
-
-    def total_count_on(self, day: dt.date, *, at_offset: Optional[int] = None) -> int:
-        return sum(self.counts_by_subnet(day, at_offset=at_offset).values())
+        return records
 
     def counts_by_slash24(self, day: dt.date, *, at_offset: Optional[int] = None) -> Dict[str, int]:
         """Records per /24 (the unit of the dynamicity heuristic).
 
-        Subnets no wider than a /24 map to a single key, so their count
-        is taken without materialising records — the fast path that
-        makes multi-year daily collection tractable.  Results are
-        memoised per ``(day, at_offset)``.
+        A tally of :meth:`records_on`, in first-seen /24 order.
         """
-        cache_key = (day, at_offset)
-        cached = self._counts_cache.get(cache_key)
-        if cached is not None:
-            self._counts_cache.move_to_end(cache_key)
-            return dict(cached)
-        counts: Dict[str, int] = {}
-        for subnet in self.subnets:
-            factor = self.day_factor(day, subnet)
-            if subnet.prefix.prefixlen >= 24:
-                key = self._subnet_slash24(subnet)
-                count = subnet.count_on(day, self.rngs, factor, at_offset=at_offset)
-                if count:
-                    counts[key] = counts.get(key, 0) + count
-            else:
-                for address, _ in subnet.records_on(day, self.rngs, factor, at_offset=at_offset):
-                    key = slash24_of(address)
-                    counts[key] = counts.get(key, 0) + 1
-        self._counts_cache[cache_key] = counts
-        while len(self._counts_cache) > self.DAY_CACHE_SIZE:
-            self._counts_cache.popitem(last=False)
-        return dict(counts)
-
-    def _subnet_slash24(self, subnet: Subnet) -> str:
-        key = self._slash24_cache.get(subnet.prefix)
-        if key is None:
-            key = slash24_of(subnet.prefix.network_address)
-            self._slash24_cache[subnet.prefix] = key
-        return key
+        return slash24_counts([address for address, _ in self.records_on(day, at_offset=at_offset)])
 
     def dynamic_subnets(self) -> List[Subnet]:
         return [subnet for subnet in self.subnets if subnet.role.is_dynamic]
@@ -538,3 +465,18 @@ def slash24_of(address: Union[ipaddress.IPv4Address, int, str]) -> str:
         address = ipaddress.IPv4Address(address)
     value = int(address)
     return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.0/24"
+
+
+def slash24_counts(addresses: Sequence[int]) -> Dict[str, int]:
+    """Records per /24 of an address column, in first-seen /24 order.
+
+    ``addresses`` are IPv4 addresses as integers (a ``u32`` array or
+    any integer sequence), one per record.
+    """
+    blocks = np.asarray(addresses, dtype=np.uint32) >> np.uint32(8)
+    unique, first, counts = np.unique(blocks, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return {
+        f"{block >> 16}.{(block >> 8) & 0xFF}.{block & 0xFF}.0/24": count
+        for block, count in zip(unique[order].tolist(), counts[order].tolist())
+    }

@@ -42,4 +42,4 @@ class RngStreams:
         return random.Random(self._key(key_parts))
 
     def _key(self, key_parts: tuple) -> str:
-        return ":".join([str(self.seed)] + [str(part) for part in key_parts])
+        return ":".join((str(self.seed), *map(str, key_parts)))

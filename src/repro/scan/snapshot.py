@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optio
 import numpy as np
 
 from repro.netsim.internet import Internet
-from repro.netsim.network import Network
+from repro.netsim.network import Network, Record, slash24_counts
 from repro.netsim.simtime import days_between
 from repro.netsim.worldplan import PlanError, contiguous_blocks, world_source
 from repro.scan.blockfile import BlockFileReader, encode_records
@@ -126,9 +126,6 @@ class SampleMetrics:
         )
 
 
-#: One PTR record in transit: ``(IPv4 address as int, hostname)``.
-Record = Tuple[int, str]
-
 #: One day's stored records: parallel ``u32`` address and PTR-id columns.
 RecordColumns = Tuple[np.ndarray, np.ndarray]
 
@@ -148,11 +145,10 @@ def derive_records(
     at_offset: Optional[int],
 ) -> List[Record]:
     """One day's PTR records in ``records_on`` walk order, duplicates kept."""
-    return [
-        (int(address), hostname)
-        for network in _networks_of(internet, network_names)
-        for address, hostname in network.records_on(day, at_offset=at_offset)
-    ]
+    records: List[Record] = []
+    for network in _networks_of(internet, network_names):
+        records += network.records_on(day, at_offset=at_offset)
+    return records
 
 
 def derive_day(
@@ -166,14 +162,14 @@ def derive_day(
     Shared by the serial path and the worker processes of
     :mod:`repro.scan.parallel`; determinism of this function is what
     guarantees parallel results are bit-identical to serial ones.
-    Counts take their own memoised pass (it skips materialising the
-    records of subnets no wider than a /24).
+    One ``records_on`` walk per network; the counts are a tally of the
+    records' address column in first-seen /24 order.
     """
-    counts: Dict[str, int] = {}
-    for network in _networks_of(internet, network_names):
-        for key, count in network.counts_by_slash24(day, at_offset=at_offset).items():
-            counts[key] = counts.get(key, 0) + count
-    return counts, derive_records(internet, network_names, day, at_offset)
+    records = derive_records(internet, network_names, day, at_offset)
+    addresses = np.fromiter(
+        (address for address, _ in records), dtype=np.uint32, count=len(records)
+    )
+    return slash24_counts(addresses), records
 
 
 class PtrPool:

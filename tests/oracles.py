@@ -22,9 +22,14 @@ time them as the baseline side:
   :class:`~repro.core.leaks.LeakWindow` (and so
   :meth:`~repro.core.leaks.LeakIdentifier.identify`) is checked;
 * :func:`naive_find_unique` — the patterns occurring in a text, against
-  which :class:`~repro.core.names.GivenNameMatcher` is checked.
+  which :class:`~repro.core.names.GivenNameMatcher` is checked;
+* :func:`reference_presence` — device presence from the full list of
+  joined sessions, against which :class:`~repro.netsim.device.DaySessions`
+  (and so :meth:`~repro.netsim.device.Device.is_present_at`, ``is_present_on``
+  and the snapshot walk) is checked.
 """
 
+import datetime as dt
 import heapq
 import ipaddress
 import random
@@ -51,6 +56,7 @@ from repro.netsim.engine import (
     EventHandle,
     SimulationEngine,
 )
+from repro.netsim.device import Device
 from repro.netsim.network import slash24_of
 from repro.netsim.population import (
     _ROUTER_INTERFACES,
@@ -276,3 +282,22 @@ def enumerated_vanity_entries(prefix: str, suffix: str, rng: random.Random, *, c
 def naive_find_unique(patterns: Iterable[str], text: str) -> FrozenSet[str]:
     """The distinct patterns occurring anywhere in ``text`` (case-sensitive)."""
     return frozenset(pattern for pattern in patterns if pattern in text)
+
+
+def reference_presence(
+    device: Device, day: dt.date, offset: Optional[int], rngs, factor: float = 1.0
+) -> bool:
+    """Draw the owner's sessions, keep those the device joins (one
+    participation draw per session), then test ``offset`` against what
+    is left (any session at all when ``offset`` is None)."""
+    owner_key = device.owner_id or device.device_id
+    ordinal = day.toordinal()
+    sessions = device.profile.sessions_for_day(
+        day, rngs.fresh("sessions", owner_key, ordinal), factor
+    )
+    if sessions and device.session_participation < 1.0:
+        device_rng = rngs.fresh("participation", device.device_id, ordinal)
+        sessions = [s for s in sessions if device_rng.random() < device.session_participation]
+    if offset is None:
+        return bool(sessions)
+    return any(session.contains(offset) for session in sessions)

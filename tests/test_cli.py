@@ -438,3 +438,37 @@ class TestCampaignCommandsShareOnePath:
         assert len(CampaignCache(cache_dir).entries()) == 1
         assert cache_hit("warm") is True
         assert len(CampaignCache(cache_dir).entries()) == 1
+
+
+class TestEvaluateShards:
+    def test_shards_reach_every_cell_without_changing_the_report(self, tmp_path, monkeypatch):
+        from repro.netsim.worldplan import WorldPlan, synthetic_plan
+
+        plan = synthetic_plan(seed=5, slash16s=4, people=4)
+        plan_path = tmp_path / "plan.json"
+        plan.save(plan_path)
+        built = []
+        original_build = WorldPlan.build
+
+        def recording_build(self, names=None):
+            built.append(len(self.network_names) if names is None else len(names))
+            return original_build(self, names)
+
+        monkeypatch.setattr(WorldPlan, "build", recording_build)
+
+        def report(shards):
+            path = tmp_path / f"report-{shards}.txt"
+            built.clear()
+            code, _ = run_cli(
+                "--quick", "--seed", "0", "--plan", str(plan_path), "--shards", shards,
+                "evaluate", "--policies", "carry-over", "--fault-profiles", "none",
+                "--report-out", str(path),
+            )
+            assert code == 0
+            return path.read_bytes(), max(built)
+
+        whole, _ = report("1")
+        sharded, largest_block = report("2")
+        assert sharded == whole
+        networks = len(plan.network_names)
+        assert largest_block <= -(-networks // 2)

@@ -1,8 +1,8 @@
 """Cross-layer consistency properties.
 
 These tests pin the invariants that tie the substrate layers together:
-counts match materialised records, the event-driven runtime agrees with
-the day-level snapshot path (they share the same session draws), and
+derived counts tally the derived records, the event-driven runtime
+agrees with the day-level snapshot path (they share the same session draws), and
 the measurement-side lingering estimate brackets the zone-journal
 ground truth.
 """
@@ -13,18 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import GroupBuilder
-from repro.ipam import CarryOverPolicy
+from repro.ipam import CarryOverPolicy, StaticTemplatePolicy
 from repro.netsim.behavior import ProfileKind, ScriptedProfile, Session
 from repro.netsim.device import Device, DeviceNaming, model_by_key
 from repro.netsim.engine import SimulationEngine
 from repro.netsim.finegrained import NetworkRuntime
-from repro.netsim.network import CountModel, Network, NetworkType, Subnet, SubnetRole
+from repro.netsim.internet import Internet
+from repro.netsim.network import CountModel, Network, NetworkType, Subnet, SubnetRole, slash24_of
 from repro.netsim.person import PersonGenerator
+from repro.netsim.population import make_server_entries
 from repro.netsim.rng import RngStreams
 from repro.netsim.simtime import DAY, HOUR, MINUTE, from_date
 from repro.scan.campaign import SupplementalDataset
 from repro.scan.icmp import IcmpScanner
 from repro.scan.rdns import RdnsLookupEngine
+from repro.scan.snapshot import derive_day
 from repro.scan.reactive import ReactiveMonitor
 from repro.dns.resolver import StubResolver
 
@@ -43,49 +46,115 @@ def make_device_subnet(count=10, seed=3):
     )
 
 
-class TestCountRecordConsistency:
+def devices_for(generator, count, profile_kind, id_prefix):
+    people = generator.make_population(count, id_prefix=id_prefix, profile_kind=profile_kind)
+    return [device for person in people for device in person.devices]
+
+
+def make_mixed_internet(seed=4):
+    """An internet of one network mixing every subnet shape that maps
+    records to /24s.
+
+    Subnets are added out of address order, so first-seen /24 order
+    differs from sorted order.
+    """
+    generator = PersonGenerator(RngStreams(seed).stream("pop"))
+    suffix = "campus.example.edu"
+    network = Network("mixed", NetworkType.ACADEMIC, "10.0.0.0/16", suffix, rngs=RngStreams(seed))
+    subnets = [
+        Subnet(
+            "10.0.12.0/24",
+            SubnetRole.DYNAMIC_CLIENTS,
+            count_model=CountModel(mean=30),
+            count_suffix="dyn.example.net",
+        ),
+        # A /22 whose devices spill over into a second /24.
+        Subnet(
+            "10.0.4.0/22",
+            SubnetRole.HOUSING,
+            devices=devices_for(generator, 180, ProfileKind.RESIDENT, "r"),
+            policy=CarryOverPolicy(suffix),
+        ),
+        # Two /25s sharing one /24.
+        Subnet(
+            "10.0.9.128/25",
+            SubnetRole.EDUCATION,
+            devices=devices_for(generator, 30, ProfileKind.OFFICE_WORKER, "o"),
+            policy=CarryOverPolicy(suffix),
+        ),
+        Subnet(
+            "10.0.9.0/25",
+            SubnetRole.DYNAMIC_CLIENTS,
+            devices=devices_for(generator, 30, ProfileKind.STUDENT, "s"),
+            policy=CarryOverPolicy(suffix),
+        ),
+        Subnet(
+            "10.0.10.64/26",
+            SubnetRole.DYNAMIC_CLIENTS,
+            devices=devices_for(generator, 15, ProfileKind.STUDENT, "c"),
+            policy=CarryOverPolicy(suffix),
+            rdns_mode="rfc2317",
+        ),
+        Subnet(
+            "10.0.11.0/24",
+            SubnetRole.DYNAMIC_CLIENTS,
+            devices=devices_for(generator, 20, ProfileKind.ALWAYS_ON, "x"),
+            policy=CarryOverPolicy(suffix),
+            rdns_mode="disabled",
+        ),
+        Subnet(
+            "10.0.1.0/26",
+            SubnetRole.STATIC_SERVERS,
+            static_entries=make_server_entries("10.0.1.0/26", suffix),
+        ),
+        Subnet(
+            "10.0.14.0/24",
+            SubnetRole.DYNAMIC_CLIENTS,
+            devices=devices_for(generator, 5, ProfileKind.OFFICE_WORKER, "t"),
+            policy=StaticTemplatePolicy("dynamic.example.edu"),
+        ),
+    ]
+    for subnet in subnets:
+        network.add_subnet(subnet)
+    internet = Internet()
+    internet.add(network)
+    return internet
+
+
+MIXED = make_mixed_internet()
+
+
+class TestDeriveDayCounts:
+    """``derive_day``'s counts are a tally of its own records."""
+
     @given(
         st.integers(min_value=0, max_value=60),
         st.one_of(st.none(), st.integers(min_value=0, max_value=DAY - 1)),
     )
     @settings(max_examples=25, deadline=None)
-    def test_device_backed_counts_match_records(self, day_offset, at_offset):
-        subnet = make_device_subnet()
-        rngs = RngStreams(0)
+    def test_counts_tally_records_in_first_seen_order(self, day_offset, at_offset):
         day = START + dt.timedelta(days=day_offset)
-        count = subnet.count_on(day, rngs, at_offset=at_offset)
-        records = list(subnet.records_on(day, rngs, at_offset=at_offset))
-        assert count == len(records)
+        counts, records = derive_day(MIXED, None, day, at_offset)
+        expected = {}
+        for address, _ in records:
+            key = slash24_of(address)
+            expected[key] = expected.get(key, 0) + 1
+        assert list(counts.items()) == list(expected.items())
+        network = MIXED.network("mixed")
+        assert records == list(network.records_on(day, at_offset=at_offset))
+        assert list(network.counts_by_slash24(day, at_offset=at_offset).items()) == list(counts.items())
 
-    @given(st.integers(min_value=0, max_value=90))
-    @settings(max_examples=20, deadline=None)
-    def test_count_backed_counts_match_records(self, day_offset):
-        subnet = Subnet(
-            "10.0.11.0/24",
-            SubnetRole.DYNAMIC_CLIENTS,
-            count_model=CountModel(mean=40),
-            count_suffix="dyn.example.net",
-        )
-        rngs = RngStreams(5)
-        day = START + dt.timedelta(days=day_offset)
-        assert subnet.count_on(day, rngs) == len(list(subnet.records_on(day, rngs)))
-
-    def test_network_counts_by_slash24_matches_records(self):
-        network = Network("n", NetworkType.ACADEMIC, "10.0.0.0/16", "campus.example.edu", rngs=RngStreams(1))
-        network.add_subnet(make_device_subnet())
-        network.add_subnet(
-            Subnet(
-                "10.0.11.0/24",
-                SubnetRole.DYNAMIC_CLIENTS,
-                count_model=CountModel(mean=30),
-                count_suffix="dyn.example.net",
-            )
-        )
-        for offset in range(5):
-            day = START + dt.timedelta(days=offset)
-            counts = network.counts_by_slash24(day, at_offset=12 * HOUR)
-            records = list(network.records_on(day, at_offset=12 * HOUR))
-            assert sum(counts.values()) == len(records)
+    def test_every_subnet_shape_lands_in_its_slash24(self):
+        counts, records = derive_day(MIXED, None, START + dt.timedelta(days=2), None)
+        assert all(isinstance(address, int) for address, _ in records)
+        # The /22's devices reach a second /24; the two /25s share one
+        # key; the RFC 2317 /26 counts under its covering /24; the
+        # DISABLED /24 publishes nothing.
+        assert {"10.0.4.0/24", "10.0.5.0/24", "10.0.9.0/24", "10.0.10.0/24"} <= set(counts)
+        assert "10.0.11.0/24" not in counts
+        assert counts["10.0.14.0/24"] > 200  # the whole provisioned pool
+        assert list(counts)[0] == "10.0.12.0/24"  # first seen, not first sorted
+        assert sum(counts.values()) == len(records)
 
 
 class TestEventVsDayLevelConsistency:
