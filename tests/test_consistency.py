@@ -124,6 +124,41 @@ def make_mixed_internet(seed=4):
 MIXED = make_mixed_internet()
 
 
+class TestCountRecordConsistency:
+    @given(
+        st.integers(min_value=0, max_value=60),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=DAY - 1)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_device_backed_counts_match_records(self, day_offset, at_offset):
+        network = Network("n", NetworkType.ACADEMIC, "10.0.0.0/16", "campus.example.edu", rngs=RngStreams(0))
+        network.add_subnet(make_device_subnet())
+        internet = Internet()
+        internet.add(network)
+        day = START + dt.timedelta(days=day_offset)
+        counts, records = derive_day(internet, None, day, at_offset)
+        assert sum(counts.values()) == len(records)
+        assert set(counts) <= {"10.0.10.0/24"}
+        assert records == list(network.records_on(day, at_offset=at_offset))
+
+    def test_network_counts_by_slash24_matches_records(self):
+        network = Network("n", NetworkType.ACADEMIC, "10.0.0.0/16", "campus.example.edu", rngs=RngStreams(1))
+        network.add_subnet(make_device_subnet())
+        network.add_subnet(
+            Subnet(
+                "10.0.11.0/24",
+                SubnetRole.DYNAMIC_CLIENTS,
+                count_model=CountModel(mean=30),
+                count_suffix="dyn.example.net",
+            )
+        )
+        for offset in range(5):
+            day = START + dt.timedelta(days=offset)
+            counts = network.counts_by_slash24(day, at_offset=12 * HOUR)
+            records = list(network.records_on(day, at_offset=12 * HOUR))
+            assert sum(counts.values()) == len(records)
+
+
 class TestDeriveDayCounts:
     """``derive_day``'s counts are a tally of its own records."""
 
