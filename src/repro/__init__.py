@@ -5,7 +5,7 @@ The package splits into the *substrate* — everything the paper's
 measurements run against — and the *analysis* the paper contributes:
 
 =================  ==========================================================
-``repro.dns``      reverse-DNS machinery: names, wire format, zones with
+``repro.dns``      reverse-DNS machinery: names, messages, zones with
                    dynamic update, authoritative servers, stub resolver
 ``repro.dhcp``     DHCP: options (Host Name / Client FQDN / RFC 7844),
                    leases, pools, server and client state machines

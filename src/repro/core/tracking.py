@@ -153,32 +153,3 @@ class DeviceTracker:
             ((label, device.first_seen) for label, device in devices.items()),
             key=lambda pair: pair[1],
         )
-
-    def cross_network_sightings(self, name: str) -> Dict[str, Dict[str, TrackedDevice]]:
-        """Hostname labels observed in more than one network.
-
-        The introduction's escalation — "might even be able to track
-        clients across multiple networks" — rests on exactly this: a
-        distinctive device name (``brians-galaxy-note9``) resurfacing
-        under a different suffix when its owner moves between networks.
-        Returns ``{label: {network: TrackedDevice}}`` for labels seen in
-        at least two networks.
-        """
-        name = name.lower()
-        per_network: Dict[str, Dict[str, TrackedDevice]] = {}
-        for observation in self._observations:
-            label = observation.hostname.split(".")[0].lower()
-            if name not in label:
-                continue
-            networks = per_network.setdefault(label, {})
-            device = networks.get(observation.network)
-            if device is None:
-                device = networks[observation.network] = TrackedDevice(label)
-            device.sightings.append((observation.at, observation.address))
-        result = {}
-        for label, networks in per_network.items():
-            if len(networks) >= 2:
-                for device in networks.values():
-                    device.sightings.sort()
-                result[label] = networks
-        return result

@@ -2,17 +2,16 @@
 
 This package implements the DNS machinery the paper's measurements run
 against: domain names with ``in-addr.arpa`` reversal, resource records,
-RFC 1035 wire-format messages, authoritative reverse zones with dynamic
-update (the target of the DHCP/IPAM coupling), an authoritative server
-with failure injection, and a stub resolver that queries authoritative
-servers directly (cache-free, as the paper's supplemental measurement
-does).
+RFC 1035 query/response messages (exchanged as objects, never encoded),
+authoritative reverse zones with dynamic update (the target of the
+DHCP/IPAM coupling), an authoritative server with failure injection, and
+a stub resolver that queries authoritative servers directly (cache-free,
+as the paper's supplemental measurement does).
 """
 
 from repro.dns.errors import (
     DnsError,
     LabelError,
-    MessageFormatError,
     NoSuchZoneError,
     ZoneError,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "DomainName",
     "FailureModel",
     "LabelError",
-    "MessageFormatError",
     "NoSuchZoneError",
     "Opcode",
     "Question",

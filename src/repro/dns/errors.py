@@ -9,10 +9,6 @@ class LabelError(DnsError, ValueError):
     """A domain-name label violates RFC 1035 length or syntax rules."""
 
 
-class MessageFormatError(DnsError, ValueError):
-    """A DNS message could not be encoded or decoded."""
-
-
 class ZoneError(DnsError):
     """A zone operation failed (e.g. name outside the zone origin)."""
 

@@ -1,33 +1,18 @@
-"""RFC 1035 messages with a wire-format codec.
+"""RFC 1035 messages as in-process objects.
 
-The codec implements the subset of RFC 1035 the measurement stack needs:
-header, question section, answer/authority/additional records for the
-record types in :class:`~repro.dns.rcode.RecordType`, and name
-compression (pointers are emitted on encode and followed on decode, with
-loop protection).
+The resolver builds queries with :meth:`DnsMessage.query` and the
+authoritative server answers them with :meth:`DnsMessage.response`; the
+two exchange these objects directly, with no wire encoding in between.
 """
 
 from __future__ import annotations
 
-import ipaddress
-import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
-from repro.dns.errors import MessageFormatError
-from repro.dns.name import DomainName, MAX_LABEL_LENGTH
+from repro.dns.name import DomainName
 from repro.dns.rcode import Opcode, Rcode, RecordClass, RecordType
-from repro.dns.records import ResourceRecord, SoaData
-
-_HEADER = struct.Struct("!HHHHHH")
-_POINTER_MASK = 0xC0
-_MAX_POINTER_HOPS = 128
-
-FLAG_QR = 0x8000
-FLAG_AA = 0x0400
-FLAG_TC = 0x0200
-FLAG_RD = 0x0100
-FLAG_RA = 0x0080
+from repro.dns.records import ResourceRecord
 
 
 @dataclass(frozen=True)
@@ -49,12 +34,9 @@ class DnsMessage:
     is_response: bool = False
     authoritative: bool = False
     recursion_desired: bool = False
-    recursion_available: bool = False
-    truncated: bool = False
     questions: List[Question] = field(default_factory=list)
     answers: List[ResourceRecord] = field(default_factory=list)
     authority: List[ResourceRecord] = field(default_factory=list)
-    additional: List[ResourceRecord] = field(default_factory=list)
 
     @classmethod
     def query(
@@ -81,195 +63,3 @@ class DnsMessage:
             recursion_desired=self.recursion_desired,
             questions=list(self.questions),
         )
-
-    # -- wire format ---------------------------------------------------
-
-    def to_wire(self) -> bytes:
-        """Encode to RFC 1035 wire format with name compression."""
-        flags = 0
-        if self.is_response:
-            flags |= FLAG_QR
-        flags |= (int(self.opcode) & 0xF) << 11
-        if self.authoritative:
-            flags |= FLAG_AA
-        if self.truncated:
-            flags |= FLAG_TC
-        if self.recursion_desired:
-            flags |= FLAG_RD
-        if self.recursion_available:
-            flags |= FLAG_RA
-        flags |= int(self.rcode) & 0xF
-
-        out = bytearray(
-            _HEADER.pack(
-                self.msg_id,
-                flags,
-                len(self.questions),
-                len(self.answers),
-                len(self.authority),
-                len(self.additional),
-            )
-        )
-        offsets: Dict[Tuple[str, ...], int] = {}
-        for question in self.questions:
-            _encode_name(out, question.name, offsets)
-            out += struct.pack("!HH", int(question.rtype), int(question.rclass))
-        for record in self.answers + self.authority + self.additional:
-            _encode_record(out, record, offsets)
-        return bytes(out)
-
-    @classmethod
-    def from_wire(cls, wire: bytes) -> "DnsMessage":
-        """Decode an RFC 1035 wire-format message."""
-        if len(wire) < _HEADER.size:
-            raise MessageFormatError("message shorter than header")
-        msg_id, flags, qd, an, ns, ar = _HEADER.unpack_from(wire, 0)
-        message = cls(
-            msg_id=msg_id,
-            opcode=Opcode((flags >> 11) & 0xF),
-            rcode=Rcode(flags & 0xF),
-            is_response=bool(flags & FLAG_QR),
-            authoritative=bool(flags & FLAG_AA),
-            truncated=bool(flags & FLAG_TC),
-            recursion_desired=bool(flags & FLAG_RD),
-            recursion_available=bool(flags & FLAG_RA),
-        )
-        offset = _HEADER.size
-        for _ in range(qd):
-            name, offset = _decode_name(wire, offset)
-            if offset + 4 > len(wire):
-                raise MessageFormatError("truncated question")
-            rtype, rclass = struct.unpack_from("!HH", wire, offset)
-            offset += 4
-            message.questions.append(
-                Question(name, RecordType(rtype), RecordClass(rclass))
-            )
-        for count, section in ((an, message.answers), (ns, message.authority), (ar, message.additional)):
-            for _ in range(count):
-                record, offset = _decode_record(wire, offset)
-                section.append(record)
-        return message
-
-
-def _encode_name(out: bytearray, name: DomainName, offsets: Dict[Tuple[str, ...], int]) -> None:
-    labels = name.labels
-    for index in range(len(labels)):
-        suffix = tuple(label.lower() for label in labels[index:])
-        pointer = offsets.get(suffix)
-        if pointer is not None and pointer < 0x4000:
-            out += struct.pack("!H", 0xC000 | pointer)
-            return
-        if len(out) < 0x4000:
-            offsets[suffix] = len(out)
-        label = labels[index].encode("ascii")
-        out.append(len(label))
-        out += label
-    out.append(0)
-
-
-def _decode_name(wire: bytes, offset: int) -> Tuple[DomainName, int]:
-    labels: List[str] = []
-    hops = 0
-    end: Optional[int] = None
-    position = offset
-    while True:
-        if position >= len(wire):
-            raise MessageFormatError("name runs past end of message")
-        length = wire[position]
-        if length & _POINTER_MASK == _POINTER_MASK:
-            if position + 1 >= len(wire):
-                raise MessageFormatError("truncated compression pointer")
-            pointer = ((length & ~_POINTER_MASK) << 8) | wire[position + 1]
-            if end is None:
-                end = position + 2
-            hops += 1
-            if hops > _MAX_POINTER_HOPS:
-                raise MessageFormatError("compression pointer loop")
-            if pointer >= position:
-                raise MessageFormatError("forward compression pointer")
-            position = pointer
-            continue
-        if length & _POINTER_MASK:
-            raise MessageFormatError(f"reserved label type {length:#x}")
-        position += 1
-        if length == 0:
-            break
-        if length > MAX_LABEL_LENGTH:
-            raise MessageFormatError(f"label length {length} exceeds 63")
-        if position + length > len(wire):
-            raise MessageFormatError("label runs past end of message")
-        labels.append(wire[position : position + length].decode("ascii"))
-        position += length
-    if end is None:
-        end = position
-    return DomainName(labels), end
-
-
-def _encode_record(out: bytearray, record: ResourceRecord, offsets: Dict[Tuple[str, ...], int]) -> None:
-    _encode_name(out, record.name, offsets)
-    out += struct.pack("!HHI", int(record.rtype), int(record.rclass), record.ttl)
-    length_at = len(out)
-    out += b"\x00\x00"  # rdlength placeholder
-    if isinstance(record.rdata, DomainName):
-        _encode_name(out, record.rdata, offsets)
-    elif isinstance(record.rdata, ipaddress.IPv4Address):
-        out += record.rdata.packed
-    elif isinstance(record.rdata, ipaddress.IPv6Address):
-        out += record.rdata.packed
-    elif isinstance(record.rdata, SoaData):
-        soa = record.rdata
-        _encode_name(out, soa.mname, offsets)
-        _encode_name(out, soa.rname, offsets)
-        out += struct.pack("!IIIII", soa.serial, soa.refresh, soa.retry, soa.expire, soa.minimum)
-    elif isinstance(record.rdata, str):
-        data = record.rdata.encode("ascii")
-        if len(data) > 255:
-            raise MessageFormatError("TXT string longer than 255 octets")
-        out.append(len(data))
-        out += data
-    else:  # pragma: no cover - ResourceRecord validates rdata types
-        raise MessageFormatError(f"cannot encode rdata {record.rdata!r}")
-    rdlength = len(out) - length_at - 2
-    struct.pack_into("!H", out, length_at, rdlength)
-
-
-def _decode_record(wire: bytes, offset: int) -> Tuple[ResourceRecord, int]:
-    name, offset = _decode_name(wire, offset)
-    if offset + 10 > len(wire):
-        raise MessageFormatError("truncated record header")
-    rtype_value, rclass_value, ttl, rdlength = struct.unpack_from("!HHIH", wire, offset)
-    offset += 10
-    if offset + rdlength > len(wire):
-        raise MessageFormatError("rdata runs past end of message")
-    rtype = RecordType(rtype_value)
-    rdata_end = offset + rdlength
-    if rtype in (RecordType.PTR, RecordType.NS, RecordType.CNAME):
-        rdata, consumed = _decode_name(wire, offset)
-        if consumed > rdata_end:
-            raise MessageFormatError("rdata name exceeds rdlength")
-    elif rtype == RecordType.A:
-        if rdlength != 4:
-            raise MessageFormatError(f"A rdata must be 4 octets, got {rdlength}")
-        rdata = ipaddress.IPv4Address(wire[offset:rdata_end])
-    elif rtype == RecordType.AAAA:
-        if rdlength != 16:
-            raise MessageFormatError(f"AAAA rdata must be 16 octets, got {rdlength}")
-        rdata = ipaddress.IPv6Address(wire[offset:rdata_end])
-    elif rtype == RecordType.SOA:
-        mname, position = _decode_name(wire, offset)
-        rname, position = _decode_name(wire, position)
-        if position + 20 > len(wire):
-            raise MessageFormatError("truncated SOA rdata")
-        serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", wire, position)
-        rdata = SoaData(mname, rname, serial, refresh, retry, expire, minimum)
-    elif rtype == RecordType.TXT:
-        if rdlength < 1:
-            raise MessageFormatError("empty TXT rdata")
-        text_length = wire[offset]
-        if offset + 1 + text_length > rdata_end:
-            raise MessageFormatError("TXT string exceeds rdlength")
-        rdata = wire[offset + 1 : offset + 1 + text_length].decode("ascii")
-    else:  # pragma: no cover - RecordType() above rejects unknown types
-        raise MessageFormatError(f"cannot decode rdata for {rtype}")
-    record = ResourceRecord(name, rtype, rdata, ttl, RecordClass(rclass_value))
-    return record, rdata_end

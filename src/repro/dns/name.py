@@ -78,10 +78,6 @@ class DomainName:
             self._text = text
         return text
 
-    def relative_text(self) -> str:
-        """The textual form without the trailing dot."""
-        return ".".join(self._labels)
-
     def parent(self) -> "DomainName":
         """The name with its leftmost label removed."""
         if not self._labels:
@@ -107,10 +103,6 @@ class DomainName:
         if not origin._labels:
             return self._labels
         return self._labels[: len(self._labels) - len(origin._labels)]
-
-    def wire_length(self) -> int:
-        """Uncompressed RFC 1035 wire length of this name, in octets."""
-        return sum(len(label) + 1 for label in self._labels) + 1
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._labels)

@@ -19,7 +19,6 @@ class Rcode(enum.IntEnum):
 class Opcode(enum.IntEnum):
     QUERY = 0
     NOTIFY = 4
-    UPDATE = 5
 
 
 class RecordType(enum.IntEnum):
@@ -32,13 +31,6 @@ class RecordType(enum.IntEnum):
     PTR = 12
     TXT = 16
     AAAA = 28
-
-    @classmethod
-    def parse(cls, text: str) -> "RecordType":
-        try:
-            return cls[text.upper()]
-        except KeyError as exc:
-            raise ValueError(f"unknown record type {text!r}") from exc
 
 
 class RecordClass(enum.IntEnum):

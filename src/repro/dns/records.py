@@ -2,8 +2,7 @@
 
 Rdata is stored in a parsed, type-aware form: PTR/NS/CNAME rdata is a
 :class:`~repro.dns.name.DomainName`, TXT rdata a string, A/AAAA rdata an
-:mod:`ipaddress` address, SOA a :class:`SoaData`.  The wire codec in
-:mod:`repro.dns.message` serializes these forms.
+:mod:`ipaddress` address, SOA a :class:`SoaData`.
 """
 
 from __future__ import annotations

@@ -343,11 +343,6 @@ class ReverseZone:
     def journal(self) -> List[ZoneChange]:
         return list(self._journal)
 
-    def records(self) -> Iterator[ResourceRecord]:
-        """All PTR records, in address order."""
-        for ip in sorted(self._ptr):
-            yield self._ptr[ip]
-
     def entries(self) -> Iterator[Tuple[ipaddress.IPv4Address, str]]:
         """(address, hostname) pairs, in address order."""
         for ip in sorted(self._ptr):

@@ -20,17 +20,12 @@ Knobs map to behaviours the measurements observe:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.dhcp.events import LeaseEvent, LeaseEventKind
 from repro.dhcp.server import DhcpServer
-from repro.dns.forward import ForwardZone
 from repro.dns.zone import ReverseZone
 from repro.ipam.policy import DnsUpdatePolicy
-
-FORWARD_ALWAYS = "always"
-FORWARD_CLIENT_REQUESTED = "client-requested"
-FORWARD_NEVER = "never"
 
 
 class IpamSystem:
@@ -45,28 +40,11 @@ class IpamSystem:
         remove_on_expiry: bool = True,
         honor_client_no_update: bool = False,
         update_delay_seconds: int = 0,
-        forward_zone: Optional[ForwardZone] = None,
-        forward_updates: str = FORWARD_ALWAYS,
-        use_rfc2136: bool = False,
     ):
         if update_delay_seconds < 0:
             raise ValueError("update_delay_seconds must be non-negative")
-        if forward_updates not in (FORWARD_ALWAYS, FORWARD_CLIENT_REQUESTED, FORWARD_NEVER):
-            raise ValueError(f"invalid forward_updates mode {forward_updates!r}")
         self.zone = zone
         self.policy = policy
-        # Forward DNS can be dynamically updated too (the paper's
-        # Section 10 future work; RFC 4702's S flag exists for it).
-        self.forward_zone = forward_zone
-        self.forward_updates = forward_updates
-        # Route reverse-zone changes through RFC 2136 UPDATE messages
-        # (full wire-format round trip) instead of direct zone calls —
-        # the protocol path real DHCP servers and IPAM systems use.
-        self._update_client = None
-        if use_rfc2136:
-            from repro.dns.update import DnsUpdateClient, UpdateHandler
-
-            self._update_client = DnsUpdateClient(UpdateHandler(zone))
         self.remove_on_release = remove_on_release
         self.remove_on_expiry = remove_on_expiry
         self.honor_client_no_update = honor_client_no_update
@@ -151,9 +129,8 @@ class IpamSystem:
         if hostname is None:
             self.updates_suppressed += 1
             return
-        self._zone_set(event.lease.address, hostname, at)
+        self.zone.set_ptr(event.lease.address, hostname, at=at)
         self.updates_applied += 1
-        self._forward_add(event, hostname)
 
     def _on_renewed(self, event: LeaseEvent, at: int) -> None:
         # Renewals re-assert the record; content changes only if the
@@ -163,67 +140,21 @@ class IpamSystem:
             return
         current = self.zone.get_hostname(event.lease.address)
         if current != hostname:
-            self._zone_set(event.lease.address, hostname, at)
+            self.zone.set_ptr(event.lease.address, hostname, at=at)
             self.updates_applied += 1
 
-    def _forward_wanted(self, event: LeaseEvent) -> bool:
-        if self.forward_zone is None or self.forward_updates == FORWARD_NEVER:
-            return False
-        if self.forward_updates == FORWARD_ALWAYS:
-            return True
-        fqdn = event.lease.client_fqdn
-        return fqdn is not None and fqdn.server_updates
-
-    def _forward_add(self, event: LeaseEvent, hostname: str) -> None:
-        if not self._forward_wanted(event):
-            return
-        try:
-            self.forward_zone.set_a(hostname, event.lease.address)  # type: ignore[union-attr]
-        except Exception:
-            # Hostname outside the forward zone's origin: skip quietly,
-            # as real servers do for out-of-zone names.
-            return
-
-    def _forward_remove(self, event: LeaseEvent) -> None:
-        if self.forward_zone is None:
-            return
-        hostname = self.policy.hostname_for(event.lease)
-        if hostname is None:
-            return
-        try:
-            self.forward_zone.remove_a(hostname)  # type: ignore[union-attr]
-        except Exception:
-            return
-
     def _revert(self, event: LeaseEvent, at: int) -> None:
-        self._forward_remove(event)
         static = self.policy.static_hostname_for(event.lease.address)
         if static is not None:
             current = self.zone.get_hostname(event.lease.address)
             if current != static:
-                self._zone_set(event.lease.address, static, at)
+                self.zone.set_ptr(event.lease.address, static, at=at)
                 self.updates_applied += 1
             return
         had_record = self.zone.get_ptr(event.lease.address) is not None
-        self._zone_remove(event.lease.address, at)
+        self.zone.remove_ptr(event.lease.address, at=at)
         if had_record:
             self.updates_applied += 1
-
-    def _zone_set(self, address, hostname: str, at: int) -> None:
-        if self._update_client is not None:
-            self._update_client.set_ptr(address, hostname, at=at)
-        else:
-            self.zone.set_ptr(address, hostname, at=at)
-
-    def _zone_remove(self, address, at: int) -> None:
-        if self._update_client is not None:
-            self._update_client.remove_ptr(address, at=at)
-        else:
-            self.zone.remove_ptr(address, at=at)
-
-    @property
-    def rfc2136_updates_sent(self) -> int:
-        return self._update_client.updates_sent if self._update_client else 0
 
     def __repr__(self) -> str:
         return (

@@ -74,14 +74,6 @@ class PresenceProfile(abc.ABC):
         factor above 1 (campus housing under lockdown) raises it.
         """
 
-    def is_present_on(self, day: dt.date, rng: random.Random, factor: float = 1.0) -> bool:
-        """Day-level presence: any session at all.
-
-        Used by the daily-snapshot fast path; consistent with
-        :meth:`sessions_for_day` because it *is* that method.
-        """
-        return bool(self.sessions_for_day(day, rng, factor))
-
     @staticmethod
     def of(kind: ProfileKind) -> "PresenceProfile":
         """The default profile instance for a kind."""

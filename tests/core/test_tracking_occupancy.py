@@ -188,30 +188,3 @@ class TestHeistPlanner:
     def test_activity_by_hour_complete(self):
         plan = HeistPlanner(heist_dataset(), "Academic-A").plan()
         assert set(plan.activity_by_hour) == set(range(24))
-
-
-class TestCrossNetworkTracking:
-    def test_label_seen_in_two_networks_detected(self):
-        observations = [
-            sighting(0, 12, label="brians-galaxy-note9", network="Academic-A"),
-            sighting(1, 20, label="brians-galaxy-note9", address="40.0.10.30", network="ISP-A"),
-            sighting(0, 9, label="brians-mbp", network="Academic-A"),
-        ]
-        tracker = DeviceTracker(observations)
-        cross = tracker.cross_network_sightings("brian")
-        assert set(cross) == {"brians-galaxy-note9"}
-        assert set(cross["brians-galaxy-note9"]) == {"Academic-A", "ISP-A"}
-
-    def test_single_network_labels_excluded(self):
-        tracker = DeviceTracker([sighting(0, 12), sighting(1, 12)])
-        assert tracker.cross_network_sightings("brian") == {}
-
-    def test_sightings_sorted_within_network(self):
-        observations = [
-            sighting(2, 12, label="brians-air", network="Academic-A"),
-            sighting(0, 12, label="brians-air", network="Academic-A"),
-            sighting(1, 12, label="brians-air", address="40.0.10.9", network="ISP-A"),
-        ]
-        cross = DeviceTracker(observations).cross_network_sightings("brian")
-        times = [at for at, _ in cross["brians-air"]["Academic-A"].sightings]
-        assert times == sorted(times)

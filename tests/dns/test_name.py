@@ -94,11 +94,6 @@ class TestDomainName:
         other = DomainName.parse("a.example.net")
         assert a < z < other
 
-    def test_wire_length(self):
-        # example.com -> 1+7 + 1+3 + 1 = 13
-        assert DomainName.parse("example.com").wire_length() == 13
-        assert ROOT.wire_length() == 1
-
     @given(st.lists(st.from_regex(r"[a-z][a-z0-9-]{0,20}", fullmatch=True), min_size=0, max_size=6))
     def test_parse_to_text_roundtrip_property(self, labels):
         name = DomainName(labels)

@@ -110,7 +110,7 @@ class TestAlwaysOnProfile:
 
     @given(st.integers(min_value=0, max_value=10_000))
     def test_any_seed_any_day(self, seed):
-        assert AlwaysOnProfile().is_present_on(WEEKDAY, rng(seed))
+        assert bool(AlwaysOnProfile().sessions_for_day(WEEKDAY, rng(seed)))
 
 
 class TestVisitorProfile:
@@ -139,7 +139,7 @@ class TestScriptedProfile:
 
     def test_empty_list_means_absent(self):
         profile = ScriptedProfile(lambda day: [], default=AlwaysOnProfile())
-        assert not profile.is_present_on(WEEKDAY, rng())
+        assert not bool(profile.sessions_for_day(WEEKDAY, rng()))
 
 
 class TestFactory:
