@@ -19,13 +19,17 @@ funnel of Table 5:
 
 from __future__ import annotations
 
+import ipaddress
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.dns.resolver import ResolutionStatus
 from repro.netsim.simtime import HOUR, MINUTE
 from repro.scan.campaign import SupplementalDataset
-from repro.scan.observations import RdnsObservation
+from repro.scan.observations import TRUNCATION, RdnsObservation
+from repro.scan.storage import IcmpColumns
 
 DEFAULT_GAP_THRESHOLD = 70 * MINUTE
 DEFAULT_POST_WINDOW = 26 * HOUR
@@ -171,61 +175,61 @@ class GroupBuilder:
         self.reliable_gap = reliable_gap
 
     def build(self, dataset: SupplementalDataset) -> List[ActivityGroup]:
-        """Group the dataset's observations by address and activity run."""
-        icmp_by_address: Dict[object, List[int]] = {}
-        network_of: Dict[object, str] = {}
-        for observation in dataset.icmp:
-            icmp_by_address.setdefault(observation.address, []).append(observation.truncated_at)
-            network_of[observation.address] = observation.network
-        rdns_by_address: Dict[object, List[RdnsObservation]] = {}
-        for observation in dataset.rdns:
-            rdns_by_address.setdefault(observation.address, []).append(observation)
+        """Group the dataset's observations by address and activity run.
 
+        One sort of the ICMP columns by (address, 5-minute truncated
+        time), duplicates dropped; a run ends where the address changes
+        or the gap exceeds ``gap_threshold``.  An address's network is
+        that of its last row in dataset order.
+        """
+        icmp = dataset.icmp
+        if not isinstance(icmp, IcmpColumns):
+            icmp = IcmpColumns()
+            icmp.extend(dataset.icmp)
+        rows, ats, network_ids = icmp.columns()
+        if not len(rows):
+            return []
+        # np.unique keeps first occurrences: over reversed rows, each address's last.
+        unique, last = np.unique(rows[::-1], return_index=True)
+        network_of = dict(zip(unique.tolist(), network_ids[::-1][last].tolist()))
+        times = ats // TRUNCATION * TRUNCATION
+        order = np.lexsort((times, rows))
+        addresses, times = rows[order], times[order]
+        fresh = np.ones(len(times), dtype=bool)
+        fresh[1:] = (addresses[1:] != addresses[:-1]) | (times[1:] != times[:-1])
+        addresses, times = addresses[fresh], times[fresh]
+        splits = np.flatnonzero(
+            (addresses[1:] != addresses[:-1]) | (np.diff(times) > self.gap_threshold)
+        ) + 1
+        addresses, times = addresses.tolist(), times.tolist()
+        starts = [0] + splits.tolist()
+        stops = starts[1:] + [len(times)]
+
+        rdns_by_address: Dict[int, List[RdnsObservation]] = {}
+        for observation in sorted(dataset.rdns, key=lambda o: o.at):
+            rdns_by_address.setdefault(int(observation.address), []).append(observation)
+        networks = icmp.networks
         groups: List[ActivityGroup] = []
-        group_id = 0
-        for address in sorted(icmp_by_address, key=int):
-            times = sorted(set(icmp_by_address[address]))
-            lookups = sorted(rdns_by_address.get(address, []), key=lambda o: o.at)
-            for run in self._split_runs(times):
-                group = ActivityGroup(
+        for group_id, (first, stop) in enumerate(zip(starts, stops)):
+            value = addresses[first]
+            run = times[first:stop]
+            # Lookups in [first - 30 min, last + post_window]: an exclusive stop.
+            window_start = run[0] - 30 * MINUTE
+            window_stop = run[-1] + self.post_window + 1
+            if stop < len(times) and addresses[stop] == value:
+                # Adjacent windows must not overlap: clamp at the next group's start.
+                window_stop = min(window_stop, times[stop])
+            lookups = rdns_by_address.get(value, ())
+            groups.append(
+                ActivityGroup(
                     group_id=group_id,
-                    address=address,
-                    network=network_of[address],
+                    address=ipaddress.IPv4Address(value),
+                    network=networks[network_of[value]],
                     icmp_times=run,
+                    rdns=[obs for obs in lookups if window_start <= obs.at < window_stop],
                 )
-                group_id += 1
-                window_start = run[0] - 30 * MINUTE
-                window_end = run[-1] + self.post_window
-                group.rdns = [
-                    obs for obs in lookups if window_start <= obs.at <= window_end
-                ]
-                groups.append(group)
-        # rDNS windows of adjacent groups must not overlap: clamp each
-        # group's window at the next group's start.
-        self._clamp_windows(groups)
+            )
         return groups
-
-    def _split_runs(self, times: List[int]) -> List[List[int]]:
-        runs: List[List[int]] = []
-        current: List[int] = []
-        for timestamp in times:
-            if current and timestamp - current[-1] > self.gap_threshold:
-                runs.append(current)
-                current = []
-            current.append(timestamp)
-        if current:
-            runs.append(current)
-        return runs
-
-    def _clamp_windows(self, groups: List[ActivityGroup]) -> None:
-        by_address: Dict[object, List[ActivityGroup]] = {}
-        for group in groups:
-            by_address.setdefault(group.address, []).append(group)
-        for sequence in by_address.values():
-            sequence.sort(key=lambda group: group.start)
-            for current, following in zip(sequence, sequence[1:]):
-                cutoff = following.start
-                current.rdns = [obs for obs in current.rdns if obs.at < cutoff]
 
     def funnel(self, groups: List[ActivityGroup]) -> GroupFunnel:
         """Classify groups down the Table 5 funnel."""

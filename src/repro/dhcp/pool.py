@@ -13,6 +13,7 @@ from collections import deque
 from typing import Deque, Dict, Iterable, Optional, Set, Union
 
 from repro.dhcp.errors import PoolExhaustedError
+from repro.dns.name import as_ip
 
 Prefix = Union[str, ipaddress.IPv4Network]
 
@@ -66,7 +67,7 @@ class AddressPool:
         return len(self._allocated) / self.size
 
     def is_free(self, address) -> bool:
-        ip = ipaddress.ip_address(address)
+        ip = as_ip(address)
         return ip in self.prefix and ip not in self._reserved and ip not in self._allocated
 
     def allocate(self, client_id: str, requested: Optional[object] = None) -> ipaddress.IPv4Address:
@@ -79,7 +80,7 @@ class AddressPool:
         for candidate in (requested, self._last_address.get(client_id)):
             if candidate is None:
                 continue
-            ip = ipaddress.ip_address(candidate)
+            ip = as_ip(candidate)
             if self.is_free(ip):
                 self._take(ip)
                 self._last_address[client_id] = ip
@@ -97,14 +98,14 @@ class AddressPool:
 
     def release(self, address) -> None:
         """Return an address to the pool (idempotent)."""
-        ip = ipaddress.ip_address(address)
+        ip = as_ip(address)
         if ip in self._allocated:
             self._allocated.discard(ip)
             self._free.append(ip)
 
     def __contains__(self, address: object) -> bool:
         try:
-            return ipaddress.ip_address(address) in self.prefix  # type: ignore[arg-type]
+            return as_ip(address) in self.prefix  # type: ignore[arg-type]
         except ValueError:
             return False
 

@@ -143,7 +143,8 @@ IP6_ARPA = DomainName(_REVERSE_V6_SUFFIX)
 IPAddress = Union[str, int, ipaddress.IPv4Address, ipaddress.IPv6Address]
 
 
-def _as_ip(address: IPAddress):
+def as_ip(address: IPAddress):
+    """``address`` as an address object; ``ip_address()`` would re-parse one from ``str()``."""
     if isinstance(address, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
         return address
     return ipaddress.ip_address(address)
@@ -168,7 +169,7 @@ def reverse_pointer(address: IPAddress) -> DomainName:
     >>> reverse_pointer("93.184.216.34").to_text()
     '34.216.184.93.in-addr.arpa.'
     """
-    return _reverse_pointer_cached(_as_ip(address))
+    return _reverse_pointer_cached(as_ip(address))
 
 
 def from_reverse_pointer(name: DomainName) -> ipaddress.IPv4Address:

@@ -13,6 +13,7 @@ import datetime as dt
 import enum
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from repro.netsim.behavior import PresenceProfile, ProfileKind, Session
@@ -77,10 +78,13 @@ def model_by_key(key: str) -> DeviceModel:
         raise KeyError(f"unknown device model {key!r}") from exc
 
 
+_MODELS = [model for model, _ in MODEL_CATALOG]
+#: Cumulative once: choices(weights=...) re-accumulates on every draw.
+_MODEL_CUM_WEIGHTS = list(accumulate(weight for _, weight in MODEL_CATALOG))
+
+
 def sample_model(rng: random.Random) -> DeviceModel:
-    models = [model for model, _ in MODEL_CATALOG]
-    weights = [weight for _, weight in MODEL_CATALOG]
-    return rng.choices(models, weights=weights, k=1)[0]
+    return rng.choices(_MODELS, cum_weights=_MODEL_CUM_WEIGHTS, k=1)[0]
 
 
 class DeviceNaming(enum.Enum):

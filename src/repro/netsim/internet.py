@@ -42,6 +42,8 @@ class Internet:
 
     def __init__(self) -> None:
         self._networks: Dict[str, Network] = {}
+        #: ``(subnet count, token)`` of the last :meth:`cache_token` call.
+        self._token: Optional[Tuple[int, str]] = None
 
     def add(self, network: Network) -> Network:
         if network.name in self._networks:
@@ -53,6 +55,7 @@ class Internet:
                     f"{existing.name} ({existing.prefix})"
                 )
         self._networks[network.name] = network
+        self._token = None
         return network
 
     def network(self, name: str) -> Network:
@@ -86,7 +89,15 @@ class Internet:
         with the same ``build_world(seed, scale)`` arguments share a
         token; changing the seed, scale, or any network spec changes
         it.  The on-disk snapshot cache folds this token into its keys.
+        The token is memoised; :meth:`add` drops the memo, and a subnet
+        joining a member network changes the subnet count it is keyed on.
         """
+        subnets = sum(len(network.subnets) for network in self._networks.values())
+        if self._token is None or self._token[0] != subnets:
+            self._token = (subnets, self._compute_token())
+        return self._token[1]
+
+    def _compute_token(self) -> str:
         parts: List[str] = []
         for network in self._networks.values():
             parts.append(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import List, Optional
 
 from repro.datasets.names import OTHER_GIVEN_NAMES, name_popularity_weights
@@ -53,11 +54,11 @@ class PersonGenerator:
         self.release_rate = release_rate
         weights = name_popularity_weights()
         self._top_names = list(weights)
-        self._top_weights = [weights[name] for name in self._top_names]
+        self._top_cum_weights = list(accumulate(weights[name] for name in self._top_names))
 
     def draw_name(self) -> str:
         if self.rng.random() < self.top50_share:
-            return self.rng.choices(self._top_names, weights=self._top_weights, k=1)[0]
+            return self.rng.choices(self._top_names, cum_weights=self._top_cum_weights, k=1)[0]
         return self.rng.choice(OTHER_GIVEN_NAMES)
 
     def draw_naming(self) -> DeviceNaming:
@@ -82,7 +83,8 @@ class PersonGenerator:
         profile = PresenceProfile.of(profile_kind)
         person = Person(person_id, self.draw_name(), profile)
         if device_count is None:
-            device_count = self.rng.choices((1, 2, 3), weights=(5, 4, 1), k=1)[0]
+            # Weights 5:4:1, passed cumulative so choices() skips re-summing them.
+            device_count = self.rng.choices((1, 2, 3), cum_weights=(5, 9, 10), k=1)[0]
         for index in range(device_count):
             person.devices.append(self._make_device(person, index))
         return person

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ipaddress
 import random
+from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.datasets.terms import CITY_NAMES_WITH_GIVEN_NAME_OVERLAP, PLAIN_CITY_NAMES
@@ -104,10 +105,11 @@ def make_vanity_entries(
     base, usable = _host_range(prefix)
     weights = name_popularity_weights()
     names = list(weights)
-    name_weights = [weights[name] for name in names]
+    # Cumulative once: choices(weights=...) re-accumulates on every draw.
+    cum_weights = list(accumulate(weights[name] for name in names))
     entries: List[StaticEntry] = []
     for index in range(min(count, usable)):
-        name = rng.choices(names, weights=name_weights, k=1)[0]
+        name = rng.choices(names, cum_weights=cum_weights, k=1)[0]
         style = rng.choice(
             [
                 "{name}", "{name}-pc", "{name}-ws", "{name}-desk", "{name}{n}",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ipaddress
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.dns.name import as_ip
 from repro.netsim.finegrained import ECHO_LOST, ECHO_REPLY, NetworkRuntime
 from repro.scan.observations import IcmpObservation
 from repro.scan.ratelimit import TokenBucket
@@ -70,7 +71,7 @@ class IcmpScanner:
             self._blocked_ranges.append((first, first + network.num_addresses - 1))
 
     def is_blocked(self, address) -> bool:
-        ip = ipaddress.ip_address(address)
+        ip = as_ip(address)
         if ip in self._blocked_addresses:
             return True
         if self._blocked_ranges:
@@ -108,7 +109,7 @@ class IcmpScanner:
 
     def probe(self, address, at: int, *, network: str = "") -> Optional[IcmpObservation]:
         """One echo request; an observation only if the host responded."""
-        ip = ipaddress.ip_address(address)
+        ip = as_ip(address)
         if self._has_blocklist and self.is_blocked(ip):
             self.probes_suppressed += 1
             return None

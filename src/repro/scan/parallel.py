@@ -50,10 +50,10 @@ import numpy as np
 from repro.scan.blockfile import BlockFileReader, encode_records
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.scan.snapshot import Record, SnapshotCollector, SnapshotSeries
+    from repro.scan.snapshot import DayRecords, SnapshotCollector, SnapshotSeries
 
 #: One derived day as a worker returns it: (ordinal, /24 counts, records).
-DayResult = Tuple[int, Dict[str, int], List["Record"]]
+DayResult = Tuple[int, Dict[str, int], "DayRecords"]
 
 #: Below this many days per worker, pool start-up and per-task
 #: overhead outweigh the concurrency win; shrink the pool instead.
@@ -242,8 +242,8 @@ def _encode_chunk(results: Sequence[DayResult]) -> bytes:
         column[ids] = list(counts.values())
         columns.append(column)
         totals.append(sum(counts.values()))
-        addresses = [address for address, _ in day_records]
-        name_ids = [names.setdefault(name, len(names)) for _, name in day_records]
+        addresses, hostnames = day_records
+        name_ids = [names.setdefault(name, len(names)) for name in hostnames]
         records.append((ordinal, addresses, name_ids))
     ordinals = [ordinal for ordinal, _, _ in results]
     return encode_records(list(prefixes), ordinals, columns, totals, list(names), records)
@@ -265,7 +265,7 @@ def _decode_chunk(view: memoryview) -> List[DayResult]:
         present = np.flatnonzero(column)
         counts = dict(zip(map(prefixes.__getitem__, present.tolist()), column[present].tolist()))
         addresses, name_ids = reader.day_records(ordinal)
-        records = list(zip(addresses.tolist(), map(names.__getitem__, name_ids.tolist())))
+        records = (addresses.astype(np.uint32), list(map(names.__getitem__, name_ids.tolist())))
         days.append((ordinal, counts, records))
     return days
 
@@ -396,11 +396,8 @@ def sample_day_records(
     records: List[Tuple[object, str]] = []
 
     def extend(view: memoryview) -> None:
-        for _, _, day_records in _decode_chunk(view):
-            records.extend(
-                (ipaddress.IPv4Address(value), hostname)
-                for value, hostname in day_records
-            )
+        for _, _, (addresses, hostnames) in _decode_chunk(view):
+            records.extend(zip(map(ipaddress.IPv4Address, addresses.tolist()), hostnames))
 
     chunks = [[day.toordinal() for day in chunk] for chunk in chunk_days(days, workers)]
     state = (internet, list(network_names) if network_names is not None else None, at_offset)

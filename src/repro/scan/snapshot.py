@@ -34,7 +34,7 @@ import datetime as dt
 import time
 from dataclasses import dataclass
 import ipaddress
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -128,6 +128,8 @@ class SampleMetrics:
 
 #: One day's stored records: parallel ``u32`` address and PTR-id columns.
 RecordColumns = Tuple[np.ndarray, np.ndarray]
+#: One day's derived records: a ``u32`` address column and the parallel hostnames.
+DayRecords = Tuple[np.ndarray, List[str]]
 
 
 def _networks_of(
@@ -143,12 +145,15 @@ def derive_records(
     network_names: Optional[Sequence[str]],
     day: dt.date,
     at_offset: Optional[int],
-) -> List[Record]:
+) -> DayRecords:
     """One day's PTR records in ``records_on`` walk order, duplicates kept."""
     records: List[Record] = []
     for network in _networks_of(internet, network_names):
         records += network.records_on(day, at_offset=at_offset)
-    return records
+    addresses = np.fromiter(
+        (address for address, _ in records), dtype=np.uint32, count=len(records)
+    )
+    return addresses, [hostname for _, hostname in records]
 
 
 def derive_day(
@@ -156,20 +161,18 @@ def derive_day(
     network_names: Optional[Sequence[str]],
     day: dt.date,
     at_offset: Optional[int],
-) -> Tuple[Dict[str, int], List[Record]]:
+) -> Tuple[Dict[str, int], DayRecords]:
     """One day's (/24 counts, PTR records) — the unit of collection.
 
     Shared by the serial path and the worker processes of
     :mod:`repro.scan.parallel`; determinism of this function is what
     guarantees parallel results are bit-identical to serial ones.
     One ``records_on`` walk per network; the counts are a tally of the
-    records' address column in first-seen /24 order.
+    records' address column in first-seen /24 order, and the column
+    is stored as is.
     """
     records = derive_records(internet, network_names, day, at_offset)
-    addresses = np.fromiter(
-        (address for address, _ in records), dtype=np.uint32, count=len(records)
-    )
-    return slash24_counts(addresses), records
+    return slash24_counts(records[0]), records
 
 
 class PtrPool:
@@ -201,23 +204,18 @@ class PtrPool:
         """The names in id order (shared; treat as read-only)."""
         return self._materialise().values
 
-    def encode(self, records: Iterable[Record]) -> RecordColumns:
+    def encode(self, records: DayRecords) -> RecordColumns:
         """``records`` as an (address, id) column pair, interning new names."""
         return encode_columns(records, self._materialise())
 
 
-def encode_columns(records: Iterable[Record], interner: _Interner) -> RecordColumns:
-    """``(address, hostname)`` records as ``u32`` address and id columns.
+def encode_columns(records: DayRecords, interner: _Interner) -> RecordColumns:
+    """A day's records as its ``u32`` address column and a ``u32`` id column.
 
     Ids index ``interner``, which assigns new names the next id.
     """
-    records = list(records)
-    addresses = np.fromiter(
-        (address for address, _ in records), dtype=np.uint32, count=len(records)
-    )
-    ids = np.fromiter(
-        (interner.code(hostname) for _, hostname in records), dtype=np.uint32, count=len(records)
-    )
+    addresses, hostnames = records
+    ids = np.fromiter(map(interner.code, hostnames), dtype=np.uint32, count=len(hostnames))
     return addresses, ids
 
 
@@ -270,11 +268,11 @@ class SnapshotSeries:
         self._ingest_day(day, *derived)
 
     def _ingest_day(
-        self, day: dt.date, counts: Dict[str, int], records: Optional[Iterable[Record]]
+        self, day: dt.date, counts: Dict[str, int], records: Optional[DayRecords]
     ) -> None:
         """Append one day, enforcing order and cadence.
 
-        ``records`` are the day's ``(address, hostname)`` pairs, stored
+        ``records`` are the day's address column and hostnames, stored
         as columns; ``None`` appends the counts alone.
         """
         if self._days:
@@ -387,13 +385,14 @@ class SnapshotSeries:
         days: Optional[Sequence[dt.date]] = None,
         *,
         obs=None,
-    ) -> List[Tuple[ipaddress.IPv4Address, str]]:
-        """One deduplicated (address, hostname) sample over ``days``.
+    ) -> List[Record]:
+        """One deduplicated ``(address as int, hostname)`` sample over ``days``.
 
         The shared pass behind the leak funnel: the days' record
         columns are concatenated and deduplicated on integer
         ``address << 32 | ptr_id`` keys in first-seen order, and only
-        the unique records are formatted as ``(IPv4Address, hostname)``.
+        the unique records are paired with their names, in the shape
+        :meth:`record_pairs` yields.
         Counters land in :attr:`last_sample_metrics`, and when ``obs``
         (an :class:`repro.obs.Observability` handle) is given the pass
         is traced as a ``snapshot.sample`` span with deterministic
@@ -414,10 +413,9 @@ class SnapshotSeries:
             keys = (addresses.astype(np.uint64) << np.uint64(32)) | ids
             _, first = np.unique(keys, return_index=True)
             first.sort()
-            records = [
-                (ipaddress.IPv4Address(address), names[code])
-                for address, code in zip(addresses[first].tolist(), ids[first].tolist())
-            ]
+            records = list(
+                zip(addresses[first].tolist(), map(names.__getitem__, ids[first].tolist()))
+            )
             metrics.raw_records = len(keys)
             metrics.unique_records = len(records)
             span.set("days", metrics.days)
@@ -537,15 +535,15 @@ def block_merger(series: SnapshotSeries, block_count: int):
     reproduces its record walk.  A day is ingested when the last block
     delivers it, so a one-block collection streams day by day.
     """
-    pending: Dict[int, Tuple[Dict[str, int], List[Record]]] = {}
+    pending: Dict[int, Tuple[Dict[str, int], DayRecords]] = {}
     last = block_count - 1
 
-    def merge(block: int, ordinal: int, counts: Dict[str, int], records: List[Record]) -> None:
+    def merge(block: int, ordinal: int, counts: Dict[str, int], records: DayRecords) -> None:
         if block:
-            merged_counts, merged_records = pending.pop(ordinal)
+            merged_counts, (addresses, hostnames) = pending.pop(ordinal)
             merged_counts.update(counts)
-            merged_records.extend(records)
-            counts, records = merged_counts, merged_records
+            counts = merged_counts
+            records = (np.concatenate((addresses, records[0])), hostnames + records[1])
         if block == last:
             series._ingest_day(dt.date.fromordinal(ordinal), counts, records)
         else:

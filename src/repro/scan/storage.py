@@ -26,6 +26,8 @@ from array import array
 from collections.abc import Mapping, Sequence
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.dns.resolver import ResolutionStatus
 from repro.scan.observations import IcmpObservation, RdnsObservation
 
@@ -310,6 +312,25 @@ class IcmpColumns(Sequence):
     def extend(self, observations) -> None:
         for observation in observations:
             self.append(observation)
+
+    # -- columnar access -------------------------------------------------------
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(addresses, ats, network_ids)`` as read-only NumPy views.
+
+        Network ids index :attr:`networks`.  A view pins its column:
+        appending while one is alive raises ``BufferError``.
+        """
+        columns = (self._addresses, self._ats, self._network_ids)
+        views = tuple(np.frombuffer(column, column.typecode) for column in columns)
+        for view in views:
+            view.flags.writeable = False
+        return views
+
+    @property
+    def networks(self) -> List[str]:
+        """The network names in id order (shared; treat as read-only)."""
+        return self._networks.values
 
     # -- sequence protocol -----------------------------------------------------
 

@@ -105,6 +105,34 @@ class TestSupplementalStage:
         assert all(covered)
 
 
+class TestWorldToken:
+    def test_warm_study_builds_the_token_once(self, tmp_path, monkeypatch):
+        from repro.netsim.internet import Internet
+        from repro.scan.cache import CampaignCache, SnapshotCache
+
+        def cached_study():
+            config = StudyConfig.quick(seed=1)
+            config.snapshot_cache = SnapshotCache(tmp_path / "snapshots")
+            config.campaign_cache = CampaignCache(tmp_path / "campaigns")
+            return ReproductionStudy(config)
+
+        cold = cached_study()
+        cold.daily_series()
+        cold.supplemental()
+
+        builds = []
+        original = Internet._compute_token
+        monkeypatch.setattr(
+            Internet, "_compute_token", lambda self: builds.append(self) or original(self)
+        )
+        warm = cached_study()
+        warm.leaks()
+        warm.groups()
+        assert warm.collection_metrics.cache_hit and warm.campaign_metrics.cache_hit
+        # The run info and both cache keys share one token build.
+        assert builds == [warm.world.internet]
+
+
 class TestConfig:
     def test_default_dates_match_paper(self):
         # Windows are half-open [start, end): the exclusive ends place

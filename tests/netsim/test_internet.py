@@ -1,12 +1,13 @@
 """Tests for the Internet container, world building and personas."""
 
 import datetime as dt
+import ipaddress
 
 import pytest
 
 from repro.netsim.calendar import cyber_monday, thanksgiving
 from repro.netsim.internet import Internet, WorldScale, build_world
-from repro.netsim.network import IcmpPolicy, Network, NetworkType
+from repro.netsim.network import IcmpPolicy, Network, NetworkType, Subnet, SubnetRole
 from repro.netsim.personas import BRIAN_HOSTNAME_LABELS, make_brian_devices
 from repro.netsim.rng import RngStreams
 
@@ -31,6 +32,32 @@ class TestInternetContainer:
 
     def test_network_lookup(self, world):
         assert world.internet.network("Academic-A").name == "Academic-A"
+
+
+class TestCacheTokenMemo:
+    def test_add_and_a_late_subnet_change_the_token_as_uncached(self):
+        internet = Internet()
+        internet.add(Network("a", NetworkType.OTHER, "10.0.0.0/16", "a.example"))
+        first = internet.cache_token()
+        assert first == internet._compute_token()
+
+        late = internet.add(Network("b", NetworkType.OTHER, "11.0.0.0/16", "b.example"))
+        second = internet.cache_token()
+        assert second != first
+        assert second == internet._compute_token()
+
+        # A subnet joining a member network after the token was taken.
+        late.add_subnet(
+            Subnet(
+                "11.0.1.0/24",
+                SubnetRole.STATIC_SERVERS,
+                static_entries=[(ipaddress.IPv4Address("11.0.1.5"), "www.b.example")],
+            )
+        )
+        third = internet.cache_token()
+        assert third not in (first, second)
+        assert third == internet._compute_token()
+        assert internet.cache_token() == third
 
 
 class TestBuiltWorld:

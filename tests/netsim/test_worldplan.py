@@ -167,9 +167,14 @@ class TestBuild:
             subset = plan.build(names)
             assert [network.name for network in subset.internet.networks] == list(names)
             for day in days:
-                full_counts, full_ptrs = derive_day(full.internet, list(names), day, OFFSET)
-                sub_counts, sub_ptrs = derive_day(subset.internet, None, day, OFFSET)
+                full_counts, (full_addresses, full_ptrs) = derive_day(
+                    full.internet, list(names), day, OFFSET
+                )
+                sub_counts, (sub_addresses, sub_ptrs) = derive_day(
+                    subset.internet, None, day, OFFSET
+                )
                 assert sub_counts == full_counts
+                assert sub_addresses.tolist() == full_addresses.tolist()
                 assert sub_ptrs == full_ptrs
 
     def test_supplemental_flag_populates_world(self):

@@ -26,7 +26,10 @@ time them as the baseline side:
 * :func:`reference_presence` — device presence from the full list of
   joined sessions, against which :class:`~repro.netsim.device.DaySessions`
   (and so :meth:`~repro.netsim.device.Device.is_present_at`, ``is_present_on``
-  and the snapshot walk) is checked.
+  and the snapshot walk) is checked;
+* :func:`reference_groups` — activity groups built from observation
+  objects, one address dict at a time, against which the columnar
+  :meth:`~repro.core.grouping.GroupBuilder.build` is checked.
 """
 
 import datetime as dt
@@ -44,6 +47,7 @@ from repro.core.dynamicity import (
     PrefixDynamicity,
     _effective_min_transitions,
 )
+from repro.core.grouping import ActivityGroup, GroupBuilder
 from repro.core.leaks import LeakIdentifier, LeakReport, SuffixStats
 from repro.core.terms import device_terms_in, hostname_suffix, is_router_level
 from repro.datasets.names import name_popularity_weights
@@ -64,6 +68,7 @@ from repro.netsim.population import (
     _ROUTER_ROLES,
     _SERVER_LABELS,
 )
+from repro.netsim.simtime import MINUTE
 from repro.scan.snapshot import SnapshotSeries
 
 
@@ -301,3 +306,48 @@ def reference_presence(
     if offset is None:
         return bool(sessions)
     return any(session.contains(offset) for session in sessions)
+
+
+def reference_groups(builder: GroupBuilder, dataset) -> List[ActivityGroup]:
+    """Section 6.1 groups from the dataset's observation objects.
+
+    ICMP rows merge per address on their 5-minute truncated time; each
+    address's sorted distinct times split into runs at gaps over
+    ``builder.gap_threshold``; each run's rDNS window is
+    ``[first - 30 min, last + builder.post_window]``, then clamped
+    below the start of the address's next run.
+    """
+    icmp_by_address: Dict[object, List[int]] = {}
+    network_of: Dict[object, str] = {}
+    for observation in dataset.icmp:
+        icmp_by_address.setdefault(observation.address, []).append(observation.truncated_at)
+        network_of[observation.address] = observation.network
+    rdns_by_address: Dict[object, list] = {}
+    for observation in dataset.rdns:
+        rdns_by_address.setdefault(observation.address, []).append(observation)
+
+    groups: List[ActivityGroup] = []
+    for address in sorted(icmp_by_address, key=int):
+        runs: List[List[int]] = []
+        for timestamp in sorted(set(icmp_by_address[address])):
+            if runs and timestamp - runs[-1][-1] <= builder.gap_threshold:
+                runs[-1].append(timestamp)
+            else:
+                runs.append([timestamp])
+        lookups = sorted(rdns_by_address.get(address, []), key=lambda o: o.at)
+        for index, run in enumerate(runs):
+            window_start = run[0] - 30 * MINUTE
+            window_end = run[-1] + builder.post_window
+            rdns = [obs for obs in lookups if window_start <= obs.at <= window_end]
+            if index + 1 < len(runs):
+                rdns = [obs for obs in rdns if obs.at < runs[index + 1][0]]
+            groups.append(
+                ActivityGroup(
+                    group_id=len(groups),
+                    address=address,
+                    network=network_of[address],
+                    icmp_times=run,
+                    rdns=rdns,
+                )
+            )
+    return groups

@@ -121,7 +121,7 @@ class TestRecordSampling:
         seen = set()
         expected = []
         for day in serial_series.days:
-            for record in serial_series.records_on(day):
+            for record in serial_series.record_pairs(day):
                 if record not in seen:
                     seen.add(record)
                     expected.append(record)
@@ -136,7 +136,7 @@ class TestRecordSampling:
         sample = serial_series.sample_records(tail)
         assert serial_series.last_sample_metrics.days == 3
         assert set(sample) == {
-            record for day in tail for record in serial_series.records_on(day)
+            record for day in tail for record in serial_series.record_pairs(day)
         }
 
 

@@ -40,10 +40,10 @@ def world_walk(internet, day):
 
 
 def first_seen(series):
-    """The series' records over every day, deduplicated in first-seen order."""
+    """The series' integer records over every day, deduplicated in first-seen order."""
     records, seen = [], set()
     for day in series.days:
-        for record in series.records_on(day):
+        for record in series.record_pairs(day):
             if record not in seen:
                 seen.add(record)
                 records.append(record)

@@ -115,11 +115,11 @@ class TestDeclaredCadence:
         from repro.scan.snapshot import SnapshotSeries
 
         series = SnapshotSeries("x", world.internet, cadence_days=7)
-        series._ingest_day(START, {"10.0.0.0/24": 1}, set())
+        series._ingest_day(START, {"10.0.0.0/24": 1}, None)
         with pytest.raises(ValueError, match="cadence"):
-            series._ingest_day(START + dt.timedelta(days=1), {}, set())
+            series._ingest_day(START + dt.timedelta(days=1), {}, None)
         with pytest.raises(ValueError, match="not after"):
-            series._ingest_day(START, {}, set())
+            series._ingest_day(START, {}, None)
 
 
 class TestMetrics:

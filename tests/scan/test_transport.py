@@ -9,6 +9,7 @@ and :func:`~repro.scan.transport.consume`.
 
 import ipaddress
 
+import numpy as np
 import pytest
 
 from repro.dns.resolver import ResolutionStatus
@@ -23,6 +24,20 @@ from repro.scan.storage import IcmpColumns, RdnsColumns
 def through_segment(blob, parser):
     """Publish ``blob`` and parse it back over the shared buffer."""
     return transport.consume(transport.publish(blob), parser)
+
+
+def day(ordinal, counts, pairs=()):
+    """One derived day, its records given as (address, hostname) pairs."""
+    addresses = np.array([address for address, _ in pairs], dtype=np.uint32)
+    return ordinal, counts, (addresses, [hostname for _, hostname in pairs])
+
+
+def plain(results):
+    """Derived days with their record columns back as (address, hostname) pairs."""
+    return [
+        (ordinal, counts, list(zip(addresses.tolist(), hostnames)))
+        for ordinal, counts, (addresses, hostnames) in results
+    ]
 
 
 def sample_icmp() -> IcmpColumns:
@@ -84,16 +99,17 @@ class TestPublishConsume:
 class TestDayChunks:
     def test_round_trip_preserves_order(self):
         results = [
-            (
+            day(
                 738156,
                 {"10.0.1.0/24": 3, "10.0.0.0/24": 1},
                 [(0x0A000105, "b.ptr"), (0x0A000001, "a.ptr"), (0x0A000001, "a.ptr")],
             ),
-            (738157, {"10.0.0.0/24": 2, "10.0.2.0/24": 9}, [(0x0A000002, "a.ptr")]),
-            (738158, {}, []),
+            day(738157, {"10.0.0.0/24": 2, "10.0.2.0/24": 9}, [(0x0A000002, "a.ptr")]),
+            day(738158, {}),
         ]
         unpacked = through_segment(_encode_chunk(results), _decode_chunk)
-        assert unpacked == results
+        assert plain(unpacked) == plain(results)
+        assert all(addresses.dtype == np.uint32 for _, _, (addresses, _) in unpacked)
         # First-seen prefix order — the interning anchor — survives, and
         # so does the record walk, duplicates included.
         assert list(unpacked[0][1]) == ["10.0.1.0/24", "10.0.0.0/24"]
@@ -101,22 +117,22 @@ class TestDayChunks:
 
     def test_new_prefixes_keep_their_first_seen_order(self):
         results = [
-            (738156, {"10.0.5.0/24": 1}, []),
-            (738157, {"10.0.9.0/24": 1, "10.0.5.0/24": 2, "10.0.3.0/24": 4}, []),
+            day(738156, {"10.0.5.0/24": 1}),
+            day(738157, {"10.0.9.0/24": 1, "10.0.5.0/24": 2, "10.0.3.0/24": 4}),
         ]
         unpacked = through_segment(_encode_chunk(results), _decode_chunk)
-        assert unpacked == results
+        assert plain(unpacked) == plain(results)
         # Counts come back in chunk-local id order; the day's new
         # prefixes (10.0.9.0, then 10.0.3.0) keep their relative order.
         assert list(unpacked[1][1]) == ["10.0.5.0/24", "10.0.9.0/24", "10.0.3.0/24"]
 
     def test_hostnames_cross_once_per_chunk(self):
-        day = [(0x0A000001 + index, f"host-{index}.example.net") for index in range(50)]
-        one = len(_encode_chunk([(738156, {}, day)]))
-        two = len(_encode_chunk([(738156, {}, day), (738157, {}, day)]))
+        pairs = [(0x0A000001 + index, f"host-{index}.example.net") for index in range(50)]
+        one = len(_encode_chunk([day(738156, {}, pairs)]))
+        two = len(_encode_chunk([day(738156, {}, pairs), day(738157, {}, pairs)]))
         # The second day adds a DAY and a RECORDS record (two headers,
         # padding and two u32 columns), not the names.
-        assert two - one <= 8 * len(day) + 3 * ALIGNMENT
+        assert two - one <= 8 * len(pairs) + 3 * ALIGNMENT
 
     def test_empty_chunk(self):
         assert through_segment(_encode_chunk([]), _decode_chunk) == []
@@ -129,10 +145,10 @@ class TestDayChunks:
 class TestRecordChunks:
     def test_round_trip(self):
         results = [
-            (738156, {}, [(0x0A000001, "a.example"), (0x0A000002, "b.example")]),
-            (738157, {}, []),
+            day(738156, {}, [(0x0A000001, "a.example"), (0x0A000002, "b.example")]),
+            day(738157, {}),
         ]
-        assert through_segment(_encode_chunk(results), _decode_chunk) == results
+        assert plain(through_segment(_encode_chunk(results), _decode_chunk)) == plain(results)
 
 
 class TestCampaignColumns:
@@ -172,7 +188,7 @@ class TestFailedParse:
     def test_parser_error_survives_its_views(self):
         """A parser that fails while holding views into the segment
         raises its own error, and the segment is still released."""
-        blob = _encode_chunk([(738156, {"10.0.0.0/24": 3}, [(0x0A000001, "a.ptr")])])
+        blob = _encode_chunk([day(738156, {"10.0.0.0/24": 3}, [(0x0A000001, "a.ptr")])])
 
         def parse(view):
             reader = BlockFileReader.from_buffer(view)  # its DAY column is a view

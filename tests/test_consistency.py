@@ -9,6 +9,7 @@ ground truth.
 
 import datetime as dt
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -136,7 +137,8 @@ class TestCountRecordConsistency:
         internet = Internet()
         internet.add(network)
         day = START + dt.timedelta(days=day_offset)
-        counts, records = derive_day(internet, None, day, at_offset)
+        counts, (addresses, hostnames) = derive_day(internet, None, day, at_offset)
+        records = list(zip(addresses.tolist(), hostnames))
         assert sum(counts.values()) == len(records)
         assert set(counts) <= {"10.0.10.0/24"}
         assert records == list(network.records_on(day, at_offset=at_offset))
@@ -169,7 +171,8 @@ class TestDeriveDayCounts:
     @settings(max_examples=25, deadline=None)
     def test_counts_tally_records_in_first_seen_order(self, day_offset, at_offset):
         day = START + dt.timedelta(days=day_offset)
-        counts, records = derive_day(MIXED, None, day, at_offset)
+        counts, (addresses, hostnames) = derive_day(MIXED, None, day, at_offset)
+        records = list(zip(addresses.tolist(), hostnames))
         expected = {}
         for address, _ in records:
             key = slash24_of(address)
@@ -180,8 +183,9 @@ class TestDeriveDayCounts:
         assert list(network.counts_by_slash24(day, at_offset=at_offset).items()) == list(counts.items())
 
     def test_every_subnet_shape_lands_in_its_slash24(self):
-        counts, records = derive_day(MIXED, None, START + dt.timedelta(days=2), None)
-        assert all(isinstance(address, int) for address, _ in records)
+        day = START + dt.timedelta(days=2)
+        counts, (addresses, hostnames) = derive_day(MIXED, None, day, None)
+        assert addresses.dtype == np.uint32 and len(addresses) == len(hostnames)
         # The /22's devices reach a second /24; the two /25s share one
         # key; the RFC 2317 /26 counts under its covering /24; the
         # DISABLED /24 publishes nothing.
@@ -189,7 +193,7 @@ class TestDeriveDayCounts:
         assert "10.0.11.0/24" not in counts
         assert counts["10.0.14.0/24"] > 200  # the whole provisioned pool
         assert list(counts)[0] == "10.0.12.0/24"  # first seen, not first sorted
-        assert sum(counts.values()) == len(records)
+        assert sum(counts.values()) == len(addresses)
 
 
 class TestEventVsDayLevelConsistency:
