@@ -19,6 +19,7 @@ import datetime as dt
 import os
 import time
 
+from repro.core.pipeline import StudyConfig
 from repro.netsim.internet import WorldScale, build_world
 from repro.reporting import TextTable
 from repro.scan.cache import CampaignCache
@@ -71,7 +72,9 @@ def test_campaign_throughput(tmp_path_factory, write_artifact):
     cache = CampaignCache(tmp_path_factory.mktemp("campaign-cache"))
 
     serial, serial_seconds, serial_metrics = _timed_run()
-    parallel, parallel_seconds, parallel_metrics = _timed_run(workers=PARALLEL_WORKERS)
+    # Callers apply the machine ceiling; the engine caps only by work.
+    requested = StudyConfig().capped_workers(PARALLEL_WORKERS)
+    parallel, parallel_seconds, parallel_metrics = _timed_run(workers=requested)
     cold, cold_seconds, cold_metrics = _timed_run(cache=cache)
     warm, warm_seconds, warm_metrics = _timed_run(cache=cache)
 
@@ -80,7 +83,7 @@ def test_campaign_throughput(tmp_path_factory, write_artifact):
     assert_identical(serial, cold)
     assert_identical(serial, warm)
     assert serial_metrics.effective_workers == 1
-    assert parallel_metrics.workers == PARALLEL_WORKERS
+    assert parallel_metrics.workers == requested
     assert 1 <= parallel_metrics.effective_workers <= min(
         PARALLEL_WORKERS, os.cpu_count() or 1
     )

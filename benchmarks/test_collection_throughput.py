@@ -18,6 +18,7 @@ import datetime as dt
 import os
 import time
 
+from repro.core.pipeline import StudyConfig
 from repro.netsim.internet import WorldScale, build_world
 from repro.reporting import TextTable
 from repro.scan.cache import SnapshotCache
@@ -62,8 +63,10 @@ def test_collection_throughput(tmp_path_factory, write_artifact):
     serial, serial_seconds, _ = _timed_collect(serial_world)
 
     parallel_world = build_world(seed=SEED, scale=WorldScale.small())
+    # Callers apply the machine ceiling; the engine caps only by work.
+    requested = StudyConfig().capped_workers(PARALLEL_WORKERS)
     parallel, parallel_seconds, parallel_metrics = _timed_collect(
-        parallel_world, workers=PARALLEL_WORKERS
+        parallel_world, workers=requested
     )
 
     # Cold pass fills the cache; the warm pass replays it.
@@ -77,7 +80,7 @@ def test_collection_throughput(tmp_path_factory, write_artifact):
         assert series.stats() == serial.stats()
         for day in serial.days:
             assert series.counts_by_slash24(day) == serial.counts_by_slash24(day)
-    assert parallel_metrics.workers == PARALLEL_WORKERS
+    assert parallel_metrics.workers == requested
     assert 1 <= parallel_metrics.effective_workers <= min(
         PARALLEL_WORKERS, os.cpu_count() or 1
     )

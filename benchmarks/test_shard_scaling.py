@@ -44,6 +44,7 @@ import pathlib
 import resource
 import time
 
+from repro.core.pipeline import StudyConfig
 from repro.netsim.worldplan import synthetic_plan
 from repro.reporting import TextTable
 from repro.scan.snapshot import SnapshotCollector
@@ -116,7 +117,7 @@ def test_shard_scaling():
     )
     parallel_seconds = _best_of(
         lambda: SnapshotCollector.openintel_style(plan, shards=GATED_WORKERS).collect(
-            START, end, workers=GATED_WORKERS
+            START, end, workers=StudyConfig().capped_workers(GATED_WORKERS)
         )
     )
     speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0

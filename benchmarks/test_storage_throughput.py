@@ -107,13 +107,9 @@ def test_storage_throughput(tmp_path):
 
     # -- worker transport first: the parent's peak RSS is the leg's own ---
     pooled_collector = SnapshotCollector.openintel_style(plan, shards=TRANSPORT_WORKERS)
-    os.environ["REPRO_MAX_WORKERS"] = str(TRANSPORT_WORKERS)
-    try:
-        started = time.perf_counter()
-        pooled = pooled_collector.collect(START, end, workers=TRANSPORT_WORKERS)
-        pool_seconds = time.perf_counter() - started
-    finally:
-        os.environ.pop("REPRO_MAX_WORKERS", None)
+    started = time.perf_counter()
+    pooled = pooled_collector.collect(START, end, workers=TRANSPORT_WORKERS)
+    pool_seconds = time.perf_counter() - started
     pool_parent_rss_mb = _self_peak_rss_mb()
     pool_metrics = pooled_collector.last_metrics
     assert pool_metrics.transport_bytes > 0, "pool results did not use the transport"

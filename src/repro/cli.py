@@ -27,8 +27,16 @@ name for the measurement.)
 Every command takes ``--seed`` so results are reproducible.  The
 global ``--metrics-out PATH`` writes a run manifest (deterministic
 metrics + spans, wall-clock under ``timings``) after the command;
-``--trace`` prints the span tree.  ``REPRO_METRICS_OUT`` is the
-environment equivalent of ``--metrics-out``.
+``--trace`` prints the span tree.
+
+Some global flags fall back to an environment variable when absent:
+``--fault-profile`` to ``REPRO_FAULT_PROFILE``, ``--max-workers`` to
+``REPRO_MAX_WORKERS``, ``--metrics-out`` to ``REPRO_METRICS_OUT``, and
+the roots of ``--snapshot-cache``/``--campaign-cache`` (and of the
+``--clear-*`` flags and ``cache``) to ``REPRO_SNAPSHOT_CACHE``/
+``REPRO_CAMPAIGN_CACHE``.  :func:`read_settings` is the only reader of
+those variables in the package; everything below it takes explicit
+values.
 """
 
 from __future__ import annotations
@@ -36,9 +44,10 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import ipaddress
+import os
 import pathlib
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core import DeviceTracker, HeistPlanner, audit_by_network
 from repro.core.pipeline import ReproductionStudy, StudyConfig
@@ -50,17 +59,15 @@ from repro.eval import (
     write_matrix_json,
 )
 from repro.ipam.policy import POLICY_NAMES
-from repro.netsim.faults import FAULT_PROFILES, resolve_fault_plan
-from repro.netsim.internet import build_world
+from repro.netsim.faults import FAULT_PROFILES, plan_from_profile
 from repro.netsim.worldplan import WorldPlan, synthetic_plan
 from repro.netsim.network import NetworkType
 from repro.netsim.personas import BRIAN_HOSTNAME_LABELS
-from repro.obs import NULL_OBS, Observability, metrics_out_path
+from repro.obs import NULL_OBS, Observability
 from repro.reporting import TextTable
 from repro.scan import (
     CampaignCache,
     SnapshotCache,
-    SupplementalCampaign,
     write_icmp_csv,
     write_rdns_csv,
 )
@@ -390,33 +397,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _study_config(args) -> StudyConfig:
-    """The one StudyConfig of this invocation, built from the global flags."""
+class Settings(NamedTuple):
+    """One invocation's settings, each flag over its ``REPRO_*`` variable over the default."""
+
+    config: StudyConfig
+    #: Where the run manifest goes (``--metrics-out``), if anywhere.
+    manifest_path: Optional[str]
+    #: The caches ``--clear-*`` and ``cache`` act on; ``config`` holds
+    #: them as well when ``--snapshot-cache``/``--campaign-cache`` enable them.
+    snapshot_cache: SnapshotCache
+    campaign_cache: CampaignCache
+
+
+def read_settings(args, environ: Optional[Mapping[str, str]] = None) -> Settings:
+    """The invocation's settings from its flags and ``environ`` (default ``os.environ``).
+
+    The only reader of ``REPRO_*`` variables in the package.  Each
+    variable is the fallback of one flag; an explicit flag wins (so
+    ``--fault-profile none`` overrides ``REPRO_FAULT_PROFILE``).  Bad
+    values raise ``ValueError``.
+    """
+    if environ is None:
+        environ = os.environ
     config = StudyConfig.quick(args.seed) if args.quick else StudyConfig(seed=args.seed)
     if args.plan is not None:
         config.plan = WorldPlan.load(args.plan).validate()
     config.shards = args.shards
     config.max_workers = args.max_workers
+    if config.max_workers is None:
+        text = environ.get("REPRO_MAX_WORKERS", "").strip()
+        if text:
+            try:
+                config.max_workers = int(text)
+            except ValueError as exc:
+                raise ValueError(f"REPRO_MAX_WORKERS must be an integer, got {text!r}") from exc
+            if config.max_workers < 1:
+                raise ValueError(f"REPRO_MAX_WORKERS must be >= 1, got {config.max_workers}")
     config.snapshot_workers = args.workers
     config.campaign_workers = args.workers
+    snapshot_cache = SnapshotCache(args.snapshot_cache or environ.get("REPRO_SNAPSHOT_CACHE") or None)
+    campaign_cache = CampaignCache(args.campaign_cache or environ.get("REPRO_CAMPAIGN_CACHE") or None)
     if args.snapshot_cache is not None:
-        config.snapshot_cache = SnapshotCache(args.snapshot_cache or None)
+        config.snapshot_cache = snapshot_cache
     if args.campaign_cache is not None:
-        config.campaign_cache = CampaignCache(args.campaign_cache or None)
-    # Flag, then the REPRO_FAULT_PROFILE environment variable.
-    config.fault_plan = resolve_fault_plan(args.fault_profile, seed=args.seed)
+        config.campaign_cache = campaign_cache
+    profile = args.fault_profile or environ.get("REPRO_FAULT_PROFILE", "").strip()
+    config.fault_plan = plan_from_profile(profile, seed=args.seed) if profile else None
     if getattr(args, "leak_sample_days", None) is not None:
         config.leak_sample_days = args.leak_sample_days
     if getattr(args, "blockfile", None) is not None:
         config.serve_blockfile = args.blockfile
-    return config
-
-
-def _world(config: StudyConfig):
-    """The config's world, built whole."""
-    if config.plan is not None:
-        return config.plan.build()
-    return build_world(seed=config.seed, scale=config.scale)
+    manifest_path = args.metrics_out or environ.get("REPRO_METRICS_OUT") or None
+    return Settings(config, manifest_path, snapshot_cache, campaign_cache)
 
 
 def _run_campaign(args, config: StudyConfig, obs: Observability, networks):
@@ -425,17 +457,8 @@ def _run_campaign(args, config: StudyConfig, obs: Observability, networks):
     The one place the CLI measures the supplemental campaign: a plan is
     measured in ``config.shards`` blocks, never built whole here.
     """
-    campaign = SupplementalCampaign(
-        config.plan if config.plan is not None else _world(config),
-        networks=networks,
-        shards=config.shards,
-        fault_plan=config.fault_plan,
-        obs=obs,
-    )
-    obs.set_run_info(
-        world_fingerprint=campaign.internet.cache_token(),
-        fault_profile=config.fault_plan.name if config.fault_plan is not None else None,
-    )
+    campaign = config.campaign(config.world_source(), networks=networks, obs=obs)
+    obs.set_run_info(world_fingerprint=campaign.internet.cache_token())
     dataset = campaign.run(
         args.start,
         args.end,
@@ -595,7 +618,7 @@ def cmd_heist(args, config, obs, out) -> int:
 
 
 def cmd_snapshot(args, config, obs, out) -> int:
-    world = _world(config)
+    world = config.build_world()
     if args.network is not None:
         networks = [world.internet.network(args.network)]
     else:
@@ -694,19 +717,19 @@ def _verify_cache_entry(cache, key: str, detail) -> Tuple[str, bool]:
     )
 
 
-def cmd_cache(args, config, obs, out) -> int:
+def cmd_cache(args, settings: Settings, out) -> int:
     # (label, cache, inspect column, its value, verify detail) per cache.
     sections = [
         (
             "snapshot",
-            config.snapshot_cache or SnapshotCache(),
+            settings.snapshot_cache,
             "Days",
             lambda payload: len(payload.get("days", ())),
             lambda reader, records: f"{len(reader.days)} day(s)",
         ),
         (
             "campaign",
-            config.campaign_cache or CampaignCache(),
+            settings.campaign_cache,
             "Networks",
             lambda payload: len(payload.get("targets_by_network", ())),
             lambda reader, records: f"{records} record(s)",
@@ -860,7 +883,6 @@ def cmd_evaluate(args, config, obs, out) -> int:
 
 
 _COMMANDS = {
-    "cache": cmd_cache,
     "plan": cmd_plan,
     "evaluate": cmd_evaluate,
     "study": cmd_study,
@@ -883,32 +905,29 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         parser.error(
             "a command is required (or --clear-snapshot-cache/--clear-campaign-cache)"
         )
-    if args.max_workers is not None:
-        # One shared ceiling for every pool this process (and its
-        # workers) creates — see repro.scan.parallel.worker_cap.
-        import os
-
-        os.environ["REPRO_MAX_WORKERS"] = str(args.max_workers)
-    manifest_path = args.metrics_out or metrics_out_path()
-    obs = Observability() if manifest_path or args.trace else NULL_OBS
-    obs.set_run_info(
-        seed=args.seed,
-        # The alias maps to the same command (and the same manifest).
-        command="campaign" if args.command == "supplemental" else args.command,
-    )
     try:
-        config = _study_config(args)
+        settings = read_settings(args)
+        config = settings.config
+        obs = Observability() if settings.manifest_path or args.trace else NULL_OBS
+        obs.set_run_info(
+            seed=args.seed,
+            # The alias maps to the same command (and the same manifest).
+            command="campaign" if args.command == "supplemental" else args.command,
+        )
         if args.clear_snapshot_cache:
-            cache = config.snapshot_cache or SnapshotCache()
+            cache = settings.snapshot_cache
             removed = cache.clear()
             print(f"cleared {removed} cached snapshot series from {cache.root}", file=out)
         if args.clear_campaign_cache:
-            cache = config.campaign_cache or CampaignCache()
+            cache = settings.campaign_cache
             removed = cache.clear()
             print(f"cleared {removed} cached campaign datasets from {cache.root}", file=out)
         if args.command is None:
             return 0
-        status = _COMMANDS[args.command](args, config, obs, out)
+        if args.command == "cache":
+            status = cmd_cache(args, settings, out)
+        else:
+            status = _COMMANDS[args.command](args, config, obs, out)
     except ValueError as error:
         # Bad user input (e.g. an empty half-open window or a malformed
         # --plan) — report it like an argument error instead of a traceback.
@@ -925,9 +944,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         if rendered:
             print("\n[trace]", file=out)
             print(rendered, file=out)
-    if manifest_path:
-        obs.write_manifest(manifest_path)
-        print(f"wrote run manifest to {manifest_path}", file=out)
+    if settings.manifest_path:
+        obs.write_manifest(settings.manifest_path)
+        print(f"wrote run manifest to {settings.manifest_path}", file=out)
     return status
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.core.classify import NetworkTypeClassifier
 from repro.core.dynamicity import DynamicityAnalyzer, DynamicityReport, DynamicityThresholds
@@ -28,6 +28,7 @@ from repro.netsim.worldplan import WorldPlan
 from repro.obs import Observability, resolve_obs
 from repro.scan.cache import CampaignCache, SnapshotCache
 from repro.scan.campaign import CampaignMetrics, SupplementalCampaign, SupplementalDataset
+from repro.scan.parallel import worker_cap
 from repro.scan.snapshot import CollectionMetrics, SnapshotCollector, SnapshotSeries
 
 
@@ -63,9 +64,9 @@ class StudyConfig:
     #: run over the built plan world.
     plan: Optional[WorldPlan] = None
     shards: int = 1
-    #: Ceiling on every process pool this study creates.  ``None``
-    #: defers to the machine-wide :func:`repro.scan.parallel.worker_cap`
-    #: (itself overridable via ``REPRO_MAX_WORKERS``).
+    #: Ceiling on every process pool this study creates; it may exceed
+    #: the core count.  ``None`` means the machine default,
+    #: :func:`repro.scan.parallel.worker_cap`.  See :meth:`capped_workers`.
     max_workers: Optional[int] = None
     dynamicity_start: dt.date = dt.date(2021, 1, 1)
     dynamicity_end: dt.date = dt.date(2021, 4, 1)
@@ -81,10 +82,9 @@ class StudyConfig:
     campaign_workers: int = 1
     campaign_cache: Optional[CampaignCache] = None
     #: Optional :class:`repro.netsim.faults.FaultPlan` applied to the
-    #: supplemental campaign.  ``None`` (the default) leaves the
-    #: decision to the ``REPRO_FAULT_PROFILE`` environment variable;
-    #: outputs are unchanged unless a plan is actually active.
-    fault_plan: Optional["FaultPlan"] = None
+    #: supplemental campaign.  ``None`` (the default) is a clean run;
+    #: only the CLI maps ``REPRO_FAULT_PROFILE`` onto this field.
+    fault_plan: Optional[FaultPlan] = None
     #: Optional path for the serve layer's snapshot blockfile.  When
     #: set, :func:`repro.serve.app.build_app` writes the collected
     #: series there once at boot, maps it read-only, and
@@ -107,10 +107,45 @@ class StudyConfig:
         )
 
     def capped_workers(self, requested: int) -> int:
-        """``requested`` bounded by the study-level ``max_workers``."""
-        if self.max_workers is None:
-            return requested
-        return max(1, min(requested, self.max_workers))
+        """``requested`` bounded by ``max_workers``, else by the machine's :func:`worker_cap`.
+
+        The one machine ceiling: the engines then cap only by work
+        (days per worker, work units).
+        """
+        ceiling = self.max_workers if self.max_workers is not None else worker_cap()
+        return max(1, min(requested, ceiling))
+
+    def build_world(self) -> World:
+        """The world built whole: from ``plan`` if set, else from ``seed`` and ``scale``."""
+        if self.plan is not None:
+            return self.plan.build()
+        return build_world(seed=self.seed, scale=self.scale)
+
+    def world_source(self) -> Union[World, WorldPlan]:
+        """What the engines measure: ``plan`` (never built whole here), else the built world."""
+        return self.plan if self.plan is not None else self.build_world()
+
+    def campaign(
+        self,
+        source: Union[World, WorldPlan],
+        *,
+        networks: Optional[Iterable[str]] = None,
+        obs: Optional[Observability] = None,
+    ) -> SupplementalCampaign:
+        """The supplemental campaign over ``source`` in ``shards`` blocks, under ``fault_plan``.
+
+        Records the ``fault_profile`` run info on ``obs``.
+        """
+        resolve_obs(obs).set_run_info(
+            fault_profile=self.fault_plan.name if self.fault_plan is not None else None
+        )
+        return SupplementalCampaign(
+            source,
+            networks=networks,
+            shards=self.shards,
+            fault_plan=self.fault_plan,
+            obs=obs,
+        )
 
 
 class ReproductionStudy:
@@ -144,10 +179,7 @@ class ReproductionStudy:
     def world(self) -> World:
         if self._world is None:
             with self.obs.span("build_world") as span:
-                if self.config.plan is not None:
-                    self._world = self.config.plan.build()
-                else:
-                    self._world = build_world(seed=self.config.seed, scale=self.config.scale)
+                self._world = self.config.build_world()
                 span.set("networks", len(self._world.internet))
             self.obs.set_run_info(
                 seed=self.config.seed,
@@ -226,31 +258,11 @@ class ReproductionStudy:
         """Section 6.1: run the supplemental campaign."""
         if self._supplemental is None:
             with self.obs.span("supplemental"):
-                workers = self.config.capped_workers(self.config.campaign_workers)
-                fault_kwargs = (
-                    {"fault_plan": self.config.fault_plan}
-                    if self.config.fault_plan is not None
-                    # No explicit plan: the campaign consults the
-                    # REPRO_FAULT_PROFILE environment variable itself.
-                    else {}
-                )
-                campaign = SupplementalCampaign(
-                    self._world_source(),
-                    shards=self.config.shards,
-                    obs=self.obs,
-                    **fault_kwargs,
-                )
-                self.obs.set_run_info(
-                    fault_profile=(
-                        campaign.fault_plan.name
-                        if campaign.fault_plan is not None
-                        else None
-                    )
-                )
+                campaign = self.config.campaign(self._world_source(), obs=self.obs)
                 self._supplemental = campaign.run(
                     self.config.supplemental_start,
                     self.config.supplemental_end,
-                    workers=workers,
+                    workers=self.config.capped_workers(self.config.campaign_workers),
                     cache=self.config.campaign_cache,
                 )
                 self.campaign_metrics = campaign.last_metrics

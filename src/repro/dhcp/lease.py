@@ -16,6 +16,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.dhcp.errors import UnknownLeaseError
 from repro.dhcp.options import ClientFqdn
+from repro.dns.name import as_ip
 
 
 class LeaseState(enum.Enum):
@@ -89,17 +90,14 @@ class LeaseDatabase:
             self._next_expiry = lease.expires_at
 
     def get_by_address(self, address) -> Lease:
-        if not isinstance(address, ipaddress.IPv4Address):
-            address = ipaddress.ip_address(address)
+        address = as_ip(address)
         lease = self._by_address.get(address)
         if lease is None:
             raise UnknownLeaseError(f"no lease for {address}")
         return lease
 
     def find_by_address(self, address) -> Optional[Lease]:
-        if not isinstance(address, ipaddress.IPv4Address):
-            address = ipaddress.ip_address(address)
-        return self._by_address.get(address)
+        return self._by_address.get(as_ip(address))
 
     def find_by_client(self, client_id: str) -> Optional[Lease]:
         return self._by_client.get(client_id)

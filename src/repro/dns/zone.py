@@ -19,6 +19,7 @@ from repro.dns.errors import ZoneError
 from repro.dns.name import (
     DomainName,
     IPAddress,
+    as_ip,
     from_reverse_pointer,
     reverse_pointer,
     reverse_zone_origin,
@@ -126,9 +127,7 @@ class ReverseZone:
         return ResourceRecord(self.origin, RecordType.SOA, self._soa, self.default_ttl)
 
     def covers(self, address: IPAddress) -> bool:
-        if not isinstance(address, ipaddress.IPv4Address):
-            address = ipaddress.ip_address(address)
-        return address in self.prefix
+        return as_ip(address) in self.prefix
 
     def is_authoritative_for(self, name: DomainName) -> bool:
         return name.is_subdomain_of(self.origin)
@@ -174,12 +173,8 @@ class ReverseZone:
 
     def _require_covered(self, address: IPAddress) -> ipaddress.IPv4Address:
         # Callers on the lease-churn path already hold IPv4Address
-        # objects; re-parsing them through ip_address() goes via str()
-        # and octet parsing, which profiled as a top-five cost.
-        if isinstance(address, ipaddress.IPv4Address):
-            ip = address
-        else:
-            ip = ipaddress.ip_address(address)
+        # objects; as_ip passes them through rather than re-parsing.
+        ip = as_ip(address)
         if ip not in self.prefix:
             raise ZoneError(f"{ip} is outside zone prefix {self.prefix}")
         return ip
@@ -250,9 +245,7 @@ class ReverseZone:
     # -- queries ----------------------------------------------------------
 
     def get_ptr(self, address: IPAddress) -> Optional[ResourceRecord]:
-        if not isinstance(address, ipaddress.IPv4Address):
-            address = ipaddress.ip_address(address)
-        return self._ptr.get(address)
+        return self._ptr.get(as_ip(address))
 
     def get_hostname(self, address: IPAddress) -> Optional[str]:
         record = self.get_ptr(address)
@@ -352,13 +345,10 @@ class ReverseZone:
         return len(self._ptr)
 
     def __contains__(self, address: object) -> bool:
-        if isinstance(address, ipaddress.IPv4Address):
-            return address in self._ptr
         try:
-            ip = ipaddress.ip_address(address)  # type: ignore[arg-type]
+            return as_ip(address) in self._ptr  # type: ignore[arg-type]
         except ValueError:
             return False
-        return ip in self._ptr
 
     def __repr__(self) -> str:
         return f"ReverseZone({self.prefix}, {len(self)} PTRs, serial={self.serial})"

@@ -120,12 +120,7 @@ class MatrixSpec:
         return self.worlds[cell.world].with_update_policy(cell.policy)
 
     def fault_plan_for(self, cell: MatrixCell) -> Optional[FaultPlan]:
-        """The cell's fault plan (``None`` for the clean profile).
-
-        Always explicit — the matrix axis decides, never the
-        ``REPRO_FAULT_PROFILE`` environment variable, so a sweep is
-        reproducible regardless of the launching shell.
-        """
+        """The cell's fault plan (``None`` for the clean profile): the matrix axis decides."""
         if cell.faults == "none":
             return None
         base = self.worlds[cell.world]

@@ -82,8 +82,6 @@ def _evaluate_cell(state: Tuple, cell: MatrixCell) -> Dict[str, Any]:
         workers=1,
         cache=snapshot_cache,
     )
-    # Fault plan always explicit (None = clean), never the environment:
-    # the matrix axis owns the decision.
     campaign = SupplementalCampaign(plan, shards=shards, fault_plan=fault_plan)
     dataset = campaign.run(
         spec.supplemental_start,

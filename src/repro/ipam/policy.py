@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import abc
 import hashlib
-import ipaddress
 from typing import Optional
 
 from repro.dhcp.lease import Lease
+from repro.dns.name import as_ip
 from repro.ipam.hostname import sanitize_host_name
 
 
@@ -134,13 +134,13 @@ class StaticTemplatePolicy(DnsUpdatePolicy):
         return (f"template={self.template}",)
 
     def _label(self, address) -> str:
-        if isinstance(address, ipaddress.IPv4Address):
-            ip = address
-        else:
-            ip = ipaddress.ip_address(address)
+        # An IPv4 address as an int, object or text; an int is
+        # formatted as is, with no address object built.
+        value = address if isinstance(address, int) else int(as_ip(address))
+        last = value & 0xFF
         return self.template.format(
-            dashed=str(ip).replace(".", "-"),
-            last_octet=str(ip).rsplit(".", 1)[-1],
+            dashed=f"{value >> 24}-{(value >> 16) & 0xFF}-{(value >> 8) & 0xFF}-{last}",
+            last_octet=str(last),
         )
 
     def hostname_for(self, lease: Lease) -> Optional[str]:

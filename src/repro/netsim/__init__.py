@@ -44,7 +44,6 @@ from repro.netsim.faults import (
     NetworkFaultProfile,
     OutageWindow,
     plan_from_profile,
-    resolve_fault_plan,
 )
 from repro.netsim.worldplan import (
     LazyPlanInternet,
@@ -90,7 +89,6 @@ __all__ = [
     "cyber_monday",
     "from_datetime",
     "plan_from_profile",
-    "resolve_fault_plan",
     "synthetic_plan",
     "thanksgiving",
     "to_datetime",

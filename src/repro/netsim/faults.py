@@ -29,23 +29,17 @@ Fault classes modelled:
   explicitly listed :class:`OutageWindow`.
 
 ``FaultPlan.none()`` / ``mild()`` / ``harsh()`` are the CLI's
-``--fault-profile`` presets; :func:`resolve_fault_plan` also honours
-the ``REPRO_FAULT_PROFILE`` environment variable so CI can run the
-whole suite with faults switched on.
+``--fault-profile`` presets (:func:`plan_from_profile`).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Tuple
 
 from repro.netsim.simtime import HOUR, MINUTE, DAY
-
-#: Environment variable consulted when no explicit profile is given.
-FAULT_PROFILE_ENV = "REPRO_FAULT_PROFILE"
 
 #: Window size for correlated server flaps.
 FLAP_WINDOW = 5 * MINUTE
@@ -347,20 +341,3 @@ def plan_from_profile(profile: str, seed: int = 0) -> Optional[FaultPlan]:
     raise ValueError(
         f"unknown fault profile {profile!r} (choose from {', '.join(FAULT_PROFILES)})"
     )
-
-
-def resolve_fault_plan(
-    profile: Optional[str], seed: int = 0, *, environ: Optional[Mapping[str, str]] = None
-) -> Optional[FaultPlan]:
-    """Resolve an explicit profile name, falling back to the environment.
-
-    ``profile=None`` consults ``REPRO_FAULT_PROFILE``; an unset or empty
-    variable means no faults.  An explicit ``"none"`` always wins, so
-    ``--fault-profile none`` overrides the environment.
-    """
-    if profile is None:
-        env = environ if environ is not None else os.environ
-        profile = env.get(FAULT_PROFILE_ENV, "").strip() or None
-        if profile is None:
-            return None
-    return plan_from_profile(profile, seed)

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 from repro.dhcp.client import DhcpClient
 from repro.dhcp.pool import AddressPool
 from repro.dhcp.server import DhcpServer
+from repro.dns.name import as_ip
 from repro.ipam.system import IpamSystem
 from repro.netsim.device import DaySessions, Device
 from repro.netsim.engine import SimulationEngine
@@ -222,10 +223,10 @@ class NetworkRuntime:
         return list(self._online)
 
     def is_online(self, address) -> bool:
-        return ipaddress.ip_address(address) in self._online
+        return as_ip(address) in self._online
 
     def device_at(self, address) -> Optional[Device]:
-        return self._online.get(ipaddress.ip_address(address))
+        return self._online.get(as_ip(address))
 
     def echo_outcome(self, address, at: Optional[int] = None, attempt: int = 0) -> int:
         """What one echo request to ``address`` sees right now.
@@ -236,10 +237,7 @@ class NetworkRuntime:
         (network, address, time, attempt), so retries at the same
         instant see independent, reproducible outcomes.
         """
-        if isinstance(address, ipaddress.IPv4Address):
-            ip = address  # hot path: the sweeper probes millions of times
-        else:
-            ip = ipaddress.ip_address(address)
+        ip = as_ip(address)  # hot path: the sweeper probes millions of times
         if ip in self.network.icmp_allowlist:
             responds = True
         elif self.network.icmp_policy is IcmpPolicy.BLOCK:

@@ -30,6 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.dhcp.lease import Lease
+from repro.dns.name import as_ip
 from repro.dns.server import AuthoritativeServer, FailureModel
 from repro.dns.zone import RdnsMode, ReverseZone
 from repro.ipam.policy import CarryOverPolicy, DnsUpdatePolicy
@@ -124,7 +125,6 @@ class Subnet:
             )
         self._validate()
         self._device_record_cache: Optional[List[Optional[Record]]] = None
-        self._provisioned_cache: Optional[List[Record]] = None
         usable = self.prefix.num_addresses - RESERVED_LOW_ADDRESSES - 1
         if self.devices and len(self.devices) > usable:
             raise ValueError(
@@ -227,7 +227,7 @@ class Subnet:
             # pre-provisioned for the whole pool and never change (the
             # 83 confirmed prefixes in the paper's validation), or —
             # with a no-update policy — nothing is published at all.
-            return list(self._provisioned_entries())
+            return self._provisioned_records()
         if sessions is None:
             sessions = DaySessions(day, rngs)
         present = sessions.present
@@ -237,18 +237,17 @@ class Subnet:
             if record is not None and present(device, factor, at_offset)
         ]
 
-    def _provisioned_entries(self) -> List[Record]:
-        if self._provisioned_cache is None:
-            entries: List[Record] = []
-            assert self.policy is not None
-            base = self.prefix.network_address
-            for offset in range(RESERVED_LOW_ADDRESSES, self.prefix.num_addresses - 1):
-                address = base + offset
-                hostname = self.policy.static_hostname_for(address)
-                if hostname is not None:
-                    entries.append((int(address), hostname))
-            self._provisioned_cache = entries
-        return self._provisioned_cache
+    def _provisioned_records(self) -> List[Record]:
+        """The whole pool's pre-provisioned records, named from integers."""
+        assert self.policy is not None
+        static_hostname_for = self.policy.static_hostname_for
+        base = int(self.prefix.network_address)
+        records: List[Record] = []
+        for address in range(base + RESERVED_LOW_ADDRESSES, base + self.prefix.num_addresses - 1):
+            hostname = static_hostname_for(address)
+            if hostname is not None:
+                records.append((address, hostname))
+        return records
 
     def __repr__(self) -> str:
         backing = (
@@ -379,11 +378,7 @@ class Network:
 
     def zone_for_address(self, address) -> Optional[ReverseZone]:
         """The most specific zone covering ``address``."""
-        ip = (
-            address
-            if isinstance(address, ipaddress.IPv4Address)
-            else ipaddress.ip_address(address)
-        )
+        ip = as_ip(address)
         best: Optional[ReverseZone] = None
         for prefix, zone in self._subnet_zones.items():
             if ip in prefix and zone is not None:

@@ -28,10 +28,9 @@ Two properties are load-bearing:
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-from repro.obs.manifest import METRICS_OUT_ENV, RunManifest
+from repro.obs.manifest import RunManifest
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -50,7 +49,6 @@ __all__ = [
     "NULL_REGISTRY",
     "NULL_TRACER",
     "NULL_OBS",
-    "METRICS_OUT_ENV",
     "Observability",
     "RunManifest",
     "SpanRecord",
@@ -148,7 +146,3 @@ def resolve_obs(obs: Optional[Observability]) -> Observability:
     """``obs`` if given, else the shared no-op handle."""
     return obs if obs is not None else NULL_OBS
 
-
-def metrics_out_path() -> Optional[str]:
-    """The manifest output path from ``REPRO_METRICS_OUT``, if set."""
-    return os.environ.get(METRICS_OUT_ENV) or None

@@ -25,9 +25,6 @@ import json
 import pathlib
 from typing import Dict, List, Optional
 
-#: Environment variable naming the manifest output path.
-METRICS_OUT_ENV = "REPRO_METRICS_OUT"
-
 #: Bump when the manifest schema changes.
 MANIFEST_VERSION = 1
 

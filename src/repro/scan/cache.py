@@ -43,9 +43,7 @@ via :meth:`invalidate` and :meth:`clear` (or the CLI's
 ``--clear-snapshot-cache`` / ``--clear-campaign-cache``).
 
 Default roots live under ``~/.cache/repro-rdns/`` (``snapshots`` and
-``campaigns``), overridable with the ``REPRO_SNAPSHOT_CACHE`` /
-``REPRO_CAMPAIGN_CACHE`` environment variables or the constructor
-argument.
+``campaigns``); the constructor argument overrides them.
 """
 
 from __future__ import annotations
@@ -68,22 +66,8 @@ from repro.scan.storage import DATASET_FORMAT_VERSION
 #: :func:`is_current`).
 FORMAT_VERSION = 1
 
-CACHE_ENV_VAR = "REPRO_SNAPSHOT_CACHE"
-CAMPAIGN_CACHE_ENV_VAR = "REPRO_CAMPAIGN_CACHE"
-
-
-def default_cache_root() -> pathlib.Path:
-    override = os.environ.get(CACHE_ENV_VAR)
-    if override:
-        return pathlib.Path(override)
-    return pathlib.Path.home() / ".cache" / "repro-rdns" / "snapshots"
-
-
-def default_campaign_cache_root() -> pathlib.Path:
-    override = os.environ.get(CAMPAIGN_CACHE_ENV_VAR)
-    if override:
-        return pathlib.Path(override)
-    return pathlib.Path.home() / ".cache" / "repro-rdns" / "campaigns"
+def _default_root(name: str) -> pathlib.Path:
+    return pathlib.Path.home() / ".cache" / "repro-rdns" / name
 
 
 def is_current(payload) -> bool:
@@ -311,7 +295,7 @@ class SnapshotCache(_PairCache):
     """
 
     def __init__(self, root: Optional[os.PathLike] = None):
-        super().__init__(pathlib.Path(root) if root is not None else default_cache_root())
+        super().__init__(pathlib.Path(root) if root is not None else _default_root("snapshots"))
 
     def store_series(self, key: str, series) -> pathlib.Path:
         """Persist a series as a metadata document + blockfile pair."""
@@ -362,9 +346,7 @@ class CampaignCache(_PairCache):
     """
 
     def __init__(self, root: Optional[os.PathLike] = None):
-        super().__init__(
-            pathlib.Path(root) if root is not None else default_campaign_cache_root()
-        )
+        super().__init__(pathlib.Path(root) if root is not None else _default_root("campaigns"))
 
     @staticmethod
     def key_for(

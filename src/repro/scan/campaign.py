@@ -35,9 +35,11 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.dns.resolver import ResolutionStatus
 from repro.netsim.engine import SimulationEngine
-from repro.netsim.faults import FaultPlan, resolve_fault_plan
+from repro.netsim.faults import FaultPlan
 from repro.netsim.finegrained import build_runtimes
 from repro.netsim.internet import World
 from repro.netsim.network import NetworkType
@@ -50,7 +52,7 @@ from repro.scan.observations import IcmpObservation, RdnsObservation
 from repro.scan.ratelimit import TokenBucket
 from repro.scan.rdns import RdnsLookupEngine
 from repro.scan.reactive import TABLE2_SCHEDULE, BackoffSchedule, ReactiveMonitor
-from repro.scan.storage import DATASET_FORMAT_VERSION, IcmpColumns, RdnsColumns
+from repro.scan.storage import _STATUS_INDEX, DATASET_FORMAT_VERSION, IcmpColumns, RdnsColumns
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scan.cache import CampaignCache
@@ -142,26 +144,42 @@ class SupplementalDataset:
 
     # -- Table 3 ---------------------------------------------------------------
 
+    def _icmp_columns(self) -> IcmpColumns:
+        return self.icmp if isinstance(self.icmp, IcmpColumns) else _as_icmp_columns(self.icmp)
+
+    def _rdns_columns(self) -> RdnsColumns:
+        return self.rdns if isinstance(self.rdns, RdnsColumns) else _as_rdns_columns(self.rdns)
+
     def icmp_stats(self) -> Tuple[int, int]:
         """(total responses, unique addresses) for the ICMP instrument."""
-        return len(self.icmp), len({obs.address for obs in self.icmp})
+        addresses = self._icmp_columns().columns()[0]
+        return len(addresses), len(np.unique(addresses))
 
     def rdns_stats(self) -> Tuple[int, int, int]:
         """(total responses, unique addresses, unique PTRs) for rDNS."""
-        unique_addresses = {obs.address for obs in self.rdns}
-        unique_ptrs = {obs.hostname for obs in self.rdns if obs.ok}
-        return len(self.rdns), len(unique_addresses), len(unique_ptrs)
+        addresses, _, status_ids, hostname_ids, _ = self._rdns_columns().columns()
+        ok = status_ids == _STATUS_INDEX[ResolutionStatus.NOERROR]
+        return len(addresses), len(np.unique(addresses)), len(np.unique(hostname_ids[ok]))
 
     # -- Table 4 ---------------------------------------------------------------
 
+    def _responsive_counts(self) -> Dict[str, int]:
+        """Unique responsive ICMP addresses per network."""
+        icmp = self._icmp_columns()
+        addresses, _, network_ids = icmp.columns()
+        keys = np.unique((network_ids.astype(np.uint64) << 32) | addresses)
+        counts = np.bincount((keys >> 32).astype(np.intp), minlength=len(icmp.networks))
+        return dict(zip(icmp.networks, counts.tolist()))
+
     def responsive_addresses(self, network: str) -> int:
-        return len({obs.address for obs in self.icmp if obs.network == network})
+        return self._responsive_counts().get(network, 0)
 
     def table4_rows(self) -> List[Tuple[str, str, str, int, float]]:
         """(network, type, targeted space, addresses observed, percent)."""
+        responsive = self._responsive_counts()
         rows = []
         for name in self.targets_by_network:
-            observed = self.responsive_addresses(name)
+            observed = responsive.get(name, 0)
             size = self.target_sizes.get(name, 0)
             percent = 100.0 * observed / size if size else 0.0
             rows.append(
@@ -234,9 +252,7 @@ class SupplementalDataset:
 
     def encode_blockfile(self) -> bytes:
         """The observation streams as ``.rbf`` bytes: one ICMP/RDNS record pair."""
-        icmp = self.icmp if isinstance(self.icmp, IcmpColumns) else _as_icmp_columns(self.icmp)
-        rdns = self.rdns if isinstance(self.rdns, RdnsColumns) else _as_rdns_columns(self.rdns)
-        return encode_records(observations=[(icmp, rdns)])
+        return encode_records(observations=[(self._icmp_columns(), self._rdns_columns())])
 
     def to_payload(self) -> dict:
         """The cache JSON document's metadata; the streams are :meth:`encode_blockfile`."""
@@ -430,12 +446,6 @@ def run_network_campaign(
     )
 
 
-#: Sentinel distinguishing "fault_plan not given" (consult the
-#: ``REPRO_FAULT_PROFILE`` environment variable) from an explicit
-#: ``fault_plan=None`` (force a clean run).
-_FAULTS_FROM_ENV = object()
-
-
 class SupplementalCampaign:
     """Runs the supplemental measurement against a built world or a plan.
 
@@ -446,7 +456,7 @@ class SupplementalCampaign:
     ``shards`` contiguous blocks, and each process builds only its
     block's networks.  Results merge in campaign order, so the dataset
     is byte-identical for any shard count, worker count or cache
-    temperature.
+    temperature.  ``fault_plan=None`` (the default) is a clean run.
     """
 
     def __init__(
@@ -459,7 +469,7 @@ class SupplementalCampaign:
         sweep_interval: int = HOUR,
         rdns_rate: float = 50.0,
         blocklist: Iterable = (),
-        fault_plan=_FAULTS_FROM_ENV,
+        fault_plan: Optional[FaultPlan] = None,
         obs=None,
     ):
         if shards < 1:
@@ -476,18 +486,16 @@ class SupplementalCampaign:
         # Default to every supplemental-flagged network (for the
         # standard world, that is the Table 4 nine, in order).
         if self.plan is not None:
-            supplemental, seed = self.plan.supplemental_names, self.plan.seed
+            supplemental = self.plan.supplemental_names
         else:
-            supplemental, seed = list(world.supplemental), world.rngs.seed
+            supplemental = list(world.supplemental)
         candidates = list(networks) if networks is not None else supplemental
         self.network_names = [name for name in candidates if name in supplemental]
         self.schedule = schedule
         self.sweep_interval = sweep_interval
         self.rdns_rate = rdns_rate
         self.blocklist = list(blocklist)
-        if fault_plan is _FAULTS_FROM_ENV:
-            fault_plan = resolve_fault_plan(None, seed=seed)
-        self.fault_plan: Optional[FaultPlan] = fault_plan
+        self.fault_plan = fault_plan
         #: Counters from the most recent :meth:`run` call.
         self.last_metrics: Optional[CampaignMetrics] = None
 

@@ -18,9 +18,9 @@ segment cleanup — is :func:`repro.scan.parallel.run_pool`; results
 cross it as ``.rbf`` records (:mod:`repro.scan.blockfile`).
 
 :func:`effective_campaign_workers` implements the never-slower rule:
-the pool is capped at the machine's core count and the number of
-blocks, and a single-core host (or single-block campaign) falls back
-to the serial loop rather than paying pool overhead for nothing.
+the pool is capped at the number of blocks, and a single-block
+campaign (or a one-worker request) falls back to the serial loop
+rather than paying pool overhead for nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.scan.blockfile import BlockFileReader, encode_records
-from repro.scan.parallel import run_pool, worker_cap
+from repro.scan.parallel import run_pool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scan.campaign import NetworkCampaignResult, SupplementalCampaign
@@ -45,13 +45,13 @@ def effective_campaign_workers(requested: int, work_units: int) -> int:
     Capping at the *network* count starves shard-batched runs, where
     one submission carries many networks: a 2-block run over 9 networks
     must size the pool by its 2 submissions, not its 9 networks.
-    More workers than work units just idle; more workers than the
-    machine-wide :func:`~repro.scan.parallel.worker_cap` just
-    context-switch.  Anything that caps to one means "run serial".
+    More workers than work units just idle.  Anything that caps to one
+    means "run serial".  ``requested`` is already machine-capped by the
+    caller.
     """
     if requested < 2 or work_units < 2:
         return 1
-    capped = min(requested, worker_cap(), work_units)
+    capped = min(requested, work_units)
     return capped if capped >= 2 else 1
 
 

@@ -26,10 +26,10 @@ blob in place with a :class:`~repro.scan.blockfile.BlockFileReader`.
 
 :func:`effective_workers` implements the never-slower rule: short
 windows don't amortise pool start-up, so the pool size is capped by
-the day count (at least :data:`MIN_DAYS_PER_WORKER` days per worker)
-and the machine's core count; a cap of one means "stay serial".  The
-historic behaviour — honouring ``workers=4`` for a 60-day window on a
-single-core host — ran at 0.6x serial throughput.
+the day count (at least :data:`MIN_DAYS_PER_WORKER` days per worker);
+a cap of one means "stay serial".  The machine's core count is the
+caller's ceiling (:meth:`repro.core.pipeline.StudyConfig.capped_workers`,
+defaulting to :func:`worker_cap`), applied before a pool is sized.
 """
 
 from __future__ import annotations
@@ -68,27 +68,12 @@ _WORKER_STATE: Any = None
 
 
 #: Default ceiling on automatic pool sizing.  Large shard runs want the
-#: whole machine; ``REPRO_MAX_WORKERS`` lifts (or lowers) the ceiling.
+#: whole machine; an explicit ``max_workers`` lifts (or lowers) it.
 DEFAULT_WORKER_CEILING = 8
 
 
 def worker_cap() -> int:
-    """The machine-wide ceiling for any pool this process creates.
-
-    ``REPRO_MAX_WORKERS`` overrides everything — including the core
-    count, which is an explicit opt-in to oversubscription (useful to
-    exercise real pools on small CI hosts).  Without it, the cap is the
-    core count, bounded by :data:`DEFAULT_WORKER_CEILING`.
-    """
-    env = os.environ.get("REPRO_MAX_WORKERS", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValueError(f"REPRO_MAX_WORKERS must be an integer, got {env!r}") from exc
-        if value < 1:
-            raise ValueError(f"REPRO_MAX_WORKERS must be >= 1, got {value}")
-        return value
+    """The machine's default pool ceiling: its core count, at most :data:`DEFAULT_WORKER_CEILING`."""
     return min(os.cpu_count() or 1, DEFAULT_WORKER_CEILING)
 
 
@@ -96,18 +81,14 @@ def effective_workers(requested: int, day_count: int) -> int:
     """Cap the requested pool size so parallelism never loses to serial.
 
     ``day_count`` counts block-days: a collection over ``k`` blocks of
-    networks derives ``k`` times as many.  More workers than the
-    :func:`worker_cap` just context-switch; more workers than
+    networks derives ``k`` times as many.  More workers than
     ``day_count / MIN_DAYS_PER_WORKER`` spend their time on pool
     start-up.  Anything that caps to one means "run serial".
+    ``requested`` is already machine-capped by the caller.
     """
     if requested < 2 or day_count < 2 * MIN_DAYS_PER_WORKER:
         return 1
-    capped = min(
-        requested,
-        worker_cap(),
-        day_count // MIN_DAYS_PER_WORKER,
-    )
+    capped = min(requested, day_count // MIN_DAYS_PER_WORKER)
     return capped if capped >= 2 else 1
 
 

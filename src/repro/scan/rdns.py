@@ -9,10 +9,10 @@ directly, to make sure we get a fresh answer (i.e., not from a cache)."
 
 from __future__ import annotations
 
-import ipaddress
 from collections import Counter
 from typing import List, Optional
 
+from repro.dns.name import as_ip
 from repro.dns.resolver import ResolutionStatus, StubResolver
 from repro.scan.observations import RdnsObservation
 from repro.scan.ratelimit import TokenBucket
@@ -34,10 +34,7 @@ class RdnsLookupEngine:
 
     def lookup(self, address, at: int, *, network: str = "") -> Optional[RdnsObservation]:
         """One PTR lookup; ``None`` only when rate-limited away."""
-        if isinstance(address, ipaddress.IPv4Address):
-            ip = address
-        else:
-            ip = ipaddress.ip_address(address)
+        ip = as_ip(address)
         if self.rate_limit is not None and not self.rate_limit.acquire(at):
             self.lookups_suppressed += 1
             return None
@@ -74,10 +71,7 @@ class RdnsLookupEngine:
         observations: List[Optional[RdnsObservation]] = []
         append = observations.append
         for address in addresses:
-            if isinstance(address, ipaddress.IPv4Address):
-                ip = address
-            else:
-                ip = ipaddress.ip_address(address)
+            ip = as_ip(address)
             if rate is not None and not rate.acquire(at):
                 self.lookups_suppressed += 1
                 append(None)

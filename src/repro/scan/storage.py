@@ -291,6 +291,13 @@ def _merge_entries(stream, order: int):
         yield (ats[index], order, index, stream)
 
 
+def _read_only_views(*columns: array) -> Tuple[np.ndarray, ...]:
+    views = tuple(np.frombuffer(column, column.typecode) for column in columns)
+    for view in views:
+        view.flags.writeable = False
+    return views
+
+
 class IcmpColumns(Sequence):
     """ICMP observations as (address, at, network) columns."""
 
@@ -321,11 +328,7 @@ class IcmpColumns(Sequence):
         Network ids index :attr:`networks`.  A view pins its column:
         appending while one is alive raises ``BufferError``.
         """
-        columns = (self._addresses, self._ats, self._network_ids)
-        views = tuple(np.frombuffer(column, column.typecode) for column in columns)
-        for view in views:
-            view.flags.writeable = False
-        return views
+        return _read_only_views(self._addresses, self._ats, self._network_ids)
 
     @property
     def networks(self) -> List[str]:
@@ -418,6 +421,19 @@ class RdnsColumns(Sequence):
     def extend(self, observations) -> None:
         for observation in observations:
             self.append(observation)
+
+    # -- columnar access -------------------------------------------------------
+
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """``(addresses, ats, status_ids, hostname_ids, network_ids)`` as read-only NumPy views.
+
+        Status ids index ``tuple(ResolutionStatus)``; hostname ids are
+        dense per distinct hostname (id 0 is the empty one).  As with
+        :meth:`IcmpColumns.columns`, a view pins its column.
+        """
+        return _read_only_views(
+            self._addresses, self._ats, self._status_ids, self._hostname_ids, self._network_ids
+        )
 
     # -- sequence protocol -----------------------------------------------------
 

@@ -34,10 +34,9 @@ import json
 import time
 from typing import Dict, Optional, Tuple, Union
 
-from repro.netsim.internet import World, build_world
+from repro.netsim.internet import World
 from repro.netsim.worldplan import WorldPlan
 from repro.obs import Observability, resolve_obs
-from repro.scan.campaign import SupplementalCampaign
 from repro.scan.snapshot import SnapshotCollector, SnapshotSeries
 from repro.serve.repositories import SnapshotRepository
 from repro.serve.services import (
@@ -83,11 +82,9 @@ class ServeApp:
             sample_days=config.leak_sample_days,
             obs=self.obs,
         )
-        # No fault plan leaves the campaign's REPRO_FAULT_PROFILE default.
-        faults = {"fault_plan": config.fault_plan} if config.fault_plan is not None else {}
         self.occupancy = OccupancyService(
             self.snapshots,
-            SupplementalCampaign(source, shards=config.shards, obs=self.obs, **faults),
+            config.campaign(source, obs=self.obs),
             window=(config.supplemental_start, config.supplemental_end),
             cache=config.campaign_cache,
             obs=self.obs,
@@ -253,10 +250,7 @@ def build_app(config=None, *, obs: Optional[Observability] = None) -> ServeApp:
 
     config = config or StudyConfig()
     obs = resolve_obs(obs)
-    # A plan is measured block by block and never built whole here.
-    source = config.plan
-    if source is None:
-        source = build_world(seed=config.seed, scale=config.scale)
+    source = config.world_source()
     collector = SnapshotCollector.openintel_style(source, shards=config.shards, obs=obs)
     obs.set_run_info(seed=config.seed, world_fingerprint=collector.internet.cache_token())
     series = collector.collect(

@@ -6,11 +6,13 @@ import pytest
 
 from repro.core.pipeline import ReproductionStudy, StudyConfig
 from repro.netsim.network import NetworkType
+from tests.cli_env import cli_config
 
 
 @pytest.fixture(scope="module")
 def study():
-    return ReproductionStudy(StudyConfig.quick(seed=1))
+    # The CLI's config, so REPRO_FAULT_PROFILE reaches the campaign.
+    return ReproductionStudy(cli_config("--quick", "--seed", "1"))
 
 
 class TestDynamicityStage:
@@ -111,7 +113,7 @@ class TestWorldToken:
         from repro.scan.cache import CampaignCache, SnapshotCache
 
         def cached_study():
-            config = StudyConfig.quick(seed=1)
+            config = cli_config("--quick", "--seed", "1")
             config.snapshot_cache = SnapshotCache(tmp_path / "snapshots")
             config.campaign_cache = CampaignCache(tmp_path / "campaigns")
             return ReproductionStudy(config)

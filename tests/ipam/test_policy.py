@@ -60,6 +60,9 @@ class TestStaticTemplatePolicy:
         policy = StaticTemplatePolicy("dynamic.institute.edu")
         lease = make_lease()
         assert policy.static_hostname_for(lease.address) == policy.hostname_for(lease)
+        # Integer and text addresses name the same record.
+        assert policy.static_hostname_for(int(lease.address)) == policy.hostname_for(lease)
+        assert policy.static_hostname_for(str(lease.address)) == policy.hostname_for(lease)
 
     def test_last_octet_template(self):
         policy = StaticTemplatePolicy("pool.example.net", template="c{last_octet}")

@@ -2,15 +2,14 @@
 
 import pytest
 
+from repro.cli import build_parser, read_settings
 from repro.netsim.faults import (
-    FAULT_PROFILE_ENV,
     FAULT_PROFILES,
     FaultPlan,
     NetworkFaultProfile,
     OutageWindow,
     keyed_uniform,
     plan_from_profile,
-    resolve_fault_plan,
 )
 from repro.netsim.simtime import DAY, HOUR
 
@@ -113,18 +112,25 @@ class TestDraws:
         assert FaultPlan.mild().cache_token() != FaultPlan.harsh().cache_token()
 
 
+def cli_fault_plan(flags, environ):
+    """The fault plan the CLI reader makes of ``flags`` and ``environ``."""
+    return read_settings(build_parser().parse_args(flags), environ).config.fault_plan
+
+
 class TestResolveFaultPlan:
+    """Only the CLI resolves a profile: the flag, then ``REPRO_FAULT_PROFILE``, then clean."""
+
     def test_explicit_profile_wins(self):
-        env = {FAULT_PROFILE_ENV: "harsh"}
-        assert resolve_fault_plan("none", environ=env) is None
-        assert resolve_fault_plan("mild", environ=env).name == "mild"
+        env = {"REPRO_FAULT_PROFILE": "harsh"}
+        assert cli_fault_plan(["--fault-profile", "none"], env) is None
+        assert cli_fault_plan(["--fault-profile", "mild"], env).name == "mild"
 
     def test_env_fallback(self):
-        assert resolve_fault_plan(None, environ={}) is None
-        assert resolve_fault_plan(None, environ={FAULT_PROFILE_ENV: ""}) is None
-        plan = resolve_fault_plan(None, seed=6, environ={FAULT_PROFILE_ENV: "mild"})
+        assert cli_fault_plan([], {}) is None
+        assert cli_fault_plan([], {"REPRO_FAULT_PROFILE": ""}) is None
+        plan = cli_fault_plan(["--seed", "6"], {"REPRO_FAULT_PROFILE": "mild"})
         assert plan is not None and plan.name == "mild" and plan.seed == 6
 
     def test_bad_env_value_raises(self):
         with pytest.raises(ValueError):
-            resolve_fault_plan(None, environ={FAULT_PROFILE_ENV: "nope"})
+            cli_fault_plan([], {"REPRO_FAULT_PROFILE": "nope"})

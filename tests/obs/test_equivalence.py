@@ -15,6 +15,7 @@ from repro.netsim.internet import WorldScale, build_world
 from repro.obs import Observability
 from repro.scan.cache import CampaignCache
 from repro.scan.campaign import SupplementalCampaign
+from tests.cli_env import env_fault_plan
 
 START = dt.date(2021, 11, 1)
 END = dt.date(2021, 11, 3)
@@ -23,7 +24,7 @@ END = dt.date(2021, 11, 3)
 def run_campaign(*, workers=1, cache=None, seed=11):
     obs = Observability()
     world = build_world(seed=seed, scale=WorldScale.small())
-    campaign = SupplementalCampaign(world, obs=obs)
+    campaign = SupplementalCampaign(world, obs=obs, fault_plan=env_fault_plan(world.rngs.seed))
     campaign.run(START, END, workers=workers, cache=cache)
     return obs, campaign
 

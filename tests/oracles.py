@@ -29,7 +29,10 @@ time them as the baseline side:
   and the snapshot walk) is checked;
 * :func:`reference_groups` — activity groups built from observation
   objects, one address dict at a time, against which the columnar
-  :meth:`~repro.core.grouping.GroupBuilder.build` is checked.
+  :meth:`~repro.core.grouping.GroupBuilder.build` is checked;
+* :func:`reference_dataset_stats` — Tables 3 and 4 counted with sets of
+  observation objects, against which the NumPy counts of
+  :class:`~repro.scan.campaign.SupplementalDataset` are checked.
 """
 
 import datetime as dt
@@ -351,3 +354,20 @@ def reference_groups(builder: GroupBuilder, dataset) -> List[ActivityGroup]:
                 )
             )
     return groups
+
+
+def reference_dataset_stats(dataset) -> Tuple[tuple, tuple, list]:
+    """``(icmp_stats, rdns_stats, table4_rows)`` from sets of observation objects."""
+    icmp = (len(dataset.icmp), len({obs.address for obs in dataset.icmp}))
+    rdns = (
+        len(dataset.rdns),
+        len({obs.address for obs in dataset.rdns}),
+        len({obs.hostname for obs in dataset.rdns if obs.ok}),
+    )
+    rows = []
+    for name, targets in dataset.targets_by_network.items():
+        observed = len({obs.address for obs in dataset.icmp if obs.network == name})
+        size = dataset.target_sizes.get(name, 0)
+        percent = 100.0 * observed / size if size else 0.0
+        rows.append((name, dataset.network_types[name].value, ", ".join(targets), observed, percent))
+    return icmp, rdns, rows

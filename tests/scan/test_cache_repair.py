@@ -19,6 +19,7 @@ from repro.scan.cache import CampaignCache, SnapshotCache
 from repro.scan.campaign import SupplementalCampaign
 from repro.scan.storage import DATASET_FORMAT_VERSION, IcmpColumns, RdnsColumns
 from tests.cache_bytes import dataset_bytes
+from tests.cli_env import env_fault_plan
 
 #: A structurally valid sidecar for entries whose content does not matter.
 SIDECAR = encode_records(observations=[(IcmpColumns(), RdnsColumns())])
@@ -237,7 +238,9 @@ class TestCorruptCampaignSidecar:
         """One network for one day, on a fresh world (a run mutates its world)."""
         world = build_world(seed=3, scale=WorldScale.small())
         name = SupplementalCampaign(world).network_names[0]
-        campaign = SupplementalCampaign(world, networks=[name])
+        campaign = SupplementalCampaign(
+            world, networks=[name], fault_plan=env_fault_plan(world.rngs.seed)
+        )
         return campaign, campaign.run(dt.date(2021, 11, 1), dt.date(2021, 11, 2), cache=cache)
 
     @pytest.mark.parametrize("damage", ["tear", "flip", "remove"])

@@ -19,6 +19,7 @@ from repro.scan.campaign import SupplementalCampaign
 from repro.scan.snapshot import SnapshotCollector
 from repro.scan.storage import DATASET_FORMAT_VERSION
 from tests.cache_bytes import dataset_bytes, series_bytes
+from tests.cli_env import env_fault_plan
 
 SNAPSHOT_START, SNAPSHOT_END = dt.date(2021, 1, 1), dt.date(2021, 1, 5)
 CAMPAIGN_START, CAMPAIGN_END = dt.date(2021, 11, 1), dt.date(2021, 11, 2)
@@ -55,7 +56,9 @@ def plant_stale_snapshot(tmp_path, stale_version):
 def run_campaign(cache):
     campaign_world = world()
     name = SupplementalCampaign(campaign_world).network_names[0]
-    campaign = SupplementalCampaign(campaign_world, networks=[name])
+    campaign = SupplementalCampaign(
+        campaign_world, networks=[name], fault_plan=env_fault_plan(campaign_world.rngs.seed)
+    )
     dataset = campaign.run(CAMPAIGN_START, CAMPAIGN_END, cache=cache)
     return campaign, dataset
 

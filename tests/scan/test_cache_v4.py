@@ -10,6 +10,7 @@ from repro.scan.cache import SnapshotCache
 from repro.scan.snapshot import SnapshotCollector, SnapshotSeries
 from repro.scan.storage import DATASET_FORMAT_VERSION
 from tests.cache_bytes import series_bytes
+from tests.cli_env import env_fault_plan
 
 START = dt.date(2021, 1, 1)
 END = dt.date(2021, 1, 8)
@@ -91,7 +92,9 @@ class TestOneOpenPerWarmHit:
         def run():
             world = build_world(seed=5, scale=WorldScale.small())
             name = SupplementalCampaign(world).network_names[0]
-            campaign = SupplementalCampaign(world, networks=[name])
+            campaign = SupplementalCampaign(
+                world, networks=[name], fault_plan=env_fault_plan(world.rngs.seed)
+            )
             campaign.run(dt.date(2021, 11, 1), dt.date(2021, 11, 2), cache=cache)
             return campaign
 

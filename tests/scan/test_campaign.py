@@ -1,5 +1,6 @@
 """Tests for the supplemental campaign."""
 
+import dataclasses
 import datetime as dt
 
 import pytest
@@ -7,12 +8,14 @@ import pytest
 from repro.netsim.internet import WorldScale, build_world
 from repro.scan import SupplementalCampaign
 from repro.scan.campaign import SUPPLEMENTAL_NETWORKS
+from tests.cli_env import env_fault_plan
+from tests.oracles import reference_dataset_stats
 
 
 @pytest.fixture(scope="module")
 def dataset():
     world = build_world(seed=7, scale=WorldScale.small())
-    campaign = SupplementalCampaign(world)
+    campaign = SupplementalCampaign(world, fault_plan=env_fault_plan(world.rngs.seed))
     return campaign.run(dt.date(2021, 11, 1), dt.date(2021, 11, 2))
 
 
@@ -32,6 +35,13 @@ class TestCampaignRun:
         total, unique_ips, unique_ptrs = dataset.rdns_stats()
         assert total >= unique_ips > 0
         assert unique_ptrs > 0
+
+    def test_stats_match_the_set_reference(self, dataset):
+        listed = dataclasses.replace(dataset, icmp=list(dataset.icmp), rdns=list(dataset.rdns))
+        expected = reference_dataset_stats(dataset)
+        for source in (dataset, listed):
+            assert (source.icmp_stats(), source.rdns_stats(), source.table4_rows()) == expected
+        assert dataset.responsive_addresses("No-Such-Network") == 0
 
     def test_ping_blocking_enterprises_invisible(self, dataset):
         assert dataset.responsive_addresses("Enterprise-B") == 0
@@ -64,7 +74,9 @@ class TestCampaignRun:
     def test_invalid_period_rejected(self):
         world = build_world(seed=7, scale=WorldScale.small())
         with pytest.raises(ValueError):
-            SupplementalCampaign(world).run(dt.date(2021, 11, 2), dt.date(2021, 11, 1))
+            SupplementalCampaign(world, fault_plan=env_fault_plan(world.rngs.seed)).run(
+                dt.date(2021, 11, 2), dt.date(2021, 11, 1)
+            )
 
 
 class TestHalfOpenWindow:
@@ -72,7 +84,9 @@ class TestHalfOpenWindow:
         # start == end is an empty half-open window, not a one-day run.
         world = build_world(seed=7, scale=WorldScale.small())
         with pytest.raises(ValueError, match=r"half-open"):
-            SupplementalCampaign(world).run(dt.date(2021, 11, 1), dt.date(2021, 11, 1))
+            SupplementalCampaign(world, fault_plan=env_fault_plan(world.rngs.seed)).run(
+                dt.date(2021, 11, 1), dt.date(2021, 11, 1)
+            )
 
     def test_end_day_not_measured(self, dataset):
         # run(Nov 1, Nov 2) measures Nov 1 only: every observation
@@ -87,7 +101,9 @@ class TestHalfOpenWindow:
 
     def test_two_day_window_measures_both_days(self):
         world = build_world(seed=7, scale=WorldScale.small())
-        campaign = SupplementalCampaign(world, networks=["Academic-C"])
+        campaign = SupplementalCampaign(
+            world, networks=["Academic-C"], fault_plan=env_fault_plan(world.rngs.seed)
+        )
         dataset = campaign.run(dt.date(2021, 11, 1), dt.date(2021, 11, 3))
         days = {row[0] for row in dataset.error_rows()}
         assert days == {dt.date(2021, 11, 1), dt.date(2021, 11, 2)}

@@ -13,6 +13,7 @@ from repro.scan.campaign_parallel import effective_campaign_workers, run_network
 from repro.scan.reactive import TABLE2_SCHEDULE, BackoffSchedule
 from repro.scan.storage import IcmpColumns, RdnsColumns
 from tests.cache_bytes import dataset_bytes
+from tests.cli_env import env_fault_plan
 
 START = dt.date(2021, 11, 1)
 END = dt.date(2021, 11, 3)
@@ -25,7 +26,7 @@ def world():
 
 @pytest.fixture(scope="module")
 def serial_dataset(world):
-    return SupplementalCampaign(world).run(START, END)
+    return SupplementalCampaign(world, fault_plan=env_fault_plan(11)).run(START, END)
 
 
 def assert_datasets_identical(left: SupplementalDataset, right: SupplementalDataset):
@@ -56,7 +57,9 @@ class TestParallelEquivalence:
     def test_two_workers_bit_identical_to_serial(self, serial_dataset):
         # A fresh world: no shared state with the serial fixture.
         world = build_world(seed=11, scale=WorldScale.small())
-        parallel = SupplementalCampaign(world).run(START, END, workers=2)
+        parallel = SupplementalCampaign(world, fault_plan=env_fault_plan(11)).run(
+            START, END, workers=2
+        )
         assert_datasets_identical(serial_dataset, parallel)
         assert dataset_bytes(parallel) == dataset_bytes(serial_dataset)
 
@@ -64,7 +67,7 @@ class TestParallelEquivalence:
         # Drive the process pool directly so the pool code runs even on
         # single-core hosts (where run() would fall back to serial).
         world = build_world(seed=11, scale=WorldScale.small())
-        campaign = SupplementalCampaign(world)
+        campaign = SupplementalCampaign(world, fault_plan=env_fault_plan(11))
         results = run_networks(campaign, START, END, workers=2)
         assert [result.network for result in results] == campaign.network_names
         icmp = IcmpColumns.merged([result.icmp for result in results])
@@ -74,7 +77,7 @@ class TestParallelEquivalence:
 
     def test_metrics_report_effective_workers(self, serial_dataset):
         world = build_world(seed=11, scale=WorldScale.small())
-        campaign = SupplementalCampaign(world)
+        campaign = SupplementalCampaign(world, fault_plan=env_fault_plan(11))
         campaign.run(START, END, workers=4)
         metrics = campaign.last_metrics
         assert metrics.workers == 4
@@ -107,7 +110,7 @@ class TestCampaignCache:
     def test_warm_cache_bit_identical(self, serial_dataset, tmp_path):
         cache = CampaignCache(tmp_path)
         world = build_world(seed=11, scale=WorldScale.small())
-        campaign = SupplementalCampaign(world)
+        campaign = SupplementalCampaign(world, fault_plan=env_fault_plan(11))
         cold = campaign.run(START, END, cache=cache)
         assert campaign.last_metrics.cache_stored
         assert not campaign.last_metrics.cache_hit
@@ -127,16 +130,21 @@ class TestCampaignCache:
 
     def test_different_seed_misses(self, tmp_path):
         cache = CampaignCache(tmp_path)
-        one = SupplementalCampaign(build_world(seed=11, scale=WorldScale.small()))
-        two = SupplementalCampaign(build_world(seed=12, scale=WorldScale.small()))
+        one = SupplementalCampaign(
+            build_world(seed=11, scale=WorldScale.small()), fault_plan=env_fault_plan(11)
+        )
+        two = SupplementalCampaign(
+            build_world(seed=12, scale=WorldScale.small()), fault_plan=env_fault_plan(12)
+        )
         assert one.cache_key(cache, START, END) != two.cache_key(cache, START, END)
 
     def test_different_schedule_misses(self, tmp_path):
         cache = CampaignCache(tmp_path)
         world = build_world(seed=11, scale=WorldScale.small())
-        default = SupplementalCampaign(world)
+        default = SupplementalCampaign(world, fault_plan=env_fault_plan(11))
         tweaked = SupplementalCampaign(
             world,
+            fault_plan=env_fault_plan(11),
             schedule=BackoffSchedule(
                 steps=TABLE2_SCHEDULE.steps,
                 tail_interval=TABLE2_SCHEDULE.tail_interval * 2,
@@ -146,14 +154,18 @@ class TestCampaignCache:
 
     def test_different_window_misses(self, tmp_path):
         cache = CampaignCache(tmp_path)
-        campaign = SupplementalCampaign(build_world(seed=11, scale=WorldScale.small()))
+        campaign = SupplementalCampaign(
+            build_world(seed=11, scale=WorldScale.small()), fault_plan=env_fault_plan(11)
+        )
         assert campaign.cache_key(cache, START, END) != campaign.cache_key(
             cache, START, END + dt.timedelta(days=1)
         )
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = CampaignCache(tmp_path)
-        campaign = SupplementalCampaign(build_world(seed=11, scale=WorldScale.small()))
+        campaign = SupplementalCampaign(
+            build_world(seed=11, scale=WorldScale.small()), fault_plan=env_fault_plan(11)
+        )
         dataset = campaign.run(START, END, cache=cache)
         key = campaign.last_metrics.cache_key
         cache.path_for(key).write_text("{truncated", encoding="utf-8")

@@ -10,7 +10,8 @@ import datetime as dt
 import pytest
 
 from repro.dns.resolver import StubResolver
-from repro.netsim.faults import FAULT_PROFILE_ENV, FaultPlan, NetworkFaultProfile
+from repro.cli import build_parser, read_settings
+from repro.netsim.faults import FaultPlan, NetworkFaultProfile
 from repro.netsim.internet import WorldScale, build_world
 from repro.scan.cache import CampaignCache
 from repro.scan.campaign import SupplementalCampaign
@@ -115,12 +116,13 @@ class TestErrorClasses:
 class TestCacheKeys:
     def test_clean_key_unchanged_by_fault_feature(self, world, tmp_path, monkeypatch):
         """A plan-less campaign must keep its pre-fault cache keys."""
-        monkeypatch.delenv(FAULT_PROFILE_ENV, raising=False)
+        # Engines never read the environment: the default is clean.
+        monkeypatch.setenv("REPRO_FAULT_PROFILE", "mild")
         cache = CampaignCache(tmp_path)
         explicit_none = make_campaign(world, None)
-        from_env_default = SupplementalCampaign(world, networks=NETWORKS)
-        assert from_env_default.fault_plan is None
-        assert explicit_none.cache_key(cache, START, END) == from_env_default.cache_key(
+        default = SupplementalCampaign(world, networks=NETWORKS)
+        assert default.fault_plan is None
+        assert explicit_none.cache_key(cache, START, END) == default.cache_key(
             cache, START, END
         )
 
@@ -131,13 +133,15 @@ class TestCacheKeys:
         harsh_key = make_campaign(world, FaultPlan.harsh(seed=11)).cache_key(cache, START, END)
         assert len({clean_key, mild_key, harsh_key}) == 3
 
-    def test_env_variable_activates_plan(self, world, monkeypatch):
-        monkeypatch.setenv(FAULT_PROFILE_ENV, "mild")
-        campaign = SupplementalCampaign(world, networks=NETWORKS)
-        assert campaign.fault_plan is not None
-        assert campaign.fault_plan.name == "mild"
-        # The world seed keys the plan, for cross-run reproducibility.
-        assert campaign.fault_plan.seed == world.rngs.seed
+    def test_env_variable_activates_plan(self, world):
+        # The CLI reads the variable and seeds the plan with --seed,
+        # the world seed, for cross-run reproducibility.
+        args = build_parser().parse_args(["--seed", str(world.rngs.seed)])
+        plan = read_settings(args, {"REPRO_FAULT_PROFILE": "mild"}).config.fault_plan
+        assert plan is not None
+        assert plan.name == "mild"
+        assert plan.seed == world.rngs.seed
+        assert make_campaign(world, plan).fault_plan is plan
 
 
 class TestResolverBackoff:

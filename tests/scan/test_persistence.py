@@ -7,12 +7,15 @@ import pytest
 from repro.netsim.internet import WorldScale, build_world
 from repro.scan import SupplementalCampaign
 from repro.scan.persistence import load_dataset, save_dataset
+from tests.cli_env import env_fault_plan
 
 
 @pytest.fixture(scope="module")
 def dataset():
     world = build_world(seed=13, scale=WorldScale.small())
-    return SupplementalCampaign(world, networks=["Academic-C", "ISP-A"]).run(
+    return SupplementalCampaign(
+        world, networks=["Academic-C", "ISP-A"], fault_plan=env_fault_plan(world.rngs.seed)
+    ).run(
         dt.date(2021, 11, 1), dt.date(2021, 11, 2)
     )
 

@@ -9,10 +9,14 @@ summaries.
 """
 
 import datetime as dt
+import io
+import os
 
 import pytest
 
+from repro.cli import build_parser, main, read_settings
 from repro.core.dynamicity import DynamicityAnalyzer
+from repro.core.pipeline import StudyConfig
 from repro.netsim.faults import plan_from_profile
 from repro.netsim.worldplan import PlanError, synthetic_plan
 from repro.scan.cache import CampaignCache, SnapshotCache
@@ -21,6 +25,7 @@ from repro.scan.campaign_parallel import effective_campaign_workers
 from repro.scan.parallel import worker_cap
 from repro.scan.snapshot import SnapshotCollector
 from tests.cache_bytes import dataset_bytes, series_bytes
+from tests.cli_env import env_fault_plan
 
 START = dt.date(2021, 1, 1)
 END = dt.date(2021, 1, 13)
@@ -55,9 +60,9 @@ class TestShardedSnapshots:
         series = SnapshotCollector.openintel_style(plan, shards=shards).collect(START, END)
         assert series_bytes(series) == series_bytes(baseline_series)
 
-    def test_parallel_matches_serial(self, plan, baseline_series, monkeypatch):
-        # Force a real pool even on single-core hosts.
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "3")
+    def test_parallel_matches_serial(self, plan, baseline_series):
+        # The engines cap only by work, so this is a real pool even on
+        # single-core hosts.
         collector = SnapshotCollector.openintel_style(plan, shards=3)
         series = collector.collect(START, END, workers=3)
         assert collector.last_metrics.effective_workers >= 2
@@ -110,14 +115,13 @@ class TestShardedCampaign:
         )
         assert dataset_bytes(dataset) == dataset_bytes(baseline_dataset)
 
-    def test_parallel_matches_serial(self, plan, baseline_dataset, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
+    def test_parallel_matches_serial(self, plan, baseline_dataset):
         campaign = SupplementalCampaign(plan, shards=2, fault_plan=None)
         dataset = campaign.run(CAMPAIGN_START, CAMPAIGN_END, workers=2)
         assert campaign.last_metrics.effective_workers >= 2
         assert dataset_bytes(dataset) == dataset_bytes(baseline_dataset)
 
-    def test_faulted_run_matches_unsharded_faulted_run(self, plan, monkeypatch):
+    def test_faulted_run_matches_unsharded_faulted_run(self, plan):
         faults = plan_from_profile("mild", seed=11)
         world = plan.build()
         reference = SupplementalCampaign(world, fault_plan=faults).run(
@@ -127,7 +131,6 @@ class TestShardedCampaign:
             CAMPAIGN_START, CAMPAIGN_END
         )
         assert dataset_bytes(serial) == dataset_bytes(reference)
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
         campaign = SupplementalCampaign(plan, shards=3, fault_plan=faults)
         parallel = campaign.run(CAMPAIGN_START, CAMPAIGN_END, workers=2)
         assert campaign.last_metrics.effective_workers >= 2
@@ -159,7 +162,9 @@ class TestShardedCampaign:
     def test_plan_without_supplementals_rejected(self):
         bare = synthetic_plan(seed=0, slash16s=2, people=2, supplemental_every=0)
         with pytest.raises(PlanError, match="supplemental"):
-            SupplementalCampaign(bare).run(CAMPAIGN_START, CAMPAIGN_END)
+            SupplementalCampaign(bare, fault_plan=env_fault_plan(bare.seed)).run(
+                CAMPAIGN_START, CAMPAIGN_END
+            )
 
 
 class TestDownstreamEquivalence:
@@ -172,40 +177,44 @@ class TestDownstreamEquivalence:
 
 
 class TestWorkerPlumbing:
-    """One worker-count rule, capped everywhere."""
+    """One worker-count rule: the machine ceiling in
+    ``StudyConfig.capped_workers``, only work caps in the engines."""
 
-    def test_env_override_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "5")
-        assert worker_cap() == 5
+    def test_env_override_wins(self):
+        environ = {"REPRO_MAX_WORKERS": "5"}
+        config = read_settings(build_parser().parse_args(["study"]), environ).config
+        assert config.max_workers == 5
+        assert config.capped_workers(8) == 5
+        # Above the core count too, like --max-workers; the flag wins.
+        flagged = build_parser().parse_args(["--max-workers", "3", "study"])
+        assert read_settings(flagged, environ).config.max_workers == 3
 
-    def test_env_override_validated(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "zero")
-        with pytest.raises(ValueError):
-            worker_cap()
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "0")
-        with pytest.raises(ValueError):
-            worker_cap()
+    def test_env_override_validated(self, monkeypatch, capsys):
+        # A bad value fails at startup with one line, before any pool.
+        for value in ("zero", "0"):
+            monkeypatch.setenv("REPRO_MAX_WORKERS", value)
+            assert main(["--quick", "study"], out=io.StringIO()) == 2
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1, lines
+            assert lines[0].startswith("rdns-privacy: error: REPRO_MAX_WORKERS must be")
 
-    def test_default_cap_bounded_by_machine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
-        import os
+    def test_default_cap_bounded_by_machine(self):
+        assert 1 <= worker_cap() <= min(os.cpu_count() or 1, 8)
+        assert StudyConfig().capped_workers(64) == worker_cap()
 
-        assert 1 <= worker_cap() <= max(os.cpu_count() or 1, 8)
-
-    def test_campaign_cap_counts_work_units_not_networks(self, monkeypatch):
+    def test_campaign_cap_counts_work_units_not_networks(self):
         # A 2-block plan run over 9 networks must size its pool by the
         # 2 submissions it will make, not by the 9 networks they contain.
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "8")
         assert effective_campaign_workers(8, work_units=2) == 2
         assert effective_campaign_workers(8, work_units=1) == 1
         assert effective_campaign_workers(3, work_units=9) == 3
 
-    def test_campaign_cap_honours_machine_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        assert effective_campaign_workers(8, work_units=9) == 2
+    def test_campaign_cap_honours_machine_cap(self):
+        workers = StudyConfig(max_workers=2).capped_workers(8)
+        assert workers == 2
+        assert effective_campaign_workers(workers, work_units=9) == 2
 
-    def test_sharded_pool_is_budget_sized(self, plan, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
+    def test_sharded_pool_is_budget_sized(self, plan):
         collector = SnapshotCollector.openintel_style(plan, shards=4)
         collector.collect(START, END, workers=2)
         # 4 shards' worth of tasks, but never more than 2 workers.

@@ -10,17 +10,18 @@ the original collection.
 
 import pytest
 
-from repro.core.pipeline import StudyConfig
 from repro.netsim.internet import build_world
 from repro.obs import Observability
 from repro.scan.cache import SnapshotCache
 from repro.scan.snapshot import SnapshotCollector, SnapshotSeries
 from repro.serve import ServeApp
+from tests.cli_env import cli_config
 
 
 @pytest.fixture(scope="session")
 def quick_config():
-    return StudyConfig.quick(1)
+    # The CLI's config, so REPRO_FAULT_PROFILE reaches the occupancy campaign.
+    return cli_config("--quick", "--seed", "1")
 
 
 @pytest.fixture(scope="session")

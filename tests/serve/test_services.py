@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.cli import build_parser, read_settings
 from repro.core.dynamicity import DynamicityAnalyzer
 from repro.scan.campaign import SupplementalCampaign
 from repro.serve import (
@@ -13,6 +14,7 @@ from repro.serve import (
     dynamicity_summary,
     normalise_slash24,
 )
+from tests.serve.conftest import build_quick_app
 
 
 class TestNormaliseSlash24:
@@ -228,3 +230,17 @@ class TestOccupancyService:
         with pytest.raises(ServiceError) as excinfo:
             app.occupancy.hourly_payload("Academic-C", source="sonar")
         assert excinfo.value.status == 400
+
+    def test_explicit_none_profile_beats_the_environment(
+        self, quick_world, fresh_series, monkeypatch
+    ):
+        # `REPRO_FAULT_PROFILE=mild repro --quick --fault-profile none serve`
+        # must build a clean occupancy campaign.
+        monkeypatch.setenv("REPRO_FAULT_PROFILE", "mild")
+        args = build_parser().parse_args(
+            ["--quick", "--seed", "1", "--fault-profile", "none", "serve"]
+        )
+        config = read_settings(args).config
+        assert config.fault_plan is None
+        app = build_quick_app(quick_world, fresh_series, config)
+        assert app.occupancy.campaign.fault_plan is None

@@ -472,3 +472,37 @@ class TestEvaluateShards:
         assert sharded == whole
         networks = len(plan.network_names)
         assert largest_block <= -(-networks // 2)
+
+
+class TestMaxWorkers:
+    CAMPAIGN_ARGS = ("campaign", "--start", "2021-11-01", "--end", "2021-11-02")
+
+    def test_flag_and_config_size_pools_alike(self, tmp_path, monkeypatch):
+        """``--max-workers 4`` and ``StudyConfig(max_workers=4)`` run the same pool."""
+        import datetime as dt
+        import json
+        import os
+
+        from repro.core.pipeline import StudyConfig
+
+        monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
+        environ = dict(os.environ)
+        manifest = tmp_path / "manifest.json"
+        code, _ = run_cli(
+            "--quick", "--seed", "1", "--workers", "4", "--max-workers", "4",
+            "--metrics-out", str(manifest), *self.CAMPAIGN_ARGS,
+        )
+        assert code == 0
+        assert dict(os.environ) == environ
+        flagged = json.loads(manifest.read_text())["timings"]["execution"]["campaign"]
+
+        config = StudyConfig.quick(1)
+        config.max_workers = 4
+        config.campaign_workers = 4
+        campaign = config.campaign(config.world_source())
+        campaign.run(
+            dt.date(2021, 11, 1),
+            dt.date(2021, 11, 2),
+            workers=config.capped_workers(config.campaign_workers),
+        )
+        assert flagged["effective_workers"] == campaign.last_metrics.effective_workers == 4

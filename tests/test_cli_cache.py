@@ -8,6 +8,7 @@ from repro.cli import main
 from repro.netsim.internet import WorldScale, build_world
 from repro.scan.cache import CampaignCache, SnapshotCache
 from repro.scan.campaign import SupplementalCampaign
+from tests.cli_env import env_fault_plan
 from tests.scan.test_cache_v4 import collect
 
 
@@ -27,7 +28,9 @@ def seeded_campaign_cache(tmp_path):
     cache = CampaignCache(tmp_path / "camp")
     world = build_world(seed=5, scale=WorldScale.small())
     name = SupplementalCampaign(world).network_names[0]
-    campaign = SupplementalCampaign(world, networks=[name])
+    campaign = SupplementalCampaign(
+        world, networks=[name], fault_plan=env_fault_plan(world.rngs.seed)
+    )
     campaign.run(dt.date(2021, 11, 1), dt.date(2021, 11, 2), cache=cache)
     return cache, campaign.last_metrics.cache_key
 

@@ -31,6 +31,7 @@ from repro.scan.rdns import RdnsLookupEngine
 from repro.scan.snapshot import derive_day
 from repro.scan.reactive import ReactiveMonitor
 from repro.dns.resolver import StubResolver
+from tests.cli_env import env_fault_plan
 
 START = dt.date(2021, 11, 1)
 
@@ -295,9 +296,9 @@ class TestDeterminism:
             from repro.scan.campaign import SupplementalCampaign
 
             world = build_world(seed=11, scale=WorldScale.small())
-            dataset = SupplementalCampaign(world, networks=["Academic-C"]).run(
-                START, START + dt.timedelta(days=1)
-            )
+            dataset = SupplementalCampaign(
+                world, networks=["Academic-C"], fault_plan=env_fault_plan(world.rngs.seed)
+            ).run(START, START + dt.timedelta(days=1))
             return (
                 len(dataset.icmp),
                 len(dataset.rdns),
