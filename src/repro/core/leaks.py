@@ -6,7 +6,7 @@ Starting from /24s flagged by the dynamicity heuristic, the pipeline:
 2. excludes router-level records (generic location/interface terms);
 3. matches the rest against the given-name list, and notes the
    Figure-3 device terms each record carries (both are lower-cased
-   substring tests: :meth:`GivenNameMatcher.match` and
+   substring tests, as in :meth:`GivenNameMatcher.match` and
    :func:`~repro.core.terms.device_terms_in`);
 4. aggregates per hostname suffix: record count, uniquely matched
    names, and their ratio;
@@ -20,22 +20,34 @@ The report also retains the Figure-2 and Figure-3 series: given-name
 and device-term counts before ("all matches") and after ("filtered
 matches") the thresholds.
 
-Steps 2-3 depend only on the hostname, so each hostname gets one
-memoised verdict, and a :class:`LeakWindow` folds verdicts into per-/24
-partials that steps 1 and 4-6 sum on demand.  The query service slides
-one window a day at a time; :meth:`LeakIdentifier.identify` is the same
-fold over one sample.
+The sample is columns, not records: a
+:class:`~repro.scan.snapshot.RecordSample` of ``u32`` addresses and
+ids into the names they index.  Steps 2-3 depend only on the hostname,
+so :meth:`LeakIdentifier.judge` judges each distinct name once, in
+bulk, into a :class:`Verdicts` table.  Steps 1 and 4-6 then fold the
+integer columns with ``np.bincount``: records per suffix, given name
+and device term, with each record keyed on ``address >> 8`` against
+the dynamic /24s.  :meth:`LeakIdentifier.identify` is that fold.  A
+:class:`LeakWindow` keeps each retained snapshot day as its columns
+and memoises the verdicts of the names they hold; its report is the
+same fold over the union of its days.  The query service slides one
+window a day at a time.
 """
 
 from __future__ import annotations
 
+import ipaddress
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, KeysView, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, KeysView, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from repro.core.names import GivenNameMatcher
-from repro.core.terms import device_terms_in, hostname_suffix, is_router_level
+import numpy as np
+
+from repro.core.names import LABEL_BREAK, GivenNameMatcher, find_all
+from repro.core.terms import has_router_term, hostname_suffix, is_router_level
+from repro.datasets.terms import DEVICE_TERMS
 from repro.netsim.network import slash24_of
+from repro.scan.snapshot import RecordSample
 
 
 @dataclass(frozen=True)
@@ -106,17 +118,76 @@ class LeakReport:
         return self.suffix_stats[suffix]
 
 
-#: One hostname's verdict: its matched given names, its device terms
-#: (both sorted tuples) and its suffix (``None`` for router-level names,
-#: which feed only the Figure 2-3 "all" series).  A hostname matching no
-#: given name has no verdict (``None``): its records contribute to nothing.
-Verdict = Tuple[Tuple[str, ...], Tuple[str, ...], Optional[str]]
+#: The suffix code of a name with no suffix: one matching no given name
+#: (its records contribute nothing), or a router-level one (it feeds
+#: only the Figure 2-3 "all" series).
+NO_NAME = -2
+ROUTER_LEVEL = -1
 
-Record = Tuple[object, str]
+
+class Verdicts(NamedTuple):
+    """Steps 2-3 for distinct names, one row per name.
+
+    ``suffix[row]`` is the name's suffix code (an index into
+    :attr:`LeakIdentifier.suffixes`), :data:`ROUTER_LEVEL` or
+    :data:`NO_NAME`.  ``rows`` and ``which`` list the patterns each
+    name-matching row contains, indexing :attr:`LeakIdentifier.patterns`:
+    the given names, then the device terms.
+    """
+
+    suffix: np.ndarray
+    rows: np.ndarray
+    which: np.ndarray
+
+    def extended(self, other: "Verdicts") -> "Verdicts":
+        """These rows, then ``other``'s."""
+        return Verdicts(
+            np.concatenate([self.suffix, other.suffix]),
+            np.concatenate([self.rows, other.rows + len(self.suffix)]),
+            np.concatenate([self.which, other.which]),
+        )
+
+    def take(self, rows: np.ndarray) -> "Verdicts":
+        """The verdicts of ``rows`` (ascending), renumbered from 0."""
+        renumber = np.full(len(self.suffix), -1, dtype=np.intp)
+        renumber[rows] = np.arange(len(rows))
+        kept = renumber[self.rows]
+        return Verdicts(self.suffix[rows], kept[kept >= 0], self.which[kept >= 0])
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values.
+
+    A sort, not a plain ``np.unique``: its hash path imports
+    ``numpy.ma`` on first use, about 10 ms in a fresh process.
+    """
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def _in_dynamic(blocks: np.ndarray, dynamic_24s: Iterable[str]) -> np.ndarray:
+    """Whether each ``address >> 8`` block is a dynamic /24.
+
+    Keys are parsed once to blocks; a key not in :func:`slash24_of`
+    form matches no record.
+    """
+    dynamic = set()
+    for key in dynamic_24s:
+        try:
+            block = int(ipaddress.IPv4Address(key[:-3])) >> 8
+        except ValueError:
+            continue
+        if slash24_of(block << 8) == key:
+            dynamic.add(block)
+    # A sentinel above every block keeps each search position in range.
+    table = np.array([*sorted(dynamic), 1 << 24], dtype=np.uint64)
+    return table[np.searchsorted(table, blocks)] == blocks
 
 
 class LeakIdentifier:
-    """Steps 1-6 over a sample of PTR records: one fold into a fresh window."""
+    """Steps 1-6 over a sample of PTR records."""
 
     def __init__(
         self,
@@ -125,179 +196,128 @@ class LeakIdentifier:
     ):
         self.matcher = matcher or GivenNameMatcher()
         self.thresholds = thresholds
+        #: What :class:`Verdicts` hits index: given names, then device terms.
+        self.patterns: List[str] = [*self.matcher.names, *DEVICE_TERMS]
+        #: Every suffix judged so far, by code: all tables this identifier
+        #: judges share the codes, so they concatenate as they are.
+        self.suffixes: Dict[str, int] = {}
 
     def identify(
         self,
-        records: Iterable[Record],
+        records: Iterable[Tuple[object, str]],
         dynamic_24s: Iterable[str],
+        *,
+        verdicts: Optional[Verdicts] = None,
     ) -> LeakReport:
         """Drill down from (address, hostname) records to leaking suffixes.
 
-        ``dynamic_24s`` is the set of /24 keys the dynamicity heuristic
-        flagged; records outside it still feed the Figure-2 "all
-        matches" series but cannot contribute to identification.  Each
-        distinct (address, hostname) pair counts once.
+        ``records`` is a :class:`~repro.scan.snapshot.RecordSample` or
+        any iterable of ``(address, hostname)`` pairs, which becomes one
+        here.  ``dynamic_24s`` is the set of /24 keys the dynamicity
+        heuristic flagged; records outside it still feed the Figure-2
+        "all matches" series but cannot contribute to identification.
+        Each distinct (address, hostname) pair counts once.  The names
+        the sample's ids use are judged here, unless ``verdicts`` (a
+        :class:`LeakWindow`'s memo) already holds them, row for id.
         """
-        window = LeakWindow(self)
-        window.add_day(None, records)
-        return window.report(dynamic_24s)
+        sample = RecordSample.of(records)
+        keys = _distinct(
+            (sample.addresses.astype(np.uint64) << np.uint64(32)) | sample.ids.astype(np.uint64)
+        )
+        ids = (keys & np.uint64(0xFFFFFFFF)).astype(np.intp)
+        if verdicts is None:
+            used, ids = np.unique(ids, return_inverse=True)
+            verdicts = self.judge([sample.names[index] for index in used.tolist()])
+        return self._fold(ids, _in_dynamic(keys >> np.uint64(40), dynamic_24s), verdicts)
 
-    def verdict(self, hostname: str) -> Optional[Verdict]:
-        """Steps 2-3 for one hostname, independent of its address."""
-        names = self.matcher.match(hostname)
-        if not names:
-            return None
-        suffix = None if is_router_level(hostname) else hostname_suffix(hostname)
-        # Tuples, not sets: the window memoises one verdict per hostname.
-        terms = device_terms_in(hostname)
-        return tuple(sorted(names)), tuple(sorted(terms)), suffix
+    def judge(self, hostnames: Sequence[str]) -> Verdicts:
+        """Steps 2-3 for distinct ``hostnames``, in bulk: one row per name.
 
+        Row for row equal to judging each hostname alone: the given
+        names and device terms its lower-cased form contains and, unless
+        it is router level, its :func:`~repro.core.terms.hostname_suffix`.
+        Only name-matching names get terms, a suffix and a router-level
+        test.  A name whose parent zone (the labels after the first) has
+        three or more labels takes its suffix from the zone and is router
+        level when its first label or the zone is, so those two are
+        computed once per zone; shorter names are judged whole.
+        """
+        first_index: Dict[str, int] = {}
+        zone_index: Dict[str, int] = {}
+        first_rows, zone_rows = [], []
+        for name in hostnames:
+            first, _, zone = name.lower().partition(LABEL_BREAK)
+            first_rows.append(first_index.setdefault(first, len(first_index)))
+            zone_rows.append(zone_index.setdefault(zone, len(zone_index)))
+        firsts, zones = list(first_index), list(zone_index)
+        first_rows, zone_rows = np.array(first_rows, np.intp), np.array(zone_rows, np.intp)
 
-class _Partial:
-    """One suffix's records, name and device-term counts inside one /24."""
+        # No pattern contains a '.', so a name holds one exactly when its
+        # first label or its zone does: sweep each distinct label once.
+        in_first = find_all(firsts, self.patterns)
+        in_zone = find_all(zones, self.patterns)
+        names = len(self.matcher.names)
+        matched = np.flatnonzero(
+            in_first[:, :names].any(axis=1)[first_rows] | in_zone[:, :names].any(axis=1)[zone_rows]
+        )
+        rows, which = np.nonzero(in_first[first_rows[matched]] | in_zone[zone_rows[matched]])
 
-    __slots__ = ("records", "names", "terms")
+        zone_suffix = np.full(len(zones), NO_NAME, dtype=np.int64)
+        zone_router = np.zeros(len(zones), dtype=bool)
+        for index in _distinct(zone_rows[matched]).tolist():
+            zone = zones[index].rstrip(LABEL_BREAK)
+            if zone.count(LABEL_BREAK) >= 2:  # it holds the whole suffix
+                zone_suffix[index] = self._code(hostname_suffix(zone))
+                zone_router[index] = is_router_level(zone)
+        first_router = np.zeros(len(firsts), dtype=bool)
+        matched_firsts = _distinct(first_rows[matched]).tolist()
+        first_router[matched_firsts] = [has_router_term(firsts[index]) for index in matched_firsts]
+        suffix = np.full(len(hostnames), NO_NAME, dtype=np.int64)
+        router = first_router[first_rows[matched]] | zone_router[zone_rows[matched]]
+        suffix[matched] = np.where(router, ROUTER_LEVEL, zone_suffix[zone_rows[matched]])
+        for row in matched[zone_suffix[zone_rows[matched]] == NO_NAME].tolist():
+            hostname = hostnames[row]
+            router = is_router_level(hostname)
+            suffix[row] = ROUTER_LEVEL if router else self._code(hostname_suffix(hostname))
+        return Verdicts(suffix, matched[rows], which)
 
-    def __init__(self) -> None:
-        self.records = 0
-        self.names: Counter = Counter()
-        self.terms: Counter = Counter()
+    def _code(self, suffix: str) -> int:
+        return self.suffixes.setdefault(suffix, len(self.suffixes))
 
+    def _fold(self, rows: np.ndarray, dynamic: np.ndarray, verdicts: Verdicts) -> LeakReport:
+        """Steps 1 and 4-6 over distinct records: their verdict rows and dynamic flags."""
+        held = np.bincount(rows, minlength=len(verdicts.suffix))
+        held_dynamic = np.bincount(rows[dynamic], minlength=len(verdicts.suffix))
+        patterns, names = self.patterns, len(self.matcher.names)
+        everywhere = np.bincount(
+            verdicts.which, weights=held[verdicts.rows], minlength=len(patterns)
+        ).astype(np.int64).tolist()
 
-def _discount(counter: Counter, keys: Iterable[str]) -> None:
-    """Take one of each key out of ``counter``, deleting counts that reach 0."""
-    for key in keys:
-        if counter[key] == 1:
-            del counter[key]
-        else:
-            counter[key] -= 1
-
-
-class LeakWindow:
-    """The leak drill-down over a sliding window of snapshot days.
-
-    A record's contribution depends only on its hostname's
-    :meth:`~LeakIdentifier.verdict` and its /24, so the window keeps
-    per-/24 partials instead of records: adding a day folds in the
-    (address, hostname) pairs no retained day held yet, retracting a
-    day folds out the pairs no other retained day holds, and
-    :meth:`report` sums the partials of whichever /24s are dynamic at
-    that moment.  Verdicts are memoised for the hostnames the retained
-    days hold, and dropped with the last day holding them.
-    """
-
-    def __init__(self, identifier: LeakIdentifier):
-        self.identifier = identifier
-        #: day -> (its distinct hostnames, its name-matching pairs)
-        self._days: Dict[Hashable, Tuple[Tuple[str, ...], Tuple[Record, ...]]] = {}
-        #: name-matching pair -> times the retained days hold it
-        self._pairs: Dict[Record, int] = {}
-        #: /24 key -> {suffix: partial}
-        self._partials: Dict[str, Dict[str, _Partial]] = {}
-        self._all_names: Counter = Counter()
-        self._all_terms: Counter = Counter()
-        self._verdicts: Dict[str, Optional[Verdict]] = {}
-        #: hostname -> number of retained days holding it
-        self._holders: Dict[str, int] = {}
-
-    @property
-    def days(self) -> List[Hashable]:
-        """The retained days, in the order they were added."""
-        return list(self._days)
-
-    @property
-    def memoised_hostnames(self) -> KeysView[str]:
-        """The hostnames holding a memoised verdict: those the retained days hold."""
-        return self._verdicts.keys()
-
-    def add_day(self, day: Hashable, records: Iterable[Record]) -> None:
-        """Fold one day's (address, hostname) records into the window."""
-        if day in self._days:
-            raise ValueError(f"day {day} is already in the window")
-        # A pair repeated within the day is simply held twice by it.
-        records = list(records)
-        hostnames = tuple({hostname for _, hostname in records})
-        verdicts, holders = self._verdicts, self._holders
-        for hostname in hostnames:
-            if hostname in holders:
-                holders[hostname] += 1
-            else:
-                holders[hostname] = 1
-                verdicts[hostname] = self.identifier.verdict(hostname)
-        matched = tuple(pair for pair in records if verdicts[pair[1]] is not None)
-        for pair in matched:
-            held = self._pairs.get(pair, 0)
-            self._pairs[pair] = held + 1
-            if not held:
-                self._fold_in(pair[0], verdicts[pair[1]])
-        self._days[day] = (hostnames, matched)
-
-    def retract_day(self, day: Hashable) -> None:
-        """Fold one retained day back out of the window."""
-        hostnames, matched = self._days.pop(day)
-        for pair in matched:
-            held = self._pairs[pair] - 1
-            if held:
-                self._pairs[pair] = held
-            else:
-                del self._pairs[pair]
-                self._fold_out(pair[0], self._verdicts[pair[1]])
-        verdicts, holders = self._verdicts, self._holders
-        for hostname in hostnames:
-            if holders[hostname] == 1:
-                del holders[hostname]
-                del verdicts[hostname]
-            else:
-                holders[hostname] -= 1
-
-    def _fold_in(self, address: object, verdict: Verdict) -> None:
-        names, terms, suffix = verdict
-        self._all_names.update(names)
-        self._all_terms.update(terms)
-        if suffix is None:
-            return  # step 2: router-level records never identify
-        partials = self._partials.setdefault(slash24_of(address), {})
-        partial = partials.get(suffix)
-        if partial is None:
-            partial = partials[suffix] = _Partial()
-        partial.records += 1
-        partial.names.update(names)
-        partial.terms.update(terms)
-
-    def _fold_out(self, address: object, verdict: Verdict) -> None:
-        names, terms, suffix = verdict
-        _discount(self._all_names, names)
-        _discount(self._all_terms, terms)
-        if suffix is None:
-            return
-        prefix = slash24_of(address)
-        partials = self._partials[prefix]
-        partial = partials[suffix]
-        partial.records -= 1
-        if not partial.records:
-            del partials[suffix]
-            if not partials:
-                del self._partials[prefix]
-            return
-        _discount(partial.names, names)
-        _discount(partial.terms, terms)
-
-    def report(self, dynamic: Iterable[str]) -> LeakReport:
-        """Steps 1 and 4-6 over the window for one dynamic /24 set."""
+        # Steps 1, 2 and 4: dynamic, non-router records per suffix.
+        scored = verdicts.suffix >= 0
+        records = np.bincount(verdicts.suffix[scored], weights=held_dynamic[scored])
+        codes, weights = verdicts.suffix[verdicts.rows], held_dynamic[verdicts.rows]
+        keep = (codes >= 0) & (weights > 0)
+        keys, inverse = np.unique(
+            codes[keep] * len(patterns) + verdicts.which[keep], return_inverse=True
+        )
+        counts = np.bincount(inverse, weights=weights[keep], minlength=len(keys))
+        by_code = list(self.suffixes)
         merged: Dict[str, SuffixStats] = {}
-        for prefix in sorted(self._partials.keys() & dynamic):
-            for suffix, partial in self._partials[prefix].items():
-                stats = merged.get(suffix)
-                if stats is None:
-                    stats = merged[suffix] = SuffixStats(suffix)
-                stats.records += partial.records
-                stats.name_counts.update(partial.names)
-                stats.device_term_counts.update(partial.terms)
+        for key, count in zip(keys.tolist(), counts.astype(np.int64).tolist()):
+            code, index = divmod(key, len(patterns))
+            suffix = by_code[code]
+            stats = merged.get(suffix)
+            if stats is None:
+                stats = merged[suffix] = SuffixStats(suffix, records=int(records[code]))
+            tally = stats.name_counts if index < names else stats.device_term_counts
+            tally[patterns[index]] = count
         suffix_stats = {suffix: merged[suffix] for suffix in sorted(merged)}
         for stats in suffix_stats.values():
             stats.unique_names = set(stats.name_counts)
 
-        thresholds = self.identifier.thresholds
+        # Steps 5-6.
+        thresholds = self.thresholds
         identified = [
             suffix for suffix, stats in suffix_stats.items() if stats.meets(thresholds)
         ]
@@ -311,8 +331,89 @@ class LeakWindow:
             thresholds=thresholds,
             suffix_stats=suffix_stats,
             identified=identified,
-            all_name_counts=Counter(self._all_names),
+            all_name_counts=Counter(
+                {pattern: count for pattern, count in zip(patterns[:names], everywhere) if count}
+            ),
             filtered_name_counts=filtered_names,
-            all_device_term_counts=Counter(self._all_terms),
+            all_device_term_counts=Counter(
+                {pattern: count for pattern, count in zip(patterns[names:], everywhere[names:]) if count}
+            ),
             filtered_device_term_counts=filtered_terms,
         )
+
+
+class LeakWindow:
+    """The leak drill-down over a sliding window of snapshot days.
+
+    Each retained day is its record columns: its address column and, for
+    each record, the row of its hostname's memoised verdict.  A day's
+    distinct ids map to rows through the names they index, so the memo
+    is keyed by hostname: two days whose ids name different strings (a
+    counts-only day's records are encoded against a private copy of the
+    pool) never share a verdict.  Adding a day judges, in bulk, only the
+    hostnames no retained day holds yet; retracting one drops the
+    verdicts no remaining day holds.  :meth:`report` is
+    :meth:`LeakIdentifier.identify` over the union of the retained days
+    with the memoised verdicts.
+    """
+
+    def __init__(self, identifier: LeakIdentifier):
+        self.identifier = identifier
+        #: day -> (its address column, its records' verdict rows)
+        self._days: Dict[Hashable, Tuple[np.ndarray, np.ndarray]] = {}
+        #: hostname -> its verdict's row, in row order
+        self._rows: Dict[str, int] = {}
+        self._verdicts = identifier.judge([])
+
+    @property
+    def days(self) -> List[Hashable]:
+        """The retained days, in the order they were added."""
+        return list(self._days)
+
+    @property
+    def memoised_hostnames(self) -> KeysView[str]:
+        """The hostnames holding a memoised verdict: those the retained days hold."""
+        return self._rows.keys()
+
+    def add_day(self, day: Hashable, records: Iterable[Tuple[object, str]]) -> None:
+        """Fold one day's records (a sample, or ``(address, hostname)`` pairs) in."""
+        if day in self._days:
+            raise ValueError(f"day {day} is already in the window")
+        sample = RecordSample.of(records)
+        ids, inverse = np.unique(sample.ids, return_inverse=True)
+        hostnames = list(map(sample.names.__getitem__, ids.tolist()))
+        rows = self._rows
+        fresh = [name for name, row in zip(hostnames, map(rows.get, hostnames)) if row is None]
+        if fresh:
+            rows.update(zip(fresh, range(len(rows), len(rows) + len(fresh))))
+            self._verdicts = self._verdicts.extended(self.identifier.judge(fresh))
+        id_rows = np.fromiter(map(rows.__getitem__, hostnames), dtype=np.intp, count=len(hostnames))
+        self._days[day] = (sample.addresses, id_rows[inverse])
+
+    def retract_day(self, day: Hashable) -> None:
+        """Fold one retained day back out of the window."""
+        del self._days[day]
+        held = _distinct(
+            np.concatenate([rows for _, rows in self._days.values()] or [np.empty(0, np.intp)])
+        )
+        if len(held) == len(self._rows):
+            return
+        renumber = np.full(len(self._rows), -1, dtype=np.intp)
+        renumber[held] = np.arange(len(held))
+        hostnames = list(self._rows)
+        self._rows = dict(zip(map(hostnames.__getitem__, held.tolist()), range(len(held))))
+        self._verdicts = self._verdicts.take(held)
+        self._days = {
+            held_day: (addresses, renumber[rows])
+            for held_day, (addresses, rows) in self._days.items()
+        }
+
+    def report(self, dynamic: Iterable[str]) -> LeakReport:
+        """Steps 1-6 over the retained days for one dynamic /24 set."""
+        columns = list(self._days.values())
+        sample = RecordSample(
+            np.concatenate([addresses for addresses, _ in columns] or [np.empty(0, np.uint32)]),
+            np.concatenate([rows for _, rows in columns] or [np.empty(0, np.intp)]),
+            list(self._rows),
+        )
+        return self.identifier.identify(sample, dynamic, verdicts=self._verdicts)

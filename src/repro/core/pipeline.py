@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.core.classify import NetworkTypeClassifier
 from repro.core.dynamicity import DynamicityAnalyzer, DynamicityReport, DynamicityThresholds
@@ -121,9 +121,18 @@ class StudyConfig:
             return self.plan.build()
         return build_world(seed=self.seed, scale=self.scale)
 
-    def world_source(self) -> Union[World, WorldPlan]:
-        """What the engines measure: ``plan`` (never built whole here), else the built world."""
-        return self.plan if self.plan is not None else self.build_world()
+    def world_source(
+        self, world: Optional[Callable[[], World]] = None
+    ) -> Union[World, WorldPlan]:
+        """What the engines measure: ``plan`` (never built whole here), else the built world.
+
+        ``world`` hands over an already-built world (a study's cached
+        one); it is called only when there is no plan, and
+        :meth:`build_world` runs when it is not given.
+        """
+        if self.plan is not None:
+            return self.plan
+        return world() if world is not None else self.build_world()
 
     def campaign(
         self,
@@ -191,16 +200,14 @@ class ReproductionStudy:
             )
         return self._world
 
-    def _world_source(self):
-        """What the engines measure: the plan if there is one, else the world."""
-        return self.config.plan if self.config.plan is not None else self.world
-
     def daily_series(self) -> SnapshotSeries:
         """Daily snapshots over the dynamicity window (OpenINTEL-style)."""
         if self._daily_series is None:
             with self.obs.span("daily_series"):
                 collector = SnapshotCollector.openintel_style(
-                    self._world_source(), shards=self.config.shards, obs=self.obs
+                    self.config.world_source(lambda: self.world),
+                    shards=self.config.shards,
+                    obs=self.obs,
                 )
                 self._daily_series = collector.collect(
                     self.config.dynamicity_start,
@@ -258,7 +265,9 @@ class ReproductionStudy:
         """Section 6.1: run the supplemental campaign."""
         if self._supplemental is None:
             with self.obs.span("supplemental"):
-                campaign = self.config.campaign(self._world_source(), obs=self.obs)
+                campaign = self.config.campaign(
+                    self.config.world_source(lambda: self.world), obs=self.obs
+                )
                 self._supplemental = campaign.run(
                     self.config.supplemental_start,
                     self.config.supplemental_end,

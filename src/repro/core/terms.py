@@ -95,7 +95,16 @@ def is_router_level(hostname: str, *, generic_terms: FrozenSet[str] = GENERIC_RO
         prefix_part = prefix_part[: -len(suffix)].rstrip(".")
     if not prefix_part:
         return False
-    return any(term in generic_terms for term in extract_terms(prefix_part))
+    return has_router_term(prefix_part, generic_terms=generic_terms)
+
+
+def has_router_term(text: str, *, generic_terms: FrozenSet[str] = GENERIC_ROUTER_TERMS) -> bool:
+    """Whether any alphabetical word of ``text`` is a generic router/location term.
+
+    >>> has_router_term("xe-0-0-1.core1"), has_router_term("brians-iphone")
+    (True, False)
+    """
+    return not generic_terms.isdisjoint(extract_terms(text))
 
 
 def count_terms(hostnames: Iterable[str], *, min_length: int = 3) -> Counter:

@@ -37,26 +37,18 @@ class DhcpOptionCode(enum.IntEnum):
 class ClientFqdn:
     """RFC 4702 Client FQDN option.
 
-    Flags (section 2.1 of RFC 4702):
-
-    * ``server_updates`` (S): client asks the server to perform the
-      A-record (forward) update.
-    * ``no_server_update`` (N): client asks the server *not* to perform
-      any DNS update.  The paper's future-work section asks whether
-      servers honour this; :class:`~repro.ipam.system.IpamSystem` makes
-      honouring it a policy knob.
+    The one flag modelled (section 2.1 of RFC 4702) is
+    ``no_server_update`` (N): the client asks the server *not* to
+    perform any DNS update.  The paper's future-work section asks
+    whether servers honour this; :class:`~repro.ipam.system.IpamSystem`
+    makes honouring it a policy knob.
 
     The server always owns the PTR update in RFC 4702, which is exactly
     the record this paper is about.
     """
 
     fqdn: str
-    server_updates: bool = True
     no_server_update: bool = False
-
-    def __post_init__(self) -> None:
-        if self.server_updates and self.no_server_update:
-            raise ValueError("S and N flags are mutually exclusive (RFC 4702 §2.1)")
 
 
 class OptionSet:

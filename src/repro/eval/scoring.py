@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.dynamicity import DynamicityAnalyzer
 from repro.core.grouping import GroupBuilder
-from repro.core.names import GivenNameMatcher
+from repro.core.names import GivenNameMatcher, find_all
 from repro.core.stats import Interval, lingering_summary, proportion_ci
 from repro.core.timing import lingering_analysis
 from repro.core.tracking import DeviceTracker
@@ -129,11 +129,9 @@ def score_cell(cell: MatrixCell, spec: MatrixSpec, series, dataset) -> CellScore
 
     # -- privacy: identities (Section 5) ---------------------------------
     matcher = GivenNameMatcher()
-    sample_days = series.days[-spec.leak_sample_days:]
-    names = set()
-    for _, hostname in series.sample_records(sample_days):
-        names.update(matcher.match(hostname))
-    unique_names = len(names)
+    sample = series.sample_records(series.days[-spec.leak_sample_days:])
+    hostnames = [sample.names[index].lower() for index in set(sample.ids.tolist())]
+    unique_names = int(find_all(hostnames, matcher.names).any(axis=0).sum())
     if unique_names == 0:
         flags.append("zero-leaks")
 

@@ -23,7 +23,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.dns.resolver import StubResolver
 from repro.dns.server import FailureModel
 from repro.netsim.calendar import CovidTimeline
-from repro.netsim.network import IcmpPolicy, Network, NetworkType, Subnet, slash24_of
+from repro.netsim.network import IcmpPolicy, Network, NetworkType, Subnet, dotted, slash24_of
 from repro.netsim.personas import make_brian_devices
 from repro.netsim.population import NetworkBuilder
 from repro.netsim.rng import RngStreams
@@ -135,7 +135,8 @@ class Internet:
                     )
                 else:
                     backing = "static=" + ",".join(
-                        f"{address}={hostname}" for address, hostname in subnet.static_entries
+                        f"{dotted(int(address))}={hostname}"
+                        for address, hostname in subnet.static_entries
                     )
                 mode = subnet.rdns_mode
                 mode_marker = "" if mode.value == "enabled" else f"|rdns={mode.value}"

@@ -462,6 +462,15 @@ def slash24_of(address: Union[ipaddress.IPv4Address, int, str]) -> str:
     return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.0/24"
 
 
+def dotted(value: int) -> str:
+    """An IPv4 address given as an integer, as dotted-quad text.
+
+    >>> dotted(3221225985)
+    '192.0.2.1'
+    """
+    return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
+
+
 def slash24_counts(addresses: Sequence[int]) -> Dict[str, int]:
     """Records per /24 of an address column, in first-seen /24 order.
 

@@ -34,7 +34,7 @@ import datetime as dt
 import time
 from dataclasses import dataclass
 import ipaddress
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -130,6 +130,49 @@ class SampleMetrics:
 RecordColumns = Tuple[np.ndarray, np.ndarray]
 #: One day's derived records: a ``u32`` address column and the parallel hostnames.
 DayRecords = Tuple[np.ndarray, List[str]]
+
+
+class RecordSample:
+    """PTR records as columns: ``u32`` addresses, ``u32`` ids and the names they index.
+
+    What :meth:`SnapshotSeries.sample_records` returns and what the
+    leak drill-down folds.  ``names`` may hold more names than the ids
+    use (the whole series pool).  Iterating yields the records as
+    ``(address as int, hostname)`` pairs, in column order.
+    """
+
+    __slots__ = ("addresses", "ids", "names")
+
+    def __init__(self, addresses: np.ndarray, ids: np.ndarray, names: Sequence[str]):
+        self.addresses = addresses
+        self.ids = ids
+        self.names = names
+
+    @classmethod
+    def of(cls, records: Iterable[Tuple[object, str]]) -> "RecordSample":
+        """``records`` as a sample: a sample as is, else ``(address, hostname)`` pairs.
+
+        Addresses may be ints, address objects or text; each distinct
+        hostname gets one id.
+        """
+        if isinstance(records, cls):
+            return records
+        index: Dict[str, int] = {}
+        addresses, ids = [], []
+        for address, hostname in records:
+            if isinstance(address, str):
+                address = ipaddress.IPv4Address(address)
+            addresses.append(int(address))
+            ids.append(index.setdefault(hostname, len(index)))
+        return cls(
+            np.array(addresses, dtype=np.uint32), np.array(ids, dtype=np.uint32), list(index)
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Record]:
+        return zip(self.addresses.tolist(), map(self.names.__getitem__, self.ids.tolist()))
 
 
 def _networks_of(
@@ -373,7 +416,7 @@ class SnapshotSeries:
     def record_pairs(self, day: dt.date) -> Iterator[Record]:
         """The day's ``(address as int, hostname)`` records, in walk order."""
         [(addresses, ids)], names = self._columns([day])
-        return zip(addresses.tolist(), map(names.__getitem__, ids.tolist()))
+        return iter(RecordSample(addresses, ids, names))
 
     def records_on(self, day: dt.date) -> Iterator[Tuple[ipaddress.IPv4Address, str]]:
         """The full (address, hostname) record list of a collected day."""
@@ -385,14 +428,15 @@ class SnapshotSeries:
         days: Optional[Sequence[dt.date]] = None,
         *,
         obs=None,
-    ) -> List[Record]:
-        """One deduplicated ``(address as int, hostname)`` sample over ``days``.
+    ) -> "RecordSample":
+        """One deduplicated record sample over ``days``, as columns.
 
         The shared pass behind the leak funnel: the days' record
         columns are concatenated and deduplicated on integer
-        ``address << 32 | ptr_id`` keys in first-seen order, and only
-        the unique records are paired with their names, in the shape
-        :meth:`record_pairs` yields.
+        ``address << 32 | ptr_id`` keys in first-seen order.  The
+        sample keeps the unique records as an address column and an id
+        column into the names their ids index; no per-record object is
+        built.
         Counters land in :attr:`last_sample_metrics`, and when ``obs``
         (an :class:`repro.obs.Observability` handle) is given the pass
         is traced as a ``snapshot.sample`` span with deterministic
@@ -413,18 +457,16 @@ class SnapshotSeries:
             keys = (addresses.astype(np.uint64) << np.uint64(32)) | ids
             _, first = np.unique(keys, return_index=True)
             first.sort()
-            records = list(
-                zip(addresses[first].tolist(), map(names.__getitem__, ids[first].tolist()))
-            )
+            sample = RecordSample(addresses[first], ids[first], names)
             metrics.raw_records = len(keys)
-            metrics.unique_records = len(records)
+            metrics.unique_records = len(sample)
             span.set("days", metrics.days)
             span.set("raw_records", metrics.raw_records)
             span.set("unique_records", metrics.unique_records)
             obs.metrics.counter("snapshot_sample_records_total").inc(metrics.raw_records)
             obs.metrics.counter("snapshot_sample_unique_total").inc(metrics.unique_records)
         metrics.total_seconds = time.perf_counter() - started
-        return records
+        return sample
 
     def stats(self) -> SnapshotStats:
         return SnapshotStats(

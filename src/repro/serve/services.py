@@ -14,7 +14,9 @@ Each service owns one analysis surface and reads the collected
 * :class:`LeakService` — the Section 5 drill-down (leak verdicts,
   given-name and device-term hits) over the trailing sample window,
   kept in a :class:`~repro.core.leaks.LeakWindow` that an ingest
-  slides by one day instead of re-identifying the window.
+  slides by one day, judging only the hostnames the new day brings;
+  its report is the batch :meth:`~repro.core.leaks.LeakIdentifier.identify`
+  fold over the window's columns.
 * :class:`OccupancyService` — daily occupancy curves from the count
   matrix, plus hourly curves from the supplemental campaign, which it
   runs (or replays from its cache) on the first hourly query.
@@ -352,9 +354,7 @@ class LeakService:
         held = self.window.days
         for day in days:
             if day not in held:
-                # Integer addresses straight from the record columns:
-                # hashing IPv4Address objects would dominate the fold.
-                self.window.add_day(day, series.record_pairs(day))
+                self.window.add_day(day, series.sample_records([day]))
         for day in held:
             if day not in days:
                 self.window.retract_day(day)

@@ -1,18 +1,22 @@
 """Sliding equals batch: :class:`LeakWindow` against the record-loop oracle.
 
-A window that adds and retracts days in any order, reporting against a
-dynamic /24 set that changes between reports, must report exactly what
-:func:`tests.oracles.reference_identify` reports over the deduplicated
-records of the days it currently holds — and no Counter it hands out may
-carry a zero entry.
+A window that adds and retracts days (fed as record columns) in any
+order, reporting against a dynamic /24 set that changes between
+reports, must report exactly what :func:`tests.oracles.reference_identify`
+reports over the deduplicated records of the days it currently holds —
+and no Counter it hands out may carry a zero entry.  Days whose ids
+index different name lists (a counts-only day's records are encoded
+against a private copy of the series pool) must never share a verdict.
 """
 
 import ipaddress
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import GivenNameMatcher, LeakIdentifier, LeakThresholds, LeakWindow
+from repro.scan.snapshot import RecordSample
 from tests.oracles import reference_identify
 
 SLASH24S = [f"10.0.{index}.0/24" for index in range(3)]
@@ -100,7 +104,7 @@ class TestSlidingEqualsBatch:
         for add in steps:
             held = window.days
             if (add or not held) and next_day < len(day_records):
-                window.add_day(next_day, day_records[next_day])
+                window.add_day(next_day, RecordSample.of(day_records[next_day]))
                 next_day += 1
             elif held:
                 window.retract_day(data.draw(st.sampled_from(held)))
@@ -126,3 +130,55 @@ class TestSlidingEqualsBatch:
             identifier.identify(records, dynamic),
             reference_identify(identifier, dict.fromkeys(records), dynamic),
         )
+
+
+class TestPrivateIds:
+    @given(
+        pool=st.lists(hostname, max_size=6, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_window_keys_verdicts_by_name_not_id(self, pool, data):
+        identifier = LeakIdentifier(
+            GivenNameMatcher(), LeakThresholds(min_unique_names=1, min_ratio=0.1)
+        )
+        # Each day indexes the shared pool; a counts-only day extends it
+        # with private names, so its first private id names a different
+        # string from day to day.
+        days = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            names = list(pool)
+            if data.draw(st.booleans()) or not names:
+                names += data.draw(
+                    st.lists(
+                        hostname.filter(lambda name: name not in pool),
+                        min_size=1, max_size=3, unique=True,
+                    )
+                )
+            pairs = data.draw(
+                st.lists(st.tuples(address, st.integers(0, len(names) - 1)), max_size=12)
+            )
+            days.append(
+                RecordSample(
+                    np.array([int(ip) for ip, _ in pairs], dtype=np.uint32),
+                    np.array([index for _, index in pairs], dtype=np.uint32),
+                    names,
+                )
+            )
+
+        window = LeakWindow(identifier)
+        next_day = 0
+        for add in data.draw(st.lists(st.booleans(), min_size=1, max_size=12)):
+            held = window.days
+            if (add or not held) and next_day < len(days):
+                window.add_day(next_day, days[next_day])
+                next_day += 1
+            elif held:
+                window.retract_day(data.draw(st.sampled_from(held)))
+
+            dynamic = data.draw(st.sets(st.sampled_from(SLASH24S)))
+            records = dict.fromkeys(pair for day in window.days for pair in days[day])
+            batch = identifier.identify(list(records), dynamic)
+            assert_same_report(window.report(dynamic), batch)
+            assert_same_report(batch, reference_identify(identifier, records, dynamic))
+            assert set(window.memoised_hostnames) == {name for _, name in records}

@@ -1,7 +1,5 @@
 """Tests for DHCP options and the RFC 7844 anonymity profile."""
 
-import pytest
-
 from repro.dhcp import (
     ANONYMITY_PROFILE,
     ClientFqdn,
@@ -62,15 +60,10 @@ class TestOptionSet:
 class TestClientFqdn:
     def test_defaults(self):
         fqdn = ClientFqdn("host.example.com")
-        assert fqdn.server_updates
         assert not fqdn.no_server_update
 
-    def test_conflicting_flags_rejected(self):
-        with pytest.raises(ValueError):
-            ClientFqdn("host.example.com", server_updates=True, no_server_update=True)
-
     def test_no_update_flag(self):
-        fqdn = ClientFqdn("host.example.com", server_updates=False, no_server_update=True)
+        fqdn = ClientFqdn("host.example.com", no_server_update=True)
         assert fqdn.no_server_update
 
 

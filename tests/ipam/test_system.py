@@ -118,7 +118,7 @@ class TestClientOptOut:
         return DhcpClient(
             "phone-1",
             host_name="Brian's iPhone",
-            client_fqdn=ClientFqdn("brians-iphone.example.org", server_updates=False, no_server_update=True),
+            client_fqdn=ClientFqdn("brians-iphone.example.org", no_server_update=True),
         )
 
     def test_opt_out_ignored_by_default(self):

@@ -18,9 +18,12 @@ time them as the baseline side:
   against which the index-based :mod:`repro.netsim.population`
   builders are checked;
 * :func:`reference_identify` — the record-at-a-time Section 5.1
-  drill-down, against which the fold of
-  :class:`~repro.core.leaks.LeakWindow` (and so
-  :meth:`~repro.core.leaks.LeakIdentifier.identify`) is checked;
+  drill-down, against which the columnar fold of
+  :meth:`~repro.core.leaks.LeakIdentifier.identify` (and so
+  :class:`~repro.core.leaks.LeakWindow`) is checked;
+* :func:`reference_verdict` — steps 2-3 for one hostname, against
+  which the bulk verdicts of :meth:`~repro.core.leaks.LeakIdentifier.judge`
+  are checked;
 * :func:`naive_find_unique` — the patterns occurring in a text, against
   which :class:`~repro.core.names.GivenNameMatcher` is checked;
 * :func:`reference_presence` — device presence from the full list of
@@ -178,6 +181,21 @@ class ReferenceEngine(SimulationEngine):
             self.clock.advance_to(entry[_AT])
             return callback
         return None
+
+
+#: One hostname's verdict: its matched given names, its device terms
+#: (both sorted tuples) and its suffix (``None`` for router-level names).
+#: A hostname matching no given name has no verdict (``None``).
+Verdict = Tuple[Tuple[str, ...], Tuple[str, ...], Optional[str]]
+
+
+def reference_verdict(identifier: LeakIdentifier, hostname: str) -> Optional[Verdict]:
+    """Steps 2-3 for one hostname, independent of its address."""
+    names = identifier.matcher.match(hostname)
+    if not names:
+        return None
+    suffix = None if is_router_level(hostname) else hostname_suffix(hostname)
+    return tuple(sorted(names)), tuple(sorted(device_terms_in(hostname))), suffix
 
 
 def reference_identify(

@@ -125,7 +125,7 @@ class TestRecordSampling:
                 if record not in seen:
                     seen.add(record)
                     expected.append(record)
-        assert sample == expected
+        assert list(sample) == expected
 
     def test_sample_records_rejects_uncollected_day(self, serial_series):
         with pytest.raises(KeyError):
