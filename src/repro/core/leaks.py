@@ -110,10 +110,6 @@ class LeakReport:
     all_device_term_counts: Counter
     filtered_device_term_counts: Counter
 
-    @property
-    def identified_count(self) -> int:
-        return len(self.identified)
-
     def stats_for(self, suffix: str) -> SuffixStats:
         return self.suffix_stats[suffix]
 

@@ -17,8 +17,7 @@ pattern over the hostnames joined into one text.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set
+from typing import FrozenSet, List, Sequence, Set
 
 import numpy as np
 
@@ -90,22 +89,6 @@ class GivenNameMatcher:
     def matches(self, hostname: str) -> bool:
         hostname = hostname.lower()
         return any(name in hostname for name in self.names)
-
-    def first_match(self, hostname: str) -> Optional[str]:
-        """The longest name contained in ``hostname``, or None.
-
-        >>> GivenNameMatcher(["jack", "jackson", "ville"]).first_match("jacksonville.example.net")
-        'jackson'
-        """
-        hostname = hostname.lower()
-        return next((name for name in self.names if name in hostname), None)
-
-    def count_matches(self, hostnames: Iterable[str]) -> Counter:
-        """Per-name count of hostnames containing each name (Figure 2)."""
-        counter: Counter = Counter()
-        for hostname in hostnames:
-            counter.update(self.match(hostname))
-        return counter
 
     def __contains__(self, name: object) -> bool:
         return name in self._name_set

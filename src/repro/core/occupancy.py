@@ -34,12 +34,9 @@ def daily_totals_for_prefixes(
     networks = [ipaddress.IPv4Network(prefix) for prefix in prefixes]
     totals: Dict[dt.date, int] = {}
     membership_cache: Dict[str, bool] = {}
-    # The no-copy view when the series offers one; duck-typed series
-    # (tests, adapters) fall back to the copying accessor.
-    counts_for = getattr(series, "counts_view", None) or series.counts_by_slash24
     for day in series.days:
         total = 0
-        for key, count in counts_for(day).items():
+        for key, count in series.counts_view(day).items():
             inside = membership_cache.get(key)
             if inside is None:
                 inside = any(_slash24_in(network, key) for network in networks)

@@ -118,10 +118,6 @@ class KsComparison:
     statistic: float
     p_value: float
 
-    def distinguishable(self, alpha: float = 0.01) -> bool:
-        """Whether an outside observer can tell the networks apart."""
-        return self.p_value < alpha
-
 
 def compare_networks(
     analysis: LingeringAnalysis, network_a: str, network_b: str

@@ -10,8 +10,7 @@ suffix (TLD+1)", with a small built-in public-suffix table so that
 from __future__ import annotations
 
 import re
-from collections import Counter
-from typing import FrozenSet, Iterable, List, Set
+from typing import FrozenSet, List, Set
 
 from repro.datasets.terms import DEVICE_TERMS, GENERIC_ROUTER_TERMS
 
@@ -105,12 +104,3 @@ def has_router_term(text: str, *, generic_terms: FrozenSet[str] = GENERIC_ROUTER
     (True, False)
     """
     return not generic_terms.isdisjoint(extract_terms(text))
-
-
-def count_terms(hostnames: Iterable[str], *, min_length: int = 3) -> Counter:
-    """Occurrences of each term across hostnames (Section 5.1's common
-    terms, with the paper's three-character minimum)."""
-    counter: Counter = Counter()
-    for hostname in hostnames:
-        counter.update(set(extract_terms(hostname, min_length=min_length)))
-    return counter

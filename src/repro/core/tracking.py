@@ -30,10 +30,6 @@ class TrackedDevice:
     def first_seen(self) -> int:
         return self.sightings[0][0]
 
-    @property
-    def last_seen(self) -> int:
-        return self.sightings[-1][0]
-
     def addresses(self) -> List[object]:
         """Distinct addresses, in first-seen order (Figure 8's colours)."""
         seen: Set[object] = set()
@@ -46,15 +42,6 @@ class TrackedDevice:
 
     def days_seen(self) -> List[dt.date]:
         return sorted({date_of(timestamp) for timestamp, _ in self.sightings})
-
-    def seen_on(self, day: dt.date) -> bool:
-        return day in {date_of(timestamp) for timestamp, _ in self.sightings}
-
-    def presence_by_day(self) -> Dict[dt.date, List[Tuple[int, object]]]:
-        by_day: Dict[dt.date, List[Tuple[int, object]]] = {}
-        for timestamp, address in self.sightings:
-            by_day.setdefault(date_of(timestamp), []).append((timestamp, address))
-        return by_day
 
 
 class DeviceTracker:

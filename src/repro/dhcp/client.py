@@ -125,10 +125,5 @@ class DhcpClient:
         self.bound_at = None
         return sent
 
-    @property
-    def effective_host_name(self) -> Optional[str]:
-        """The Host Name the server actually sees from this client."""
-        return self._base_options().host_name
-
     def __repr__(self) -> str:
         return f"DhcpClient({self.client_id!r}, state={self.state.value}, address={self.address})"

@@ -16,7 +16,6 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.dhcp.errors import UnknownLeaseError
 from repro.dhcp.options import ClientFqdn
-from repro.dns.name import as_ip
 
 
 class LeaseState(enum.Enum):
@@ -51,11 +50,6 @@ class Lease:
         """Absolute expiry time: last renewal plus the lease duration."""
         return self.last_renewed_at + self.duration
 
-    @property
-    def renewal_due_at(self) -> int:
-        """T1, the conventional renewal point at half the lease time."""
-        return self.last_renewed_at + self.duration // 2
-
     def is_active(self, now: int) -> bool:
         return self.state is LeaseState.BOUND and now < self.expires_at
 
@@ -88,16 +82,6 @@ class LeaseDatabase:
         self._by_client[lease.client_id] = lease
         if lease.expires_at < self._next_expiry:
             self._next_expiry = lease.expires_at
-
-    def get_by_address(self, address) -> Lease:
-        address = as_ip(address)
-        lease = self._by_address.get(address)
-        if lease is None:
-            raise UnknownLeaseError(f"no lease for {address}")
-        return lease
-
-    def find_by_address(self, address) -> Optional[Lease]:
-        return self._by_address.get(as_ip(address))
 
     def find_by_client(self, client_id: str) -> Optional[Lease]:
         return self._by_client.get(client_id)

@@ -57,15 +57,6 @@ class AddressPool:
     def allocated_count(self) -> int:
         return len(self._allocated)
 
-    @property
-    def free_count(self) -> int:
-        return self.size - len(self._allocated)
-
-    def utilization(self) -> float:
-        if self.size == 0:
-            return 0.0
-        return len(self._allocated) / self.size
-
     def is_free(self, address) -> bool:
         ip = as_ip(address)
         return ip in self.prefix and ip not in self._reserved and ip not in self._allocated

@@ -66,10 +66,6 @@ class DomainName:
     def labels(self) -> tuple:
         return self._labels
 
-    @property
-    def is_root(self) -> bool:
-        return not self._labels
-
     def to_text(self) -> str:
         """The absolute textual form, with trailing dot (root is ``"."``)."""
         text = self._text

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Union
+from typing import Iterator, List, Union
 
 from repro.dns.name import DomainName, IPAddress, reverse_pointer
 from repro.dns.rcode import RecordClass, RecordType
@@ -118,14 +118,3 @@ def make_ptr(address: IPAddress, hostname: str, ttl: int = DEFAULT_PTR_TTL) -> R
         rdata=DomainName.parse(hostname),
         ttl=ttl,
     )
-
-
-def group_rrsets(records: Iterable[ResourceRecord]) -> List[RRset]:
-    """Group records into RRsets, preserving first-seen order."""
-    rrsets: dict = {}
-    for record in records:
-        key = (record.name, record.rtype)
-        if key not in rrsets:
-            rrsets[key] = RRset(record.name, record.rtype)
-        rrsets[key].add(record)
-    return list(rrsets.values())

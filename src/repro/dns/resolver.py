@@ -45,10 +45,6 @@ class ResolutionStatus(enum.Enum):
     REFUSED = "refused"
     NO_SERVER = "no_server"
 
-    @property
-    def is_error(self) -> bool:
-        return self is not ResolutionStatus.NOERROR
-
 
 @dataclass
 class ServerHealth:
@@ -145,10 +141,6 @@ class StubResolver:
         """Register every zone origin served by ``server``."""
         for zone in server.zones():
             self._delegations[zone.origin] = server
-        self._server_cache.clear()
-
-    def delegate_origin(self, origin: DomainName, server: AuthoritativeServer) -> None:
-        self._delegations[origin] = server
         self._server_cache.clear()
 
     def server_for(self, name: DomainName) -> Optional[AuthoritativeServer]:
@@ -302,9 +294,6 @@ class StubResolver:
             resolve(reverse_pointer(address), at=at, network=network)
             for address in addresses
         ]
-
-    def resolve_many(self, addresses: List[IPAddress]) -> List[ResolutionResult]:
-        return self.lookup_batch(addresses)
 
     def export_metrics(self, registry) -> None:
         """Publish query/rcode/retry/backoff totals into a registry.

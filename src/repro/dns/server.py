@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.dns.errors import NoSuchZoneError, ZoneError
 from repro.dns.message import DnsMessage
 from repro.dns.name import DomainName
-from repro.dns.rcode import Opcode, Rcode, RecordType
+from repro.dns.rcode import Opcode, Rcode
 from repro.dns.zone import ReverseZone
 
 
@@ -176,10 +176,6 @@ class AuthoritativeServer:
         if rcode is Rcode.NXDOMAIN or (rcode is Rcode.NOERROR and not answers):
             response.authority = [zone.soa_record]
         return response
-
-    def lookup_ptr(self, name: DomainName) -> Optional[DnsMessage]:
-        """Convenience: handle a PTR query for ``name``."""
-        return self.handle(DnsMessage.query(name, RecordType.PTR))
 
     def metrics_snapshot(self) -> Dict[str, int]:
         """Flat counter values, for delta accounting across a run.

@@ -311,11 +311,6 @@ class ReverseZone:
             added += 1
         return added
 
-    def glue_records(self) -> Iterator[ResourceRecord]:
-        """All CNAME glue records, in owner-name order."""
-        for name in sorted(self._cnames):
-            yield self._cnames[name]
-
     # -- checkpoints ----------------------------------------------------------
 
     def checkpoint(self) -> Tuple:

@@ -16,8 +16,6 @@ from repro.eval.matrix import (
     ablation_plan,
     campus_plan,
     default_worlds,
-    quick_spec,
-    spec_with_windows,
 )
 from repro.eval.report import (
     MATRIX_PAYLOAD_VERSION,
@@ -40,12 +38,10 @@ __all__ = [
     "campus_plan",
     "default_worlds",
     "matrix_payload",
-    "quick_spec",
     "ranked",
     "render_ranked_report",
     "run_matrix",
     "score_cell",
     "score_from_payload",
-    "spec_with_windows",
     "write_matrix_json",
 ]

@@ -23,8 +23,8 @@ token, the snapshot side via the collector's ``fault_token`` salt), so
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.dynamicity import DynamicityThresholds
 from repro.ipam.policy import POLICY_NAMES
@@ -182,33 +182,3 @@ def default_worlds(seed: int = 0, *, slash16s: int = 4, people: int = 12) -> Dic
         "campus": campus_plan(seed + 7),
         "multi16": synthetic_plan(seed, slash16s=slash16s, people=people),
     }
-
-
-def quick_spec(
-    seed: int = 0,
-    *,
-    worlds: Optional[Dict[str, WorldPlan]] = None,
-    policies: Sequence[str] = POLICY_NAMES,
-    faults: Sequence[str] = ("none", "mild"),
-) -> MatrixSpec:
-    """A small matrix over short windows (tests, CI smoke)."""
-    return MatrixSpec(
-        worlds=worlds if worlds is not None else default_worlds(seed),
-        policies=tuple(policies),
-        faults=tuple(faults),
-    ).validate()
-
-
-def spec_with_windows(
-    spec: MatrixSpec,
-    *,
-    dynamicity: Optional[Tuple[dt.date, dt.date]] = None,
-    supplemental: Optional[Tuple[dt.date, dt.date]] = None,
-) -> MatrixSpec:
-    """A copy of ``spec`` with different measurement windows."""
-    changes = {}
-    if dynamicity is not None:
-        changes["dynamicity_start"], changes["dynamicity_end"] = dynamicity
-    if supplemental is not None:
-        changes["supplemental_start"], changes["supplemental_end"] = supplemental
-    return replace(spec, **changes)

@@ -58,22 +58,6 @@ class IpamSystem:
         server.subscribe(self.on_lease_event, batch=self.on_lease_batch)
         return self
 
-    def provision_static_records(self, *, at: int = 0) -> int:
-        """Pre-create fixed-form PTRs for every address the policy covers.
-
-        Only meaningful for policies with a ``static_hostname_for``;
-        returns the number of records created.  This reproduces the
-        paper's "DHCP but static rDNS" prefixes, which the dynamicity
-        heuristic must *not* flag.
-        """
-        created = 0
-        for address in self.zone.prefix:
-            hostname = self.policy.static_hostname_for(address)
-            if hostname is not None:
-                self.zone.set_ptr(address, hostname, at=at)
-                created += 1
-        return created
-
     # -- event handling -----------------------------------------------------
 
     def on_lease_event(self, event: LeaseEvent) -> None:

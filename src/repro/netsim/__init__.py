@@ -16,14 +16,12 @@ from repro.netsim.simtime import (
     SimClock,
     from_datetime,
     to_datetime,
-    ts,
 )
 from repro.netsim.rng import RngStreams
 from repro.netsim.calendar import (
     CovidPhase,
     CovidTimeline,
     HolidayCalendar,
-    black_friday,
     cyber_monday,
     thanksgiving,
 )
@@ -85,12 +83,10 @@ __all__ = [
     "SubnetRole",
     "WEEK",
     "WorldPlan",
-    "black_friday",
     "cyber_monday",
     "from_datetime",
     "plan_from_profile",
     "synthetic_plan",
     "thanksgiving",
     "to_datetime",
-    "ts",
 ]

@@ -205,59 +205,6 @@ class VisitorProfile(PresenceProfile):
         return [Session(start, min(start + duration, 18 * HOUR))]
 
 
-class HybridWorkerProfile(PresenceProfile):
-    """Post-pandemic hybrid work: office on fixed weekdays only.
-
-    ``office_days`` are ISO weekday indexes (Monday=0).  The default —
-    Tuesday through Thursday — is the pattern that emerged as
-    restrictions eased, and is what a post-2021 continuation of the
-    paper's Figure 9 would observe: a three-day weekly plateau instead
-    of five.
-    """
-
-    kind = ProfileKind.OFFICE_WORKER
-
-    def __init__(
-        self,
-        *,
-        office_days: tuple = (1, 2, 3),
-        attendance: float = 0.9,
-    ):
-        if not office_days or any(not 0 <= d <= 6 for d in office_days):
-            raise ValueError("office_days must be ISO weekday indexes (0-6)")
-        self.office_days = frozenset(office_days)
-        self.attendance = attendance
-        self._office = OfficeWorkerProfile(weekday_attendance=attendance)
-
-    def sessions_for_day(self, day, rng, factor=1.0):
-        if day.weekday() not in self.office_days:
-            return []
-        return self._office.sessions_for_day(day, rng, factor)
-
-
-class NightShiftProfile(PresenceProfile):
-    """Workers present overnight: roughly 22:00 to 06:00.
-
-    A night session spans midnight, so it materialises as an evening
-    session today plus a morning tail tomorrow — each day shows the
-    two fragments, mirroring how the snapshot path would observe it.
-    """
-
-    kind = ProfileKind.OFFICE_WORKER
-
-    def __init__(self, *, attendance: float = 0.85):
-        self.attendance = attendance
-
-    def sessions_for_day(self, day, rng, factor=1.0):
-        if day.weekday() >= 5:
-            return []
-        if rng.random() >= self.attendance * factor:
-            return []
-        start = _clamp(_jittered(rng, 22 * HOUR, 30 * MINUTE), 20 * HOUR, 23 * HOUR)
-        end = _clamp(_jittered(rng, 6 * HOUR, 30 * MINUTE), 4 * HOUR, 8 * HOUR)
-        return [Session(0, end), Session(start, DAY)]
-
-
 ScriptFunction = Callable[[dt.date], Optional[List[Session]]]
 
 

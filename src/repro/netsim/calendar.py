@@ -27,11 +27,6 @@ def thanksgiving(year: int) -> dt.date:
     return first_thursday + dt.timedelta(days=21)
 
 
-def black_friday(year: int) -> dt.date:
-    """The Friday after Thanksgiving."""
-    return thanksgiving(year) + dt.timedelta(days=1)
-
-
 def cyber_monday(year: int) -> dt.date:
     """The Monday after Thanksgiving."""
     return thanksgiving(year) + dt.timedelta(days=4)

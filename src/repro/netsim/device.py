@@ -135,17 +135,6 @@ class Device:
         """
         return DaySessions(day, rng_streams).sessions(self, factor)
 
-    def is_present_on(self, day: dt.date, rng_streams, factor: float = 1.0) -> bool:
-        return DaySessions(day, rng_streams).present(self, factor, None)
-
-    def is_present_at(self, day: dt.date, offset: int, rng_streams, factor: float = 1.0) -> bool:
-        """Presence at a specific second-of-day.
-
-        This is what a point-in-time snapshot sweep (OpenINTEL queries
-        each address once per day) actually observes.
-        """
-        return DaySessions(day, rng_streams).present(self, factor, offset)
-
 
 class DaySessions:
     """One day's session draws, each owner's drawn once.

@@ -152,12 +152,6 @@ class SimulationEngine:
             self.queue_high_water = self._live
         return EventHandle(entry, self)
 
-    def schedule_in(self, delay: int, callback: Callback) -> EventHandle:
-        """Schedule ``callback`` after a relative delay."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        return self.schedule(self.now + delay, callback)
-
     def schedule_every(
         self, interval: int, callback: Callback, *, until: Optional[int] = None
     ) -> RecurringHandle:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 from repro.netsim.simtime import HOUR, MINUTE, DAY
@@ -179,11 +179,6 @@ class FaultPlan:
 
     def profile_for(self, network: str) -> NetworkFaultProfile:
         return self.per_network.get(network, self.default_profile)
-
-    def with_network(self, network: str, profile: NetworkFaultProfile) -> "FaultPlan":
-        merged = dict(self.per_network)
-        merged[network] = profile
-        return replace(self, per_network=merged)
 
     @property
     def quiet(self) -> bool:

@@ -222,12 +222,6 @@ class NetworkRuntime:
     def online_addresses(self) -> List[ipaddress.IPv4Address]:
         return list(self._online)
 
-    def is_online(self, address) -> bool:
-        return as_ip(address) in self._online
-
-    def device_at(self, address) -> Optional[Device]:
-        return self._online.get(as_ip(address))
-
     def echo_outcome(self, address, at: Optional[int] = None, attempt: int = 0) -> int:
         """What one echo request to ``address`` sees right now.
 
@@ -252,10 +246,6 @@ class NetworkRuntime:
             if self.fault_plan.echo_lost(self.network.name, int(ip), when, attempt):
                 return ECHO_LOST
         return ECHO_REPLY
-
-    def is_icmp_responsive(self, address, at: Optional[int] = None, attempt: int = 0) -> bool:
-        """Would an echo request to ``address`` be answered right now?"""
-        return self.echo_outcome(address, at, attempt) == ECHO_REPLY
 
     def echo_batch(self, addresses) -> List[ipaddress.IPv4Address]:
         """The subset of ``addresses`` (in ascending order) that would

@@ -206,20 +206,6 @@ class WorldScale:
             supplemental_people=20,
         )
 
-    @property
-    def identified_target(self) -> int:
-        """How many identity-leaking networks the world contains."""
-        # 9 supplemental minus the non-leaking ISPs configured with
-        # fixed-form names, plus all the extras (extras always leak).
-        return (
-            9
-            + self.extra_academic
-            + self.extra_isp
-            + self.extra_other
-            + self.extra_enterprise
-            + self.extra_government
-        )
-
 
 class _PrefixAllocator:
     """Hands out non-overlapping prefixes, aligned to their size."""

@@ -30,10 +30,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.dhcp.lease import Lease
-from repro.dns.name import as_ip
 from repro.dns.server import AuthoritativeServer, FailureModel
 from repro.dns.zone import RdnsMode, ReverseZone
-from repro.ipam.policy import CarryOverPolicy, DnsUpdatePolicy
+from repro.ipam.policy import DnsUpdatePolicy
 from repro.netsim.calendar import CovidTimeline, HolidayCalendar
 from repro.netsim.device import DaySessions, Device
 from repro.netsim.rng import RngStreams
@@ -376,26 +375,9 @@ class Network:
         """The zone PTRs for ``subnet`` land in (None when rDNS is off)."""
         return self._subnet_zones.get(subnet.prefix, self.zone)
 
-    def zone_for_address(self, address) -> Optional[ReverseZone]:
-        """The most specific zone covering ``address``."""
-        ip = as_ip(address)
-        best: Optional[ReverseZone] = None
-        for prefix, zone in self._subnet_zones.items():
-            if ip in prefix and zone is not None:
-                if best is None or prefix.prefixlen > best.prefix.prefixlen:
-                    best = zone
-        if best is not None:
-            return best
-        if ip in self.prefix:
-            return self.zone
-        return None
-
     def zones(self) -> List[ReverseZone]:
         """Every zone this network serves, apex first."""
         return list(self.server.zones())
-
-    def default_policy(self) -> DnsUpdatePolicy:
-        return CarryOverPolicy(self.suffix)
 
     # -- occupancy factors ----------------------------------------------------
 
@@ -434,14 +416,8 @@ class Network:
         """
         return slash24_counts([address for address, _ in self.records_on(day, at_offset=at_offset)])
 
-    def dynamic_subnets(self) -> List[Subnet]:
-        return [subnet for subnet in self.subnets if subnet.role.is_dynamic]
-
     def device_backed_subnets(self) -> List[Subnet]:
         return [subnet for subnet in self.subnets if subnet.devices]
-
-    def all_devices(self) -> List[Device]:
-        return [device for subnet in self.subnets for device in subnet.devices]
 
     def __repr__(self) -> str:
         return (

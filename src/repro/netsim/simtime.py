@@ -23,18 +23,6 @@ EPOCH = dt.datetime(2019, 1, 1)
 Timestamp = int
 
 
-def ts(year: int, month: int, day: int, hour: int = 0, minute: int = 0, second: int = 0) -> int:
-    """The timestamp for a calendar moment.
-
-    >>> ts(2019, 1, 1)
-    0
-    >>> ts(2019, 1, 2) == DAY
-    True
-    """
-    moment = dt.datetime(year, month, day, hour, minute, second)
-    return int((moment - EPOCH).total_seconds())
-
-
 def from_datetime(moment: dt.datetime) -> int:
     return int((moment - EPOCH).total_seconds())
 
@@ -52,23 +40,12 @@ def date_of(timestamp: int) -> dt.date:
     return to_datetime(timestamp).date()
 
 
-def start_of_day(timestamp: int) -> int:
-    return (timestamp // DAY) * DAY
-
-
-def truncate(timestamp: int, granularity: int) -> int:
-    """Truncate to a granularity; 5-minute truncation merges probe data.
-
-    >>> truncate(ts(2021, 11, 1, 10, 7), 5 * MINUTE) == ts(2021, 11, 1, 10, 5)
-    True
-    """
-    if granularity <= 0:
-        raise ValueError("granularity must be positive")
-    return (timestamp // granularity) * granularity
-
-
 def weekday(timestamp: int) -> int:
-    """ISO weekday index, Monday=0 .. Sunday=6."""
+    """ISO weekday index, Monday=0 .. Sunday=6.
+
+    >>> weekday(from_date(dt.date(2021, 11, 25)))  # Thanksgiving 2021
+    3
+    """
     return date_of(timestamp).weekday()
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 #: Bump when the manifest schema changes.
 MANIFEST_VERSION = 1
@@ -96,31 +96,3 @@ class RunManifest:
     def read(cls, path) -> "RunManifest":
         text = pathlib.Path(path).read_text(encoding="utf-8")
         return cls.from_payload(json.loads(text))
-
-    # -- convenience -----------------------------------------------------------
-
-    def counter_value(self, name: str, label: Optional[str] = None):
-        """Read one counter (or labelled child) from the snapshot; 0 if absent."""
-        entry: Dict = self.metrics.get("counters", {}).get(name, {})
-        if label is not None:
-            return entry.get("labels", {}).get(label, 0)
-        return entry.get("value", 0)
-
-    def span_paths(self) -> List[str]:
-        """Flattened ``a/b[c=d]`` span paths, depth-first."""
-        paths: List[str] = []
-
-        def walk(entry: dict, prefix: str) -> None:
-            labels = entry.get("labels")
-            name = entry["name"]
-            if labels:
-                rendered = ",".join(f"{key}={labels[key]}" for key in sorted(labels))
-                name = f"{name}[{rendered}]"
-            path = f"{prefix}/{name}" if prefix else name
-            paths.append(path)
-            for child in entry.get("children", []):
-                walk(child, path)
-
-        for root in self.spans:
-            walk(root, "")
-        return paths

@@ -64,9 +64,5 @@ class TextTable:
             )
         return "\n".join(lines)
 
-    @property
-    def row_count(self) -> int:
-        return len(self._rows)
-
     def __str__(self) -> str:
         return self.render()

@@ -171,9 +171,6 @@ class SupplementalDataset:
         counts = np.bincount((keys >> 32).astype(np.intp), minlength=len(icmp.networks))
         return dict(zip(icmp.networks, counts.tolist()))
 
-    def responsive_addresses(self, network: str) -> int:
-        return self._responsive_counts().get(network, 0)
-
     def table4_rows(self) -> List[Tuple[str, str, str, int, float]]:
         """(network, type, targeted space, addresses observed, percent)."""
         responsive = self._responsive_counts()

@@ -2,8 +2,9 @@
 
 "Both Zmap and our custom-built software write the results as CSV
 files to disk" (Section 6.1).  The merge key the paper uses — IP
-address plus a five-minute truncated timestamp — is precomputed on
-every observation.
+address plus a five-minute truncated timestamp — truncates to
+:data:`TRUNCATION` (:class:`repro.core.grouping.GroupBuilder` applies it
+to whole columns).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, List, Union
 
 from repro.dns.resolver import ResolutionStatus
-from repro.netsim.simtime import MINUTE, truncate
+from repro.netsim.simtime import MINUTE
 
 TRUNCATION = 5 * MINUTE
 
@@ -30,10 +31,6 @@ class IcmpObservation:
     at: int
     network: str = ""
 
-    @property
-    def truncated_at(self) -> int:
-        return truncate(self.at, TRUNCATION)
-
 
 @dataclass(frozen=True)
 class RdnsObservation:
@@ -44,10 +41,6 @@ class RdnsObservation:
     status: ResolutionStatus
     hostname: str = ""
     network: str = ""
-
-    @property
-    def truncated_at(self) -> int:
-        return truncate(self.at, TRUNCATION)
 
     @property
     def ok(self) -> bool:

@@ -367,10 +367,11 @@ def sample_day_records(
     Day-chunks derive concurrently and merge chronologically, so the
     flattened record stream is bit-identical to a serial
     ``records_on`` walk (derivation is deterministic per day).  The
-    returned records are *not* deduplicated.  Nothing in the package
-    calls this any more — a series reads its stored record columns —
-    but ``bench/layers.py`` still names :func:`_records_chunk`, so the
-    pair goes with that benchmark entry.
+    returned records are *not* deduplicated.  Nothing that runs calls
+    this — a series reads its stored record columns — so it is on the
+    allowlist of ``tests/test_no_dead_modules.py``: it is the only
+    caller of :func:`_records_chunk`, which ``bench/layers.py``
+    (``WORKER_TASKS``) names, and the pair goes with that entry.
     """
     import ipaddress
 

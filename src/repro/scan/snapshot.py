@@ -350,12 +350,6 @@ class SnapshotSeries:
         """
         return self._cadence_days
 
-    def inferred_cadence_days(self) -> Optional[int]:
-        """Spacing of the first two snapshots (consistency check only)."""
-        if len(self._days) < 2:
-            return None
-        return (self._days[1] - self._days[0]).days
-
     def counts_by_slash24(self, day: dt.date) -> Dict[str, int]:
         """Day's /24 counts as a fresh dict (callers may mutate it)."""
         return self._matrix.day_counts(self._day_index[day])

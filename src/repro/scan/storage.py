@@ -101,9 +101,6 @@ class PrefixTable:
         """The ID for ``prefix``, or ``None`` if it was never interned."""
         return self._index.get(prefix)
 
-    def prefix_for(self, prefix_id: int) -> str:
-        return self.values[prefix_id]
-
     def __len__(self) -> int:
         return len(self.values)
 

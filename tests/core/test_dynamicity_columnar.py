@@ -113,10 +113,14 @@ class TestColumnarMatchesReference:
         series = SnapshotCollector.openintel_style(world.internet).collect(
             START, START + dt.timedelta(days=12)
         )
-        assert_reports_equal(
-            DynamicityAnalyzer().analyze(series),
-            DictReferenceAnalyzer().analyze(series),
-        )
+        reference = DictReferenceAnalyzer().analyze(series)
+        assert_reports_equal(DynamicityAnalyzer().analyze(series), reference)
+        # The incremental analyzer fed the series' own day views, as the
+        # serve path feeds it, agrees too.
+        incremental = IncrementalDynamicityAnalyzer()
+        for day in series.days:
+            incremental.ingest(day, series.counts_view(day))
+        assert_reports_equal(incremental.report(), reference)
 
 
 class TestIncrementalMatchesBatch:

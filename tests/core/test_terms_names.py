@@ -1,9 +1,10 @@
 """Tests for term extraction, suffixes, router filtering, name matching."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import GivenNameMatcher, extract_terms, hostname_suffix, is_router_level
-from repro.core.terms import count_terms
 
 
 class TestExtractTerms:
@@ -69,16 +70,10 @@ class TestRouterLevel:
 
 
 class TestCountTerms:
-    def test_counts_unique_per_hostname(self):
-        counter = count_terms(["iphone-iphone.example.com", "ipad.example.com"])
-        assert counter["iphone"] == 1  # deduplicated within one hostname
-        assert counter["ipad"] == 1
-        assert counter["example"] == 2
-
     def test_three_character_minimum(self):
-        counter = count_terms(["hp-box.example.com"])
-        assert "hp" not in counter
-        assert counter["box"] == 1
+        terms = extract_terms("hp-box.example.com", min_length=3)
+        assert "hp" not in terms
+        assert terms.count("box") == 1
 
 
 class TestGivenNameMatcher:
@@ -97,11 +92,6 @@ class TestGivenNameMatcher:
     def test_non_matching_hostname(self):
         matcher = GivenNameMatcher()
         assert matcher.match("client-10-0-0-1.pool.example.net") == set()
-        assert matcher.first_match("client-10-0-0-1.pool.example.net") is None
-
-    def test_first_match_prefers_longest(self):
-        matcher = GivenNameMatcher(["jack", "jackson"])
-        assert matcher.first_match("jacksonville.example.com") == "jackson"
 
     def test_short_names_dropped(self):
         matcher = GivenNameMatcher(["al", "bo", "brian"])
@@ -114,13 +104,8 @@ class TestGivenNameMatcher:
 
     def test_count_matches(self):
         matcher = GivenNameMatcher()
-        counter = matcher.count_matches(
-            [
-                "brians-iphone.a.edu",
-                "brians-mbp.a.edu",
-                "emmas-ipad.a.edu",
-            ]
-        )
+        hostnames = ["brians-iphone.a.edu", "brians-mbp.a.edu", "emmas-ipad.a.edu"]
+        counter = Counter(name for hostname in hostnames for name in matcher.match(hostname))
         assert counter["brian"] == 2
         assert counter["emma"] == 1
 

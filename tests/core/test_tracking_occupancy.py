@@ -85,7 +85,7 @@ class FakeSeries:
     def days(self):
         return sorted(self._counts)
 
-    def counts_by_slash24(self, day):
+    def counts_view(self, day):
         return self._counts[day]
 
 

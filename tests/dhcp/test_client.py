@@ -26,7 +26,9 @@ class TestJoin:
         assert address is not None
         assert client.state is DhcpClientState.BOUND
         assert client.lease_time == 3600
-        assert server.leases.get_by_address(address).host_name == "Brians-iPhone"
+        lease = server.leases.find_by_client("phone-1")
+        assert lease.address == address
+        assert lease.host_name == "Brians-iPhone"
 
     def test_join_failure_when_pool_full(self):
         server = DhcpServer(AddressPool("192.0.2.0/30"), lease_time=3600)
@@ -87,7 +89,9 @@ class TestIdentityOptions:
     def test_host_name_reaches_server(self, server):
         client = DhcpClient("phone-1", host_name="Brians-Galaxy-Note9")
         address = client.join(server, now=0)
-        assert server.leases.get_by_address(address).host_name == "Brians-Galaxy-Note9"
+        lease = server.leases.find_by_client("phone-1")
+        assert lease.address == address
+        assert lease.host_name == "Brians-Galaxy-Note9"
 
     def test_client_fqdn_carried(self):
         client = DhcpClient("phone-1", client_fqdn=ClientFqdn("brian.example.org"))
@@ -99,9 +103,9 @@ class TestIdentityOptions:
             host_name="Brians-iPhone",
             anonymity_profile=ANONYMITY_PROFILE,
         )
-        assert client.effective_host_name is None
-        address = client.join(server, now=0)
-        assert server.leases.get_by_address(address).host_name is None
+        assert client.join(server, now=0) is not None
+        assert server.leases.find_by_client("phone-1").host_name is None
 
-    def test_effective_host_name_without_profile(self):
-        assert DhcpClient("x", host_name="n").effective_host_name == "n"
+    def test_effective_host_name_without_profile(self, server):
+        assert DhcpClient("x", host_name="n").join(server, now=0) is not None
+        assert server.leases.find_by_client("x").host_name == "n"

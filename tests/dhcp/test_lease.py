@@ -27,10 +27,6 @@ class TestLease:
         assert lease.expires_at == 1800 + 3600
         assert lease.renewals == 1
 
-    def test_renewal_due_at_half_time(self):
-        lease = make_lease(bound_at=0, duration=3600)
-        assert lease.renewal_due_at == 1800
-
     def test_is_active_window(self):
         lease = make_lease(bound_at=0, duration=3600)
         assert lease.is_active(0)
@@ -58,7 +54,7 @@ class TestLeaseDatabase:
         db = LeaseDatabase()
         lease = make_lease()
         db.add(lease)
-        assert db.get_by_address("10.0.0.5") is lease
+        assert list(db) == [lease]
         assert db.find_by_client("client-1") is lease
         assert len(db) == 1
 
@@ -75,12 +71,15 @@ class TestLeaseDatabase:
             db.add(make_lease(address="10.0.0.6"))
 
     def test_missing_lease_raises(self):
+        db = LeaseDatabase()
+        lease = make_lease()
+        db.add(lease)
+        db.drop(lease, LeaseState.RELEASED)
         with pytest.raises(UnknownLeaseError):
-            LeaseDatabase().get_by_address("10.0.0.1")
+            db.drop(lease, LeaseState.EXPIRED)
 
     def test_find_returns_none_for_missing(self):
         db = LeaseDatabase()
-        assert db.find_by_address("10.0.0.1") is None
         assert db.find_by_client("nope") is None
 
     def test_drop_release_moves_to_history(self):

@@ -52,7 +52,8 @@ class TestDora:
     def test_request_binds_lease(self, server):
         ack = server.handle(request(host_name="Brians-iPhone"), now=10)
         assert ack.message_type is MessageType.ACK
-        lease = server.leases.get_by_address(ack.your_address)
+        lease = server.leases.find_by_client("c1")
+        assert lease.address == ack.your_address
         assert lease.host_name == "Brians-iPhone"
         assert lease.bound_at == 10
 
@@ -65,7 +66,9 @@ class TestDora:
     def test_renewal_updates_host_name(self, server):
         server.handle(request(host_name="old-name"), now=0)
         ack = server.handle(request(host_name="new-name"), now=100)
-        assert server.leases.get_by_address(ack.your_address).host_name == "new-name"
+        lease = server.leases.find_by_client("c1")
+        assert lease.address == ack.your_address
+        assert lease.host_name == "new-name"
 
     def test_request_for_foreign_address_naks(self, server):
         first = server.handle(request("c1"), now=0)

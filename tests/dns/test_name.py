@@ -21,7 +21,7 @@ class TestDomainName:
     def test_root_parses_from_dot(self):
         assert DomainName.parse(".") == ROOT
         assert ROOT.to_text() == "."
-        assert ROOT.is_root
+        assert ROOT.labels == ()
 
     def test_equality_is_case_insensitive(self):
         assert DomainName.parse("Example.COM") == DomainName.parse("example.com")

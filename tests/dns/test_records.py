@@ -5,7 +5,7 @@ import ipaddress
 import pytest
 
 from repro.dns import DomainName, RecordType, ResourceRecord, make_ptr
-from repro.dns.records import RRset, SoaData, group_rrsets
+from repro.dns.records import RRset, SoaData
 
 
 class TestResourceRecord:
@@ -66,11 +66,3 @@ class TestRRset:
         with pytest.raises(ValueError):
             rrset.add(make_ptr("10.0.0.2", "b.example.com"))
 
-    def test_group_rrsets(self):
-        a1 = make_ptr("10.0.0.1", "a.example.com")
-        a2 = ResourceRecord(a1.name, RecordType.PTR, DomainName.parse("alias.example.com"))
-        b = make_ptr("10.0.0.2", "b.example.com")
-        rrsets = group_rrsets([a1, a2, b])
-        assert len(rrsets) == 2
-        assert len(rrsets[0]) == 2
-        assert len(rrsets[1]) == 1

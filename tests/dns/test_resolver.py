@@ -35,7 +35,7 @@ class TestResolution:
         result = resolver.resolve_ptr("192.0.2.77")
         assert result.status is ResolutionStatus.NXDOMAIN
         assert result.hostname is None
-        assert result.status.is_error
+        assert result.status is not ResolutionStatus.NOERROR
 
     def test_fresh_answers_after_zone_change(self):
         # The measurement queries authoritatives directly, so a zone
@@ -54,7 +54,7 @@ class TestResolution:
 
     def test_resolve_many(self):
         _, _, resolver = build_world()
-        results = resolver.resolve_many(["192.0.2.10", "192.0.2.11"])
+        results = resolver.lookup_batch(["192.0.2.10", "192.0.2.11"])
         assert [r.status for r in results] == [ResolutionStatus.NOERROR, ResolutionStatus.NXDOMAIN]
 
     def test_query_counter(self):
@@ -104,7 +104,7 @@ class TestFailureHandling:
         result = resolver.resolve_ptr("192.0.2.10")
         assert result.status is ResolutionStatus.REFUSED
         assert result.status is not ResolutionStatus.SERVFAIL
-        assert result.status.is_error
+        assert result.status is not ResolutionStatus.NOERROR
         assert resolver.server_health["ns1.example.edu"].refused == 1
 
     def test_server_health_counters(self):

@@ -154,47 +154,3 @@ class TestFactory:
     def test_determinism_same_rng_same_sessions(self):
         profile = StudentProfile()
         assert profile.sessions_for_day(WEEKDAY, rng(5)) == profile.sessions_for_day(WEEKDAY, rng(5))
-
-
-class TestHybridWorkerProfile:
-    def test_only_office_days(self):
-        from repro.netsim.behavior import HybridWorkerProfile
-
-        profile = HybridWorkerProfile(office_days=(1, 2, 3))
-        monday, tuesday = dt.date(2021, 11, 1), dt.date(2021, 11, 2)
-        assert attendance_rate(profile, monday) == 0.0
-        assert attendance_rate(profile, tuesday) > 0.7
-
-    def test_validation(self):
-        from repro.netsim.behavior import HybridWorkerProfile
-
-        with pytest.raises(ValueError):
-            HybridWorkerProfile(office_days=())
-        with pytest.raises(ValueError):
-            HybridWorkerProfile(office_days=(9,))
-
-
-class TestNightShiftProfile:
-    def test_sessions_straddle_midnight(self):
-        from repro.netsim.behavior import NightShiftProfile
-
-        profile = NightShiftProfile()
-        sessions = profile.sessions_for_day(WEEKDAY, rng(4))
-        if sessions:
-            assert sessions[0].start == 0
-            assert sessions[0].end <= 8 * HOUR
-            assert sessions[-1].end == DAY
-            assert sessions[-1].start >= 20 * HOUR
-
-    def test_present_at_night_absent_at_noon(self):
-        from repro.netsim.behavior import NightShiftProfile
-
-        profile = NightShiftProfile(attendance=1.0)
-        sessions = profile.sessions_for_day(WEEKDAY, rng(1))
-        assert any(s.contains(2 * HOUR) for s in sessions)
-        assert not any(s.contains(12 * HOUR) for s in sessions)
-
-    def test_weekends_off(self):
-        from repro.netsim.behavior import NightShiftProfile
-
-        assert attendance_rate(NightShiftProfile(), SATURDAY) == 0.0

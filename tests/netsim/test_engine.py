@@ -35,15 +35,6 @@ class TestScheduling:
         with pytest.raises(ValueError):
             engine.schedule(99, lambda: None)
 
-    def test_schedule_in(self):
-        engine = SimulationEngine(start=100)
-        fired = []
-        engine.schedule_in(50, lambda: fired.append(engine.now))
-        engine.run()
-        assert fired == [150]
-        with pytest.raises(ValueError):
-            engine.schedule_in(-1, lambda: None)
-
     def test_events_can_schedule_events(self):
         engine = SimulationEngine()
         fired = []

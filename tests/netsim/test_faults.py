@@ -102,7 +102,7 @@ class TestDraws:
 
     def test_per_network_override(self):
         noisy = NetworkFaultProfile(icmp_loss_rate=1.0)
-        plan = FaultPlan().with_network("loud", noisy)
+        plan = FaultPlan(per_network={"loud": noisy})
         assert plan.echo_lost("loud", 1, 0, 0)
         assert not plan.echo_lost("other", 1, 0, 0)
 

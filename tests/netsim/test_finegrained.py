@@ -9,7 +9,7 @@ from repro.ipam import CarryOverPolicy
 from repro.netsim.behavior import ScriptedProfile, Session
 from repro.netsim.device import Device, DeviceNaming, model_by_key
 from repro.netsim.engine import SimulationEngine
-from repro.netsim.finegrained import NetworkRuntime, build_runtimes
+from repro.netsim.finegrained import ECHO_REPLY, NetworkRuntime, build_runtimes
 from repro.netsim.network import IcmpPolicy, Network, NetworkType, Subnet, SubnetRole
 from repro.netsim.rng import RngStreams
 from repro.netsim.simtime import DAY, HOUR, MINUTE, from_date
@@ -135,8 +135,8 @@ class TestIcmpObservability:
         engine.run_until(from_date(START) + 12 * HOUR)
         addresses = runtime.online_addresses()
         assert len(addresses) == 1
-        assert runtime.is_icmp_responsive(addresses[0])
-        assert runtime.device_at(addresses[0]) is device
+        assert runtime.echo_outcome(addresses[0]) == ECHO_REPLY
+        assert runtime._online[addresses[0]] is device
 
     def test_blocked_network_never_responds(self):
         device = scripted_device("d1", [Session(0, DAY)])
@@ -148,7 +148,7 @@ class TestIcmpObservability:
         engine.run_until(from_date(START) + 12 * HOUR)
         addresses = runtime.online_addresses()
         assert addresses
-        assert not runtime.is_icmp_responsive(addresses[0])
+        assert runtime.echo_outcome(addresses[0]) != ECHO_REPLY
 
     def test_allowlist_bypasses_block(self):
         device = scripted_device("d1", [Session(0, DAY)])
@@ -156,7 +156,7 @@ class TestIcmpObservability:
         network.icmp_allowlist = {__import__("ipaddress").IPv4Address("10.0.2.61")}
         engine = SimulationEngine(start=from_date(START))
         runtime = NetworkRuntime(network, engine)
-        assert runtime.is_icmp_responsive("10.0.2.61")
+        assert runtime.echo_outcome("10.0.2.61") == ECHO_REPLY
 
     def test_non_responding_device(self):
         device = scripted_device("d1", [Session(0, DAY)], icmp=False)
@@ -166,13 +166,13 @@ class TestIcmpObservability:
         engine.run_until(from_date(START) + 12 * HOUR)
         addresses = runtime.online_addresses()
         assert addresses
-        assert not runtime.is_icmp_responsive(addresses[0])
+        assert runtime.echo_outcome(addresses[0]) != ECHO_REPLY
 
     def test_offline_address_does_not_respond(self):
         device = scripted_device("d1", [Session(9 * HOUR, 10 * HOUR)])
         network, runtime = run_one_day(devices=[device])
         assert runtime.online_addresses() == []
-        assert not runtime.is_icmp_responsive("10.0.10.10")
+        assert runtime.echo_outcome("10.0.10.10") != ECHO_REPLY
 
 
 class TestBuildRuntimes:

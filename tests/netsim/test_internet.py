@@ -150,6 +150,6 @@ class TestBrianPersonas:
 
     def test_brian_devices_in_world_zone_space(self, world):
         academic_a = world.supplemental["Academic-A"]
-        device_ids = {d.device_id for d in academic_a.all_devices()}
+        device_ids = {d.device_id for subnet in academic_a.subnets for d in subnet.devices}
         assert any("brian-office" in device_id for device_id in device_ids)
         assert any("brian-resident" in device_id for device_id in device_ids)

@@ -7,7 +7,7 @@ import pytest
 from repro.ipam import CarryOverPolicy, NoUpdatePolicy, StaticTemplatePolicy
 from repro.netsim.behavior import OfficeWorkerProfile
 from repro.netsim.calendar import CovidTimeline
-from repro.netsim.device import Device, DeviceNaming, model_by_key
+from repro.netsim.device import DaySessions, Device, DeviceNaming, model_by_key
 from repro.netsim.internet import WorldScale
 from repro.netsim.network import Network, NetworkType, Subnet, SubnetRole
 from repro.netsim.rng import RngStreams
@@ -114,18 +114,11 @@ class TestSnapshotOffsets:
         device = office_device(0)
         rngs = RngStreams(1)
         for offset in range(0, 24):
-            if device.is_present_at(WEDNESDAY, offset * HOUR, rngs):
-                assert device.is_present_on(WEDNESDAY, rngs)
+            if DaySessions(WEDNESDAY, rngs).present(device, 1.0, offset * HOUR):
+                assert DaySessions(WEDNESDAY, rngs).present(device, 1.0, None)
 
 
 class TestWorldScale:
-    def test_identified_target_counts_components(self):
-        scale = WorldScale()
-        assert scale.identified_target == 9 + scale.extra_academic + scale.extra_isp + (
-            scale.extra_other + scale.extra_enterprise + scale.extra_government
-        )
-
     def test_small_scale_is_smaller(self):
         small, full = WorldScale.small(), WorldScale()
         assert small.supplemental_people < full.supplemental_people
-        assert small.identified_target < full.identified_target

@@ -87,9 +87,9 @@ def test_presence_matches_oracle_at_every_edge(owner):
         for offset in offsets:
             expected = reference_presence(device, day, offset, rngs, factor)
             if offset is None:
-                assert device.is_present_on(day, rngs, factor) == expected
+                assert DaySessions(day, rngs).present(device, factor, None) == expected
             else:
-                assert device.is_present_at(day, offset, rngs, factor) == expected
+                assert DaySessions(day, rngs).present(device, factor, offset) == expected
             # The walk's memo, shared by the owner's devices, agrees too.
             assert shared.present(device, factor, offset) == expected
 

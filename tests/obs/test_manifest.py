@@ -55,11 +55,13 @@ class TestRunManifest:
 
     def test_counter_value_and_span_paths(self):
         manifest = make_obs().manifest()
-        assert manifest.counter_value("lookups_total") == 12
-        assert manifest.counter_value("unknown") == 0
-        assert manifest.span_paths() == [
-            "campaign.run",
-            "campaign.run/campaign.network[network=A]",
+        counters = manifest.metrics["counters"]
+        assert counters["lookups_total"]["value"] == 12
+        assert "unknown" not in counters
+        [run] = manifest.spans
+        assert run["name"] == "campaign.run"
+        assert [(child["name"], child["labels"]) for child in run["children"]] == [
+            ("campaign.network", {"network": "A"})
         ]
 
 

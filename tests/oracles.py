@@ -28,11 +28,11 @@ time them as the baseline side:
   which :class:`~repro.core.names.GivenNameMatcher` is checked;
 * :func:`reference_presence` — device presence from the full list of
   joined sessions, against which :class:`~repro.netsim.device.DaySessions`
-  (and so :meth:`~repro.netsim.device.Device.is_present_at`, ``is_present_on``
-  and the snapshot walk) is checked;
+  (and so the snapshot walk) is checked;
 * :func:`reference_groups` — activity groups built from observation
   objects, one address dict at a time, against which the columnar
-  :meth:`~repro.core.grouping.GroupBuilder.build` is checked;
+  :meth:`~repro.core.grouping.GroupBuilder.build` is checked; it merges
+  ICMP rows on :func:`truncate`, the five-minute key of one timestamp;
 * :func:`reference_dataset_stats` — Tables 3 and 4 counted with sets of
   observation objects, against which the NumPy counts of
   :class:`~repro.scan.campaign.SupplementalDataset` are checked.
@@ -75,6 +75,7 @@ from repro.netsim.population import (
     _SERVER_LABELS,
 )
 from repro.netsim.simtime import MINUTE
+from repro.scan.observations import TRUNCATION
 from repro.scan.snapshot import SnapshotSeries
 
 
@@ -329,6 +330,13 @@ def reference_presence(
     return any(session.contains(offset) for session in sessions)
 
 
+def truncate(timestamp: int, granularity: int = TRUNCATION) -> int:
+    """``timestamp`` rounded down to a multiple of ``granularity``."""
+    if granularity <= 0:
+        raise ValueError("granularity must be positive")
+    return (timestamp // granularity) * granularity
+
+
 def reference_groups(builder: GroupBuilder, dataset) -> List[ActivityGroup]:
     """Section 6.1 groups from the dataset's observation objects.
 
@@ -341,7 +349,7 @@ def reference_groups(builder: GroupBuilder, dataset) -> List[ActivityGroup]:
     icmp_by_address: Dict[object, List[int]] = {}
     network_of: Dict[object, str] = {}
     for observation in dataset.icmp:
-        icmp_by_address.setdefault(observation.address, []).append(observation.truncated_at)
+        icmp_by_address.setdefault(observation.address, []).append(truncate(observation.at))
         network_of[observation.address] = observation.network
     rdns_by_address: Dict[object, list] = {}
     for observation in dataset.rdns:

@@ -1,9 +1,10 @@
 """Tests for observations and CSV persistence."""
 
+import datetime as dt
 import ipaddress
 
 from repro.dns.resolver import ResolutionStatus
-from repro.netsim.simtime import ts
+from repro.netsim.simtime import from_datetime
 from repro.scan import (
     IcmpObservation,
     RdnsObservation,
@@ -12,6 +13,11 @@ from repro.scan import (
     write_icmp_csv,
     write_rdns_csv,
 )
+from tests.oracles import truncate
+
+
+def ts(*moment):
+    return from_datetime(dt.datetime(*moment))
 
 
 def icmp_obs(minute=7):
@@ -34,12 +40,12 @@ def rdns_obs(status=ResolutionStatus.NOERROR, hostname="brians-mbp.campus.stateu
 
 class TestTruncation:
     def test_five_minute_truncation(self):
-        assert icmp_obs(minute=7).truncated_at == ts(2021, 11, 1, 10, 5)
-        assert icmp_obs(minute=5).truncated_at == ts(2021, 11, 1, 10, 5)
+        assert truncate(icmp_obs(minute=7).at) == ts(2021, 11, 1, 10, 5)
+        assert truncate(icmp_obs(minute=5).at) == ts(2021, 11, 1, 10, 5)
 
     def test_icmp_and_rdns_merge_on_truncated_key(self):
         # The merge the paper performs: same IP, same 5-minute bucket.
-        assert icmp_obs().truncated_at == rdns_obs().truncated_at
+        assert truncate(icmp_obs().at) == truncate(rdns_obs().at)
 
 
 class TestRdnsObservation:

@@ -103,13 +103,13 @@ class TestDeclaredCadence:
         )
         assert len(series) == 1
         assert series.cadence_days == 7
-        assert series.inferred_cadence_days() is None
+        assert len(series.days) < 2  # no second snapshot to infer a spacing from
 
     def test_inferred_cadence_matches_declared(self, world):
         series = SnapshotCollector.rapid7_style(world.internet).collect(
             START, START + dt.timedelta(days=15)
         )
-        assert series.inferred_cadence_days() == series.cadence_days == 7
+        assert (series.days[1] - series.days[0]).days == series.cadence_days == 7
 
     def test_spacing_mismatch_rejected(self, world):
         from repro.scan.snapshot import SnapshotSeries

@@ -12,7 +12,7 @@ class TestPrefixTable:
         assert table.intern("10.0.1.0/24") == 1
         assert table.intern("10.0.0.0/24") == 0  # idempotent
         assert len(table) == 2
-        assert table.prefix_for(1) == "10.0.1.0/24"
+        assert table.values[1] == "10.0.1.0/24"
         assert table.get("10.0.1.0/24") == 1
         assert table.get("10.9.9.0/24") is None
         assert "10.0.0.0/24" in table

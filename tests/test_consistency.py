@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core import GroupBuilder
 from repro.ipam import CarryOverPolicy, StaticTemplatePolicy
 from repro.netsim.behavior import ProfileKind, ScriptedProfile, Session
-from repro.netsim.device import Device, DeviceNaming, model_by_key
+from repro.netsim.device import DaySessions, Device, DeviceNaming, model_by_key
 from repro.netsim.engine import SimulationEngine
 from repro.netsim.finegrained import NetworkRuntime
 from repro.netsim.internet import Internet
@@ -223,7 +223,7 @@ class TestEventVsDayLevelConsistency:
             engine.run_until(from_date(START) + check_hour * HOUR)
             assert bool(runtime.online_addresses()) == expect_online
             # The day-level path agrees.
-            assert device.is_present_at(START, check_hour * HOUR, network.rngs) == expect_online
+            assert DaySessions(START, network.rngs).present(device, 1.0, check_hour * HOUR) == expect_online
 
     def test_zone_state_matches_online_set_during_run(self):
         subnet = make_device_subnet(count=6, seed=9)
